@@ -14,6 +14,7 @@ unique across sections.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields, replace
 
 from .costfield import CostfieldParams
@@ -187,39 +188,64 @@ def config_text(cfg: SimConfig) -> str:
     return "\n".join(lines)
 
 
+def _require(ok: bool, key: str, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"{key} {rule}")
+
+
 def validate(cfg: SimConfig) -> None:
+    """Reject every value the simulator cannot run meaningfully, naming the
+    key: non-finite floats first, then each key's range."""
+    for name, cls in _SECTIONS.items():
+        section = getattr(cfg, name)
+        for key, ftype in _field_types(cls).items():
+            value = getattr(section, key)
+            _require(ftype is not float or math.isfinite(value), f"{name}.{key}",
+                     f"must be a finite number, got {value}")
     p, m, c, pol, sc = cfg.phys, cfg.mac, cfg.costfield, cfg.policies, cfg.scenario
-    if p.alpha_exp < 2.0:
-        raise ConfigError("phys.alpha_exp must be >= 2")
-    if p.sensitivity_dbm <= p.noise_floor_dbm:
-        raise ConfigError("phys.sensitivity_dbm must exceed phys.noise_floor_dbm")
-    if p.bitrate_bps <= 0 or p.d_min_m <= 0:
-        raise ConfigError("phys.bitrate_bps and phys.d_min_m must be positive")
-    if not (0 <= m.backoff_min_ms <= m.backoff_max_ms):
-        raise ConfigError("mac backoff window must satisfy 0 <= min <= max")
-    if m.congestion_limit < 1:
-        raise ConfigError("mac.congestion_limit must be >= 1")
-    if c.bounds_mode not in ("computed", "fixed"):
-        raise ConfigError("costfield.bounds_mode must be computed or fixed")
-    if c.fixed_bounds_lo >= c.fixed_bounds_hi:
-        raise ConfigError("costfield fixed bounds must be ordered lo < hi")
-    if pol.spread_factor < 1.0 or pol.spread_factor_max < 1.0:
-        raise ConfigError("policies spread factors must be >= 1")
-    if not (0.0 < pol.ladder_ratio < 1.0) or not (0.0 < pol.ladder_scale <= 1.0):
-        raise ConfigError("policies ladder parameters out of range")
-    if pol.credit_factor < 0 or pol.wide_neighbor_count < 1:
-        raise ConfigError("policies credit parameters out of range")
-    if sc.protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {sc.protocol!r}; pick one of {', '.join(PROTOCOLS)}")
-    if sc.node_count < 2:
-        raise ConfigError("scenario.node_count must be >= 2")
-    if not (0.0 <= sc.p_f <= 1.0):
-        raise ConfigError("scenario.p_f must lie in [0, 1]")
-    if sc.failure_side not in ("rx", "tx"):
-        raise ConfigError("scenario.failure_side must be rx or tx")
-    if sc.sink_placement not in ("corner", "center"):
-        raise ConfigError("scenario.sink_placement must be corner or center")
-    if sc.replications < 1:
-        raise ConfigError("scenario.replications must be >= 1")
-    if sc.event_count < 0 or sc.event_spread < 0:
-        raise ConfigError("scenario event counts must be non-negative")
+    _require(p.alpha_exp >= 2.0, "phys.alpha_exp", "must be >= 2")
+    _require(p.sensitivity_dbm > p.noise_floor_dbm, "phys.sensitivity_dbm",
+             "must exceed phys.noise_floor_dbm")
+    _require(p.bitrate_bps > 0, "phys.bitrate_bps", "must be positive")
+    _require(p.d_min_m > 0, "phys.d_min_m", "must be positive")
+    for key in ("adv_bytes", "ncnt_bytes", "data_bytes"):
+        _require(getattr(p, key) >= 1, f"phys.{key}", "must be >= 1")
+    _require(m.backoff_min_ms >= 0, "mac.backoff_min_ms", "must be >= 0")
+    _require(m.backoff_max_ms >= m.backoff_min_ms, "mac.backoff_max_ms",
+             "must be >= mac.backoff_min_ms")
+    _require(m.congestion_limit >= 1, "mac.congestion_limit", "must be >= 1")
+    _require(m.carrier_sense_offset_db >= 0, "mac.carrier_sense_offset_db", "must be >= 0")
+    _require(c.beta_adv_ms >= 0, "costfield.beta_adv_ms", "must be >= 0")
+    _require(c.bounds_mode in ("computed", "fixed"), "costfield.bounds_mode",
+             "must be computed or fixed")
+    _require(c.fixed_bounds_lo < c.fixed_bounds_hi, "costfield.fixed_bounds_lo",
+             "must be below costfield.fixed_bounds_hi")
+    _require(c.ncnt_start_ms >= 0, "costfield.ncnt_start_ms", "must be >= 0")
+    _require(c.ncnt_window_ms >= 0, "costfield.ncnt_window_ms", "must be >= 0")
+    _require(pol.credit_factor >= 0, "policies.credit_factor", "must be >= 0")
+    _require(pol.wide_neighbor_count >= 1, "policies.wide_neighbor_count", "must be >= 1")
+    for key in ("spread_factor", "spread_factor_max"):
+        _require(getattr(pol, key) >= 1.0, f"policies.{key}", "must be >= 1")
+    _require(0.0 < pol.ladder_scale <= 1.0, "policies.ladder_scale", "must lie in (0, 1]")
+    _require(0.0 < pol.ladder_ratio < 1.0, "policies.ladder_ratio", "must lie in (0, 1)")
+    for key in ("ema_weight", "stall_high", "stall_low"):
+        _require(0.0 <= getattr(pol, key) <= 1.0, f"policies.{key}", "must lie in [0, 1]")
+    # a zero period would re-arm the stall timer at the same instant forever
+    _require(pol.stall_check_factor > 0, "policies.stall_check_factor", "must be positive")
+    for key in ("tx_draw_w", "rx_draw_w"):
+        _require(getattr(pol, key) >= 0, f"policies.{key}", "must be >= 0")
+    _require(pol.initial_energy_j > 0, "policies.initial_energy_j", "must be positive")
+    _require(sc.protocol in PROTOCOLS, "scenario.protocol",
+             f"must be one of {', '.join(PROTOCOLS)}, got {sc.protocol!r}")
+    _require(sc.node_count >= 2, "scenario.node_count", "must be >= 2")
+    for key in ("area_width_m", "area_height_m", "data_window_ms", "max_sim_time_ms"):
+        _require(getattr(sc, key) > 0, f"scenario.{key}", "must be positive")
+    _require(sc.data_start_ms >= 0, "scenario.data_start_ms", "must be >= 0")
+    _require(0.0 <= sc.p_f <= 1.0, "scenario.p_f", "must lie in [0, 1]")
+    _require(sc.failure_side in ("rx", "tx"), "scenario.failure_side", "must be rx or tx")
+    _require(sc.sink_placement in ("corner", "center"), "scenario.sink_placement",
+             "must be corner or center")
+    _require(sc.replications >= 1, "scenario.replications", "must be >= 1")
+    _require(sc.base_seed >= 0, "scenario.base_seed", "must be >= 0")
+    for key in ("event_count", "event_spread"):
+        _require(getattr(sc, key) >= 0, f"scenario.{key}", "must be >= 0")

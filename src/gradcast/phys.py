@@ -6,6 +6,11 @@ the cost computed from geometry and the cost computed from (tx - rx) power are
 the same number. Distances below ``d_min_m`` clamp rather than fault, which
 also gives a node's own transmissions an effectively infinite self-interference
 (the radio is half-duplex for free).
+
+A replication's geometry never changes, so ``link_table`` computes every
+pair's pathloss and default-power received mW once, and ``decode_batch``
+decodes one transmission for all its receivers from those rows. The scalar
+``decode`` is the reference the batched path must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 
 @dataclass
@@ -67,6 +74,60 @@ class Transmission:
     packet: object
     # every other transmission overlapping [start, end]; maintained by the network
     interferers: list = field(default_factory=list)
+    # received mW at every node id (LinkTable.rx_mw_row); read by decode_batch
+    rx_mw: np.ndarray | None = None
+
+
+@dataclass
+class LinkTable:
+    """Pathloss and default-power received power of every ordered node pair.
+
+    Entries come from the same scalar ``math`` arithmetic as
+    ``pathloss_db(distance(a, b))`` and ``10.0 ** (received_power_dbm / 10.0)``:
+    numpy's hypot, log10 and power ufuncs differ from ``math`` in the last
+    bit on a few percent of inputs, and one ulp in a link cost moves the
+    cost field and every backoff time derived from it.
+    """
+    pathloss_db: np.ndarray   # (n, n), symmetric
+    rx_mw: np.ndarray         # (n, n), row = sender at params.tx_power_dbm
+    tx_power_dbm: float
+
+    def neighbors(self, sensitivity_dbm: float) -> list[list[int]]:
+        """Ids whose default-power reception lies strictly above sensitivity,
+        ascending, self excluded (``is_neighbor`` for every pair)."""
+        audible = self.tx_power_dbm - self.pathloss_db > sensitivity_dbm
+        np.fill_diagonal(audible, False)
+        return [np.flatnonzero(row).tolist() for row in audible]
+
+    def rx_mw_row(self, sender: int, tx_power_dbm: float) -> np.ndarray:
+        """Received mW at every node from ``sender`` transmitting at the given
+        power; the shared table row at the default power."""
+        if tx_power_dbm == self.tx_power_dbm:
+            return self.rx_mw[sender]
+        return np.array([10.0 ** ((tx_power_dbm - pl) / 10.0)
+                         for pl in self.pathloss_db[sender].tolist()])
+
+
+def link_table(points: list, params: RadioParams) -> LinkTable:
+    """Fill the i <= j half pair by pair in Python floats, then mirror it."""
+    n = len(points)
+    scale = 10.0 * params.alpha_exp
+    d_min = params.d_min_m
+    p0 = params.tx_power_dbm
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    pl = np.empty((n, n))
+    mw = np.empty((n, n))
+    for i in range(n):
+        xi, yi = xs[i], ys[i]
+        dists = map(math.hypot, [xi - x for x in xs[i:]], [yi - y for y in ys[i:]])
+        row = [scale * math.log10(d if d > d_min else d_min) for d in dists]
+        pl[i, i:] = row
+        mw[i, i:] = [10.0 ** ((p0 - v) / 10.0) for v in row]
+    lower = np.tri(n, k=-1, dtype=bool)
+    pl[lower] = pl.T[lower]
+    mw[lower] = mw.T[lower]
+    return LinkTable(pl, mw, p0)
 
 
 def decode(rx_pos: tuple[float, float], wanted: Transmission,
@@ -116,3 +177,50 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
         if level > peak:
             peak = level
     return signal_mw / (noise_mw + peak) >= threshold
+
+
+def decode_batch(wanted: Transmission, receivers: list[int], links: LinkTable,
+                 params: RadioParams) -> list[int]:
+    """The receivers (node ids into ``links``) that demodulate ``wanted``
+    among ``wanted.interferers``; ``decode`` for each of them, bit for bit.
+
+    The overlap windows are clamped once for all receivers. Each receiver's
+    marks are ordered as ``decode`` orders them, by (instant, signed mW), and
+    summed in that order: a cumulative sum adds sequentially, so every
+    partial sum equals the scalar loop's.
+    """
+    rx = np.array(receivers, dtype=np.intp)
+    heard = wanted.tx_power_dbm - links.pathloss_db[wanted.sender, rx] > params.sensitivity_dbm
+    rx = rx[heard]
+    if params.perfect_decode or not rx.size:
+        return rx.tolist()
+
+    instants: list[float] = []
+    rows = []
+    ws, we = wanted.start, wanted.end
+    for other in wanted.interferers:
+        s = other.start if other.start > ws else ws
+        e = other.end if other.end < we else we
+        if e <= s:
+            continue
+        instants += (s, e)
+        rows.append(other.rx_mw)
+
+    noise_mw = 10.0 ** (params.noise_floor_dbm / 10.0)
+    threshold = 10.0 ** (params.sinr_threshold_db / 10.0)
+    signal_mw = wanted.rx_mw[rx]
+    if rows:
+        # one column per receiver: (start, +mW) and (end, -mW) per interferer
+        p_mw = np.array(rows)[:, rx]
+        marks = np.empty((2 * len(rows), rx.size))
+        marks[0::2] = p_mw
+        marks[1::2] = -p_mw
+        at = np.empty_like(marks)
+        at[:] = np.array(instants)[:, None]
+        order = np.lexsort((marks, at), axis=0)
+        level = marks[order, np.arange(rx.size)].cumsum(axis=0)
+        peak = np.maximum(level.max(axis=0), 0.0)
+        ok = signal_mw / (noise_mw + peak) >= threshold
+    else:
+        ok = signal_mw / noise_mw >= threshold
+    return rx[ok].tolist()

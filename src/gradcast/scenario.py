@@ -74,23 +74,19 @@ def generate_topology(cfg: SimConfig, rng) -> tuple[list, tuple[float, float]]:
 
 def neighbor_lists(positions: list, params: phys.RadioParams) -> list[list[int]]:
     """Ground-truth neighbor ids per node (default power), ids ascending."""
-    n = len(positions)
-    out: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if phys.is_neighbor(positions[i], positions[j], params):
-                out[i].append(j)
-                out[j].append(i)
-    return out
+    return phys.link_table(positions, params).neighbors(params.sensitivity_dbm)
 
 
 def connectivity(positions: list, sink_pos, params: phys.RadioParams) -> list[bool]:
     """Which sensors reach the sink through the neighbor graph."""
-    pts = positions + [sink_pos]
-    nbrs = neighbor_lists(pts, params)
-    sink = len(pts) - 1
-    seen = {sink}
-    frontier = [sink]
+    nbrs = neighbor_lists(positions + [sink_pos], params)
+    return _reaches(nbrs, len(positions))[:len(positions)]
+
+
+def _reaches(nbrs: list[list[int]], root: int) -> list[bool]:
+    """Which ids the neighbor graph connects to ``root``."""
+    seen = {root}
+    frontier = [root]
     while frontier:
         nxt = []
         for i in frontier:
@@ -99,7 +95,7 @@ def connectivity(positions: list, sink_pos, params: phys.RadioParams) -> list[bo
                     seen.add(j)
                     nxt.append(j)
         frontier = nxt
-    return [i in seen for i in range(len(positions))]
+    return [i in seen for i in range(len(nbrs))]
 
 
 def generate_traffic(cfg: SimConfig, rng) -> list[TrafficEvent]:
@@ -141,6 +137,7 @@ class Network:
         self.nodes: list[Node] = []
         self.sink_id = -1
         self.neighbors: list[list[int]] = []
+        self.links: phys.LinkTable | None = None
         self.active: dict[int, phys.Transmission] = {}
         self._tx_serial = 0
         self.flood_epoch = 0.0
@@ -167,11 +164,10 @@ class Network:
             if needs_ladder and not node.is_sink:
                 node.ugrab = UGrabState(pol.ladder_scale, pol.ladder_ratio,
                                         spread=pol.spread_factor)
-        pts = [n.pos for n in self.nodes]
-        self.neighbors = neighbor_lists(pts, self.radio)
-        flags = connectivity(positions, sink_pos, self.radio)
-        for i, ok in enumerate(flags):
-            self.nodes[i].connected = ok
+        self.links = phys.link_table([n.pos for n in self.nodes], self.radio)
+        self.neighbors = self.links.neighbors(self.radio.sensitivity_dbm)
+        for node, ok in zip(self.nodes, _reaches(self.neighbors, self.sink_id)):
+            node.connected = ok
         self.delta_bounds = self._discrepancy_bounds()
         sink.cost.bounds = self.delta_bounds
 
@@ -270,7 +266,8 @@ class Network:
         self._spend(node, "tx", n_bytes, power)
         now = self.sim.clock
         tr = phys.Transmission(node.id, node.pos, power, now,
-                               now + self.radio.airtime_ms(n_bytes), packet)
+                               now + self.radio.airtime_ms(n_bytes), packet,
+                               rx_mw=self.links.rx_mw_row(node.id, power))
         tr.interferers = list(self.active.values())
         for other in self.active.values():
             other.interferers.append(tr)
@@ -281,21 +278,20 @@ class Network:
     def _tx_end(self, ev: Event) -> None:
         serial, tr = ev.payload
         del self.active[serial]
-        for rx_id in self.neighbors[tr.sender]:
-            rx = self.nodes[rx_id]
-            if rx.dead:
-                continue
-            if not phys.decode(rx.pos, tr, tr.interferers, self.radio):
-                if isinstance(tr.packet, AdvPacket):
-                    self.counters["adv_decode_failures"] += 1
-                continue
-            self._receive(rx, tr)
+        nodes = self.nodes
+        alive = [j for j in self.neighbors[tr.sender] if not nodes[j].dead]
+        decoded = phys.decode_batch(tr, alive, self.links, self.radio)
+        # the transmissions still on the air keep theirs; dropping this list
+        # breaks the reference cycles between finished transmissions
+        tr.interferers = []
+        if isinstance(tr.packet, AdvPacket):
+            self.counters["adv_decode_failures"] += len(alive) - len(decoded)
+        for rx_id in decoded:
+            self._receive(nodes[rx_id], tr)
 
     def _receive(self, rx: Node, tr: phys.Transmission) -> None:
         pkt = tr.packet
-        rx_power = phys.received_power_dbm(
-            tr.tx_power_dbm, phys.distance(rx.pos, tr.sender_pos),
-            self.radio.alpha_exp, self.radio.d_min_m)
+        rx_power = tr.tx_power_dbm - self.links.pathloss_db.item(tr.sender, rx.id)
         if isinstance(pkt, DataPacket):
             if rx.is_sink:
                 self._spend(rx, "rx", self.radio.data_bytes, 0.0)
@@ -433,6 +429,15 @@ class Network:
                 best, best_key = node, key
         return best
 
+    def release(self) -> None:
+        """Break the reference cycles of a played replication, so reference
+        counting frees it and its link table without waiting for the garbage
+        collector: the simulator's handler is this network's bound method, and
+        transmissions still on the air list each other as interferers."""
+        self.sim.handler = None
+        for tr in self.active.values():
+            tr.interferers = []
+
     def finish(self) -> RunMetrics:
         return self.recorder.finalize(self.nodes, self.cfg.metrics.include_sink,
                                       self.energy_log)
@@ -470,6 +475,7 @@ def run_replication(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=
                              traffic=traffic, event_trace=event_trace,
                              decision_trace=decision_trace, param=param)
     sim.run_until_idle(cfg.scenario.max_sim_time_ms)
+    net.release()
     return net.finish()
 
 

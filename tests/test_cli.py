@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from gradcast import cli
 
 FAST = [
@@ -147,3 +149,17 @@ def test_dump_trace(tmp_path, capsys):
 def test_seeds_must_be_positive(tmp_path):
     rc = cli.main(["run", "--out", str(tmp_path / "o"), "--seeds", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("override", [
+    "phys.tx_power_dbm=nan",        # ran to a silent 0% success
+    "phys.alpha_exp=nan",           # ran to a silent 0% success
+    "policies.initial_energy_j=0",  # crashed mid-run on a division by zero
+    "scenario.area_width_m=-5",     # crashed in the topology sampler
+])
+def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--out", str(out)] + FAST + ["--set", override])
+    assert rc == 2
+    assert not out.exists()
+    assert override.split("=")[0] in capsys.readouterr().err

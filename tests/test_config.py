@@ -82,6 +82,26 @@ def test_validation_catches_bad_ranges():
         apply_overrides(default_config(), ["mac.backoff_max_ms=-1", "mac.backoff_min_ms=0"])
 
 
+@pytest.mark.parametrize("key", [
+    f"{section}.{f.name}" for section in ("phys", "mac", "costfield", "policies", "scenario")
+    for f in dataclasses.fields(getattr(default_config(), section)) if f.type == "float"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_every_float_key_must_be_finite(key, value):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        apply_overrides(default_config(), [f"{key}={value}"])
+
+
+@pytest.mark.parametrize("pair", [
+    "policies.initial_energy_j=0", "scenario.area_width_m=-5", "scenario.area_height_m=0",
+    "scenario.data_window_ms=-1", "scenario.max_sim_time_ms=0", "scenario.base_seed=-1",
+    "policies.stall_check_factor=0", "policies.ema_weight=1.5", "policies.tx_draw_w=-0.1",
+    "costfield.ncnt_window_ms=-1", "mac.carrier_sense_offset_db=-3", "phys.data_bytes=0",
+])
+def test_out_of_range_value_names_its_key(pair):
+    with pytest.raises(ConfigError, match=pair.split("=")[0].replace(".", r"\.")):
+        apply_overrides(default_config(), [pair])
+
+
 def test_every_design_default_has_a_key():
     text = config_text(default_config())
     for key in ("beta_adv_ms", "bounds_mode", "backoff_max_ms", "credit_factor",

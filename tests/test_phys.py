@@ -1,9 +1,14 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcast.phys import (RadioParams, Transmission, decode, distance,
-                           is_neighbor, pathloss_db, received_power_dbm)
+from gradcast.config import default_config
+from gradcast.engine import make_stream
+from gradcast.phys import (RadioParams, Transmission, decode, decode_batch, distance,
+                           is_neighbor, link_table, pathloss_db, received_power_dbm)
+from gradcast.scenario import generate_topology
 
 PARAMS = RadioParams()
 
@@ -171,3 +176,122 @@ def test_perfect_decode_hook_skips_interference_not_sensitivity():
 def test_airtime():
     assert PARAMS.airtime_ms(36) == pytest.approx(7.5)
     assert PARAMS.airtime_ms(0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# link table and batched decode against the scalar reference
+
+D_EDGE = 10.0 ** (54.5 / 30.0)   # default-power reception exactly at sensitivity
+
+
+def test_link_table_entries_equal_scalar_formulas():
+    positions, sink = generate_topology(default_config(), make_stream(1, 0, None, "topology"))
+    # coincident points (a duplicated sensor, a node on the sink), a pair at
+    # exactly the sensitivity range and one closer than d_min_m
+    pts = positions + [sink, positions[3], sink, (0.0, 0.0), (D_EDGE, 0.0), (0.05, 0.0)]
+    links = link_table(pts, PARAMS)
+    for i, a in enumerate(pts):
+        pl_row = links.pathloss_db[i].tolist()
+        mw_row = links.rx_mw[i].tolist()
+        reduced = links.rx_mw_row(i, -7.25).tolist()
+        for j, b in enumerate(pts):
+            d = distance(a, b)
+            assert pl_row[j] == pathloss_db(d, PARAMS.alpha_exp, PARAMS.d_min_m)
+            assert mw_row[j] == 10.0 ** (received_power_dbm(
+                PARAMS.tx_power_dbm, d, PARAMS.alpha_exp, PARAMS.d_min_m) / 10.0)
+            assert reduced[j] == 10.0 ** (received_power_dbm(
+                -7.25, d, PARAMS.alpha_exp, PARAMS.d_min_m) / 10.0)
+    # the default power shares the table row instead of copying it
+    assert links.rx_mw_row(5, PARAMS.tx_power_dbm).base is links.rx_mw
+
+
+def _oracle_ids(wanted, receivers, points, params):
+    return [r for r in receivers if decode(points[r], wanted, wanted.interferers, params)]
+
+
+def _on_air(links, sender, points, power, start, end):
+    return Transmission(sender, points[sender], power, start, end, "p",
+                        rx_mw=links.rx_mw_row(sender, power))
+
+
+# grid values make coincident nodes, clamped starts and shared boundaries common
+GRID_M = st.sampled_from([0.0, 0.05, 20.0, 35.0, 60.0, D_EDGE, 90.0, 140.0])
+COORD = GRID_M | st.floats(0.0, 150.0)
+POWER = st.sampled_from([0.0, -3.0, -12.5, 2.0]) | st.floats(-20.0, 5.0)
+INSTANT = st.sampled_from([2.0, 5.0, 8.0, 10.0, 12.0, 13.5, 17.5, 20.0]) | st.floats(0.0, 25.0)
+SPAN = st.sampled_from([1.5, 2.0, 4.0, 7.5]) | st.floats(0.01, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(COORD, COORD), min_size=2, max_size=9),
+       POWER,
+       st.lists(st.tuples(st.integers(0, 8), POWER, INSTANT, SPAN), max_size=8),
+       st.booleans())
+def test_decode_batch_equals_decode(points, wanted_power, others, perfect):
+    params = RadioParams(perfect_decode=perfect)
+    links = link_table(points, params)
+    wanted = _on_air(links, 0, points, wanted_power, 10.0, 17.5)
+    # interferers may be sent by a receiver itself (distance 0, below d_min_m)
+    wanted.interferers = [_on_air(links, k % len(points), points, p, s, s + dur)
+                          for k, p, s, dur in others]
+    receivers = list(range(1, len(points)))
+    assert decode_batch(wanted, receivers, links, params) == \
+        _oracle_ids(wanted, receivers, points, params)
+
+
+def test_decode_batch_boundary_cases():
+    # receiver 1 survives either of the two interferers 42 m away, not both
+    points = [(0.0, 0.0), (30.0, 0.0), (72.0, 0.0), (30.0, 42.0), (20.0, 20.0), (120.0, 0.0)]
+    links = link_table(points, PARAMS)
+    wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
+    wanted.interferers = [
+        _on_air(links, 2, points, 0.0, 13.5, 15.0),    # starts where the next one ends,
+        _on_air(links, 3, points, 0.0, 8.0, 13.5),     # listed first: order by instant, then mW
+        _on_air(links, 5, points, 0.0, 2.0, 10.0),     # ends exactly at the start
+        _on_air(links, 5, points, -6.0, 4.0, 12.0),    # clamped to the start together
+        _on_air(links, 5, points, -9.0, 9.0, 11.0),    # with this one
+        _on_air(links, 4, points, -30.0, 16.0, 16.5),  # sent by receiver 4 itself
+        _on_air(links, 3, points, 0.0, 17.5, 20.0),    # starts exactly at the end
+    ]
+    receivers = [1, 2, 3, 4, 5]
+    assert decode_batch(wanted, receivers, links, PARAMS) == \
+        _oracle_ids(wanted, receivers, points, PARAMS) == [1]
+    wanted.interferers[0].start = 13.25   # now the two overlap
+    assert decode_batch(wanted, receivers, links, PARAMS) == \
+        _oracle_ids(wanted, receivers, points, PARAMS) == []
+
+
+def _threshold_db_hitting(ratio):
+    """A sinr_threshold_db whose linear threshold equals ``ratio`` exactly, or
+    None when no double near 10*log10(ratio) lands on it."""
+    x = 10.0 * math.log10(ratio)
+    for _ in range(8):
+        x = math.nextafter(x, -math.inf)
+    for _ in range(17):
+        if 10.0 ** (x / 10.0) == ratio:
+            return x
+        x = math.nextafter(x, math.inf)
+    return None
+
+
+def test_decode_batch_at_exact_sinr_threshold():
+    noise = 10.0 ** (PARAMS.noise_floor_dbm / 10.0)
+    hits = 0
+    for k in range(100):
+        # SINR near 2.6 dB at receiver 1; scan the interferer for an exact tie
+        points = [(0.0, 0.0), (20.0, 0.0), (44.0 + 0.01 * k, 0.0)]
+        links = link_table(points, PARAMS)
+        wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
+        wanted.interferers = [_on_air(links, 2, points, 0.0, 9.0, 20.0)]
+        at = _threshold_db_hitting(float(links.rx_mw[0, 1]) / (noise + float(links.rx_mw[2, 1])))
+        if at is None:
+            continue
+        hits += 1
+        above = at
+        while 10.0 ** (above / 10.0) == 10.0 ** (at / 10.0):
+            above = math.nextafter(above, math.inf)
+        for thr_db, expected in ((at, [1]), (above, [])):
+            params = RadioParams(sinr_threshold_db=thr_db)
+            assert _oracle_ids(wanted, [1], points, params) == expected
+            assert decode_batch(wanted, [1], links, params) == expected
+    assert hits >= 10

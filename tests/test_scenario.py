@@ -1,12 +1,14 @@
+import gc
 import math
 import statistics
+import weakref
 
 import pytest
 
-from gradcast import phys
+from gradcast import phys, scenario
 from gradcast.config import default_config
-from gradcast.engine import make_stream
-from gradcast.metrics import run_row
+from gradcast.engine import Simulator, make_stream
+from gradcast.metrics import RunRecorder, run_row
 from gradcast.scenario import (TrafficEvent, build_network, connectivity,
                                generate_topology, generate_traffic,
                                neighbor_lists, run_cell, run_replication, sweep)
@@ -230,3 +232,59 @@ def test_no_node_forwards_the_same_message_twice():
         assert pairs, proto
         dupes = [k for k, v in Counter(pairs).items() if v > 1]
         assert not dupes, (proto, dupes)
+
+
+def _pair_loop_neighbor_lists(points, params):
+    """The reference: is_neighbor over every unordered pair."""
+    out = [[] for _ in points]
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if phys.is_neighbor(points[i], points[j], params):
+                out[i].append(j)
+                out[j].append(i)
+    return out
+
+
+def test_neighbors_from_the_link_table_equal_the_pair_loop():
+    cfg = default_config()
+    d_edge = 10.0 ** (54.5 / 30.0)   # reception exactly at sensitivity: not a link
+    for run in range(3):
+        positions, sink = generate_topology(cfg, make_stream(1, run, None, "topology"))
+        positions += [positions[0], (0.0, 0.0), (d_edge, 0.0), (sink[0], d_edge - 1e-9)]
+        pts = positions + [sink]
+        reference = _pair_loop_neighbor_lists(pts, cfg.phys)
+        assert neighbor_lists(pts, cfg.phys) == reference
+        net = scenario.Network(cfg, Simulator(1, run), RunRecorder(run, "BGB", 0.0))
+        net.build(positions, sink)
+        assert net.neighbors == reference
+        assert [n.connected for n in net.nodes[:-1]] == connectivity(positions, sink, cfg.phys)
+
+
+@pytest.mark.parametrize("protocol", ["BGB", "GRAB", "P-GRAB", "U-GRAB", "UP-GRAB"])
+@pytest.mark.parametrize("cut", [False, True])
+def test_finished_replication_is_freed_without_the_collector(monkeypatch, protocol, cut):
+    cfg = small_cfg(protocol=protocol)
+    if cut:
+        # second-long advertisements, stopped mid-flood: several stay on the air
+        cfg.phys.bitrate_bps = 100.0
+        cfg.scenario.max_sim_time_ms = 2000.0
+    built, on_air = [], []
+
+    def spy(*args, **kwargs):
+        sim, net = build_network(*args, **kwargs)
+        built.append((weakref.ref(net), weakref.ref(sim), weakref.ref(net.links.rx_mw)))
+        return sim, net
+
+    def release(net, release=scenario.Network.release):
+        on_air.append(len(net.active))
+        release(net)
+
+    monkeypatch.setattr(scenario, "build_network", spy)
+    monkeypatch.setattr(scenario.Network, "release", release)
+    gc.disable()
+    try:
+        run_replication(cfg, 0)
+        assert [ref() is None for ref in built[0]] == [True, True, True]
+    finally:
+        gc.enable()
+    assert (on_air[0] >= 2) == cut
