@@ -72,8 +72,6 @@ class RunRecorder:
         else:
             # the first arrival is minimal by clock monotonicity
             assert delay >= prev
-            if delay < prev:
-                self.delivered[msg_id] = delay
 
     def finalize(self, nodes, include_sink: bool, energy_log=None) -> RunMetrics:
         counted = [n for n in nodes if include_sink or not n.is_sink]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -184,43 +185,52 @@ def decode_batch(wanted: Transmission, receivers: list[int], links: LinkTable,
     """The receivers (node ids into ``links``) that demodulate ``wanted``
     among ``wanted.interferers``; ``decode`` for each of them, bit for bit.
 
-    The overlap windows are clamped once for all receivers. Each receiver's
-    marks are ordered as ``decode`` orders them, by (instant, signed mW), and
-    summed in that order: a cumulative sum adds sequentially, so every
-    partial sum equals the scalar loop's.
+    One signed mark list serves every receiver: (clamped start, +row) per
+    overlapping interferer and (end, -row) where it ends inside the window.
+    Sorting it by instant fixes the order everywhere except inside groups of
+    marks at one instant, which ``decode`` orders by signed mW; each receiver's
+    column of such a group is sorted on its own. A cumulative sum then adds
+    the marks in ``decode``'s order, so every partial sum equals its loop's.
+
+    Removals at ``wanted.end`` are left out. No addition falls on that
+    instant (an overlap must have ``end > start``), so they come after every
+    addition, and each one turns a level L into fl(L - x) <= L: no level
+    after them can raise the peak.
     """
     rx = np.array(receivers, dtype=np.intp)
-    heard = wanted.tx_power_dbm - links.pathloss_db[wanted.sender, rx] > params.sensitivity_dbm
-    rx = rx[heard]
+    rx = rx.compress(wanted.tx_power_dbm - links.pathloss_db[wanted.sender].take(rx)
+                     > params.sensitivity_dbm)
     if params.perfect_decode or not rx.size:
         return rx.tolist()
 
-    instants: list[float] = []
-    rows = []
+    marks = []
     ws, we = wanted.start, wanted.end
     for other in wanted.interferers:
         s = other.start if other.start > ws else ws
         e = other.end if other.end < we else we
         if e <= s:
             continue
-        instants += (s, e)
-        rows.append(other.rx_mw)
+        marks.append((s, 1.0, other.rx_mw))
+        if e < we:
+            marks.append((e, -1.0, other.rx_mw))
 
     noise_mw = 10.0 ** (params.noise_floor_dbm / 10.0)
     threshold = 10.0 ** (params.sinr_threshold_db / 10.0)
-    signal_mw = wanted.rx_mw[rx]
-    if rows:
-        # one column per receiver: (start, +mW) and (end, -mW) per interferer
-        p_mw = np.array(rows)[:, rx]
-        marks = np.empty((2 * len(rows), rx.size))
-        marks[0::2] = p_mw
-        marks[1::2] = -p_mw
-        at = np.empty_like(marks)
-        at[:] = np.array(instants)[:, None]
-        order = np.lexsort((marks, at), axis=0)
-        level = marks[order, np.arange(rx.size)].cumsum(axis=0)
-        peak = np.maximum(level.max(axis=0), 0.0)
-        ok = signal_mw / (noise_mw + peak) >= threshold
-    else:
-        ok = signal_mw / noise_mw >= threshold
-    return rx[ok].tolist()
+    signal_mw = wanted.rx_mw.take(rx)
+    if not marks:
+        return rx.compress(signal_mw / noise_mw >= threshold).tolist()
+
+    marks.sort(key=itemgetter(0))
+    at, sign, rows = zip(*marks)
+    level = np.array(rows).take(rx, axis=1)
+    level *= np.array(sign)[:, None]
+    first = 0
+    for i in range(1, len(at) + 1):
+        if i == len(at) or at[i] != at[first]:
+            if i - first > 1:
+                level[first:i].sort(axis=0)
+            first = i
+    # the first mark is an addition of a non-negative power, so the peak is
+    # never below decode's starting level of zero
+    peak = level.cumsum(axis=0).max(axis=0)
+    return rx.compress(signal_mw / (noise_mw + peak) >= threshold).tolist()

@@ -58,7 +58,8 @@ class Battery:
 
     def drain(self, joules: float) -> float:
         """Debit up to ``joules``; returns the amount actually drawn."""
-        take = joules if joules < self.remaining_j else self.remaining_j
+        remaining = self.capacity_j - self.consumed_j
+        take = joules if joules < remaining else remaining
         if take < 0.0:
             take = 0.0
         self.consumed_j += take
@@ -294,10 +295,16 @@ def consume_energy(node, kind: str, n_bytes: int, tx_power_dbm: float,
     """Debit the battery for one radio operation and return the joules drawn.
     Transmissions scale with radiated power and bump the broadcast count;
     receptions draw a flat power."""
+    if kind != "tx":
+        return node.battery.drain(rx_joules(n_bytes, params, radio))
     seconds = n_bytes * 8 / radio.bitrate_bps
-    if kind == "tx":
-        draw_w = params.tx_draw_w * 10.0 ** (tx_power_dbm / 10.0)
-        node.battery.n_forwarded += 1
-    else:
-        draw_w = params.rx_draw_w
+    draw_w = params.tx_draw_w * 10.0 ** (tx_power_dbm / 10.0)
+    node.battery.n_forwarded += 1
     return node.battery.drain(draw_w * seconds)
+
+
+def rx_joules(n_bytes: int, params: PolicyParams, radio) -> float:
+    """Joules one reception of ``n_bytes`` asks of the battery: a flat draw
+    over the airtime, the same for every receiver of a transmission."""
+    seconds = n_bytes * 8 / radio.bitrate_bps
+    return params.rx_draw_w * seconds

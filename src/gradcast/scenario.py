@@ -54,9 +54,13 @@ class TrafficEvent:
 # generation
 
 
-def generate_topology(cfg: SimConfig, rng) -> tuple[list, tuple[float, float]]:
+def generate_topology(cfg: SimConfig, rng) -> tuple[list, tuple[float, float],
+                                                    phys.LinkTable | None]:
     """Uniform sensor positions plus the sink position. With
-    require_connected, resample until every sensor reaches the sink."""
+    require_connected, resample until every sensor reaches the sink, and
+    also return the accepted sample's link table (sensors, then the sink:
+    the network's node order) so the network does not build it again;
+    without the check the table is None."""
     sc = cfg.scenario
     w, h = sc.area_width_m, sc.area_height_m
     sink_pos = (0.0, 0.0) if sc.sink_placement == "corner" else (w / 2.0, h / 2.0)
@@ -65,10 +69,10 @@ def generate_topology(cfg: SimConfig, rng) -> tuple[list, tuple[float, float]]:
         ys = rng.uniform(0.0, h, sc.node_count)
         positions = [(float(x), float(y)) for x, y in zip(xs, ys)]
         if not sc.require_connected:
-            return positions, sink_pos
-        flags = connectivity(positions, sink_pos, cfg.phys)
-        if all(flags):
-            return positions, sink_pos
+            return positions, sink_pos, None
+        links = phys.link_table(positions + [sink_pos], cfg.phys)
+        if all(_reaches(links.neighbors(cfg.phys.sensitivity_dbm), sc.node_count)):
+            return positions, sink_pos, links
     raise RuntimeError("could not sample a fully connected topology")
 
 
@@ -147,7 +151,10 @@ class Network:
 
     # -- construction ------------------------------------------------------
 
-    def build(self, positions: list, sink_pos: tuple[float, float]) -> None:
+    def build(self, positions: list, sink_pos: tuple[float, float],
+              links: phys.LinkTable | None = None) -> None:
+        """Create the nodes; ``links``, when given, is the link table of
+        ``positions + [sink_pos]`` under this network's radio parameters."""
         cfg = self.cfg
         needs_delta = self.protocol in ("P-GRAB", "UP-GRAB")
         needs_ladder = self.protocol in ("U-GRAB", "UP-GRAB")
@@ -164,7 +171,9 @@ class Network:
             if needs_ladder and not node.is_sink:
                 node.ugrab = UGrabState(pol.ladder_scale, pol.ladder_ratio,
                                         spread=pol.spread_factor)
-        self.links = phys.link_table([n.pos for n in self.nodes], self.radio)
+        if links is None:
+            links = phys.link_table([n.pos for n in self.nodes], self.radio)
+        self.links = links
         self.neighbors = self.links.neighbors(self.radio.sensitivity_dbm)
         for node, ok in zip(self.nodes, _reaches(self.neighbors, self.sink_id)):
             node.connected = ok
@@ -236,12 +245,6 @@ class Network:
             return self.radio.adv_bytes
         return self.radio.ncnt_bytes
 
-    def _spend(self, node: Node, kind: str, n_bytes: int, power: float) -> None:
-        joules = policies.consume_energy(node, kind, n_bytes, power,
-                                         self.policies, self.radio)
-        if self.energy_log is not None:
-            self.energy_log.append((node.id, joules))
-
     def _tx_start(self, ev: Event) -> None:
         node = self.nodes[ev.node]
         packet, power = ev.payload
@@ -263,7 +266,9 @@ class Network:
             packet.q_p = node.cost.q
             self.counters["forwarded"] += 1
         n_bytes = self._packet_bytes(packet)
-        self._spend(node, "tx", n_bytes, power)
+        joules = policies.consume_energy(node, "tx", n_bytes, power, self.policies, self.radio)
+        if self.energy_log is not None:
+            self.energy_log.append((node.id, joules))
         now = self.sim.clock
         tr = phys.Transmission(node.id, node.pos, power, now,
                                now + self.radio.airtime_ms(n_bytes), packet,
@@ -279,47 +284,81 @@ class Network:
         serial, tr = ev.payload
         del self.active[serial]
         nodes = self.nodes
-        alive = [j for j in self.neighbors[tr.sender] if not nodes[j].dead]
+        # Battery.dead without its property chain: for finite floats,
+        # capacity - consumed <= 0 exactly when consumed >= capacity, since
+        # the rounded difference keeps the sign of the exact one
+        alive = [j for j in self.neighbors[tr.sender]
+                 if (b := nodes[j].battery).consumed_j < b.capacity_j]
         decoded = phys.decode_batch(tr, alive, self.links, self.radio)
         # the transmissions still on the air keep theirs; dropping this list
         # breaks the reference cycles between finished transmissions
         tr.interferers = []
-        if isinstance(tr.packet, AdvPacket):
-            self.counters["adv_decode_failures"] += len(alive) - len(decoded)
-        for rx_id in decoded:
-            self._receive(nodes[rx_id], tr)
-
-    def _receive(self, rx: Node, tr: phys.Transmission) -> None:
-        pkt = tr.packet
-        rx_power = tr.tx_power_dbm - self.links.pathloss_db.item(tr.sender, rx.id)
-        if isinstance(pkt, DataPacket):
-            if rx.is_sink:
-                self._spend(rx, "rx", self.radio.data_bytes, 0.0)
-                self.recorder.on_delivery(pkt.msg_id, self.sim.clock)
-                return
-            sc = self.cfg.scenario
-            if sc.p_f > 0.0 and sc.failure_side == "rx":
-                if float(self.sim.stream(rx.id, "failure").random()) < sc.p_f:
-                    self.counters["relay_failures"] += 1
-                    return
-            self._spend(rx, "rx", self.radio.data_bytes, 0.0)
-            rx.neighbor_pathloss[tr.sender] = costfield.link_cost(tr.tx_power_dbm, rx_power)
-            if rx.ugrab is not None:
-                policies.note_overheard(rx, pkt.q_p, self.policies)
-            if not policies.eligible(rx, pkt):
-                if self.decision_trace is not None and not rx.is_sink:
-                    self._trace_decision(rx, eligible=False, dec=None)
-                return
-            rx.seen.add(pkt.msg_id)
-            self._decide_and_forward(rx, pkt, tr.tx_power_dbm, rx_power)
-        elif isinstance(pkt, AdvPacket):
-            self._spend(rx, "rx", self.radio.adv_bytes, 0.0)
-            rx.neighbor_pathloss[pkt.sender] = costfield.link_cost(tr.tx_power_dbm, rx_power)
-            costfield.handle_adv(self, rx, pkt, rx_power)
+        if isinstance(tr.packet, DataPacket):
+            self._receive_data(tr, decoded)
         else:
-            self._spend(rx, "rx", self.radio.ncnt_bytes, 0.0)
-            rx.neighbor_pathloss[pkt.sender] = costfield.link_cost(tr.tx_power_dbm, rx_power)
-            costfield.handle_ncnt(self, rx, pkt)
+            if isinstance(tr.packet, AdvPacket):
+                self.counters["adv_decode_failures"] += len(alive) - len(decoded)
+            self._receive_setup(tr, decoded)
+
+    # Everything a reception reads that is the same for all receivers of one
+    # transmission (powers, byte count, joules, packet fields, switches) is
+    # read once; each receiver's side effects keep their order.
+
+    def _receive_data(self, tr: phys.Transmission, decoded: list[int]) -> None:
+        pkt = tr.packet
+        nodes = self.nodes
+        pol = self.policies
+        sink_id = self.sink_id
+        sender, txp = tr.sender, tr.tx_power_dbm
+        q_p, msg_id = pkt.q_p, pkt.msg_id
+        joules = policies.rx_joules(self.radio.data_bytes, pol, self.radio)
+        log = self.energy_log
+        p_f = self.cfg.scenario.p_f
+        lottery = p_f > 0.0 and self.cfg.scenario.failure_side == "rx"
+        stream = self.sim.stream
+        traced = self.decision_trace is not None
+        losses = self.links.pathloss_db[sender].take(decoded).tolist()
+        for rx_id, pl in zip(decoded, losses):
+            rx = nodes[rx_id]
+            if lottery and rx_id != sink_id and float(stream(rx_id, "failure").random()) < p_f:
+                self.counters["relay_failures"] += 1
+                continue
+            drawn = rx.battery.drain(joules)
+            if log is not None:
+                log.append((rx_id, drawn))
+            if rx_id == sink_id:
+                self.recorder.on_delivery(msg_id, self.sim.clock)
+                continue
+            hop_cost = costfield.link_cost(txp, txp - pl)
+            rx.neighbor_pathloss[sender] = hop_cost
+            if rx.ugrab is not None:
+                policies.note_overheard(rx, q_p, pol)
+            if not policies.eligible(rx, pkt):
+                if traced:
+                    self._trace_decision(rx, eligible=False, dec=None)
+                continue
+            rx.seen.add(msg_id)
+            self._decide_and_forward(rx, pkt, hop_cost)
+
+    def _receive_setup(self, tr: phys.Transmission, decoded: list[int]) -> None:
+        pkt = tr.packet
+        nodes = self.nodes
+        adv = isinstance(pkt, AdvPacket)
+        txp = tr.tx_power_dbm
+        joules = policies.rx_joules(self._packet_bytes(pkt), self.policies, self.radio)
+        log = self.energy_log
+        losses = self.links.pathloss_db[tr.sender].take(decoded).tolist()
+        for rx_id, pl in zip(decoded, losses):
+            rx = nodes[rx_id]
+            drawn = rx.battery.drain(joules)
+            if log is not None:
+                log.append((rx_id, drawn))
+            rx_power = txp - pl
+            rx.neighbor_pathloss[pkt.sender] = costfield.link_cost(txp, rx_power)
+            if adv:
+                costfield.handle_adv(self, rx, pkt, rx_power)
+            else:
+                costfield.handle_ncnt(self, rx, pkt)
 
     def _ensure_delta(self, node: Node) -> None:
         if node.delta is None:
@@ -336,13 +375,11 @@ class Network:
                 node.pgrab.p_ia = policies.erfc_forward_probability(
                     node.delta, node.pgrab.spread, node.delta_bounds)
 
-    def _decide_and_forward(self, node: Node, pkt: DataPacket,
-                            sender_power: float, rx_power: float) -> None:
+    def _decide_and_forward(self, node: Node, pkt: DataPacket, hop_cost: float) -> None:
         proto = self.protocol
         pol = self.policies
         rng = self.sim.stream(node.id, "policy")
-        consumed = pkt.consumed + costfield.link_cost(sender_power, rx_power)
-        fwd_pkt = replace(pkt, consumed=consumed)
+        fwd_pkt = replace(pkt, consumed=pkt.consumed + hop_cost)
         if proto == "BGB":
             dec = policies.bgb_decide(node, fwd_pkt)
         elif proto == "GRAB":
@@ -454,16 +491,21 @@ def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=No
     supplied explicitly for scripted topologies; otherwise they come from the
     run's topology and traffic streams."""
     sim = Simulator(cfg.scenario.base_seed, run_index, trace=event_trace)
+    links = None
     if positions is None:
-        positions, generated_sink = generate_topology(cfg, sim.stream(None, "topology"))
-        sink_pos = generated_sink if sink_pos is None else sink_pos
+        positions, generated_sink, links = generate_topology(
+            cfg, sim.stream(None, "topology"))
+        if sink_pos is None:
+            sink_pos = generated_sink
+        else:
+            links = None   # the table holds the generated sink, not this one
     elif sink_pos is None:
         raise ValueError("explicit positions need an explicit sink position")
     if traffic is None:
         traffic = generate_traffic(cfg, sim.stream(None, "traffic"))
     recorder = RunRecorder(run_index, cfg.scenario.protocol, cfg.scenario.p_f, param)
     net = Network(cfg, sim, recorder, decision_trace=decision_trace)
-    net.build(positions, sink_pos)
+    net.build(positions, sink_pos, links)
     net.start(traffic)
     return sim, net
 

@@ -185,7 +185,7 @@ D_EDGE = 10.0 ** (54.5 / 30.0)   # default-power reception exactly at sensitivit
 
 
 def test_link_table_entries_equal_scalar_formulas():
-    positions, sink = generate_topology(default_config(), make_stream(1, 0, None, "topology"))
+    positions, sink, _ = generate_topology(default_config(), make_stream(1, 0, None, "topology"))
     # coincident points (a duplicated sensor, a node on the sink), a pair at
     # exactly the sensitivity range and one closer than d_min_m
     pts = positions + [sink, positions[3], sink, (0.0, 0.0), (D_EDGE, 0.0), (0.05, 0.0)]
@@ -295,3 +295,137 @@ def test_decode_batch_at_exact_sinr_threshold():
             assert _oracle_ids(wanted, [1], points, params) == expected
             assert decode_batch(wanted, [1], links, params) == expected
     assert hits >= 10
+
+
+# ---------------------------------------------------------------------------
+# ties: marks at one instant, which decode orders by signed mW per receiver
+
+def _agrees_near_ratio(wanted, receiver, links, points, ratio):
+    """Compare decode_batch with decode at every SINR threshold within 48
+    ulps of ``ratio`` (in dB) for one receiver; True when the scan crosses the
+    decision, so that a one-ulp change of the peak would have shown. Below 4
+    dB consecutive thresholds step through every double near the ratio."""
+    x = 10.0 * math.log10(ratio)
+    assert abs(x) < 4.0
+    for _ in range(48):
+        x = math.nextafter(x, -math.inf)
+    outcomes = set()
+    for _ in range(97):
+        params = RadioParams(sinr_threshold_db=x)
+        expected = _oracle_ids(wanted, [receiver], points, params)
+        assert decode_batch(wanted, [receiver], links, params) == expected
+        outcomes.add(bool(expected))
+        x = math.nextafter(x, math.inf)
+    return outcomes == {True, False}
+
+
+def _sinr(links, wanted, receiver, interferers):
+    noise = 10.0 ** (PARAMS.noise_floor_dbm / 10.0)
+    peak = sum(float(tr.rx_mw[receiver]) for tr in interferers)
+    return float(wanted.rx_mw[receiver]) / (noise + peak)
+
+
+def test_decode_tie_of_two_interior_additions_ordered_per_receiver():
+    # B is louder at receiver 1, C at receiver 2: both start at 13.0, so the
+    # two receivers add them in opposite orders on top of A's level
+    crossed = 0
+    for k in range(40):
+        points = [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0),
+                  (-38.0 - 0.37 * k, -38.0), (62.0, -22.0), (-22.0, 62.0)]
+        links = link_table(points, PARAMS)
+        wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
+        wanted.interferers = [_on_air(links, 3, points, 0.0, 9.0, 20.0),
+                              _on_air(links, 4, points, 0.0, 13.0, 20.5),
+                              _on_air(links, 5, points, 0.0, 13.0, 20.5)]
+        assert links.rx_mw[4, 1] > links.rx_mw[5, 1] and links.rx_mw[5, 2] > links.rx_mw[4, 2]
+        for r in (1, 2):
+            crossed += _agrees_near_ratio(wanted, r, links, points,
+                                          _sinr(links, wanted, r, wanted.interferers))
+    assert crossed >= 60
+
+
+def test_decode_tie_of_an_addition_and_a_removal():
+    # receiver 1 survives either interferer alone, not both: the removal at
+    # 13.5 must come first although the addition is listed first
+    points = [(0.0, 0.0), (30.0, 0.0), (72.0, 0.0), (30.0, 42.0)]
+    links = link_table(points, PARAMS)
+    wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
+    wanted.interferers = [_on_air(links, 2, points, 0.0, 13.5, 15.0),
+                          _on_air(links, 3, points, 0.0, 8.0, 13.5)]
+    assert decode_batch(wanted, [1], links, PARAMS) == _oracle_ids(wanted, [1], points, PARAMS) == [1]
+
+
+def test_decode_tie_of_clamped_starts_only():
+    # every interferer began before the wanted packet and outlasts it: one
+    # group of clamped starts at 10.0, whose removals at the end drop out
+    crossed = 0
+    for k in range(30):
+        points = [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0), (-50.0 - 0.41 * k, -10.0),
+                  (60.0, -30.0), (-30.0, 60.0), (20.0, -65.0)]
+        links = link_table(points, PARAMS)
+        wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
+        wanted.interferers = [_on_air(links, j, points, 0.0, s, s + 7.5)
+                              for j, s in ((3, 4.0), (4, 9.5), (5, 6.0), (6, 10.0))]
+        for r in (1, 2):
+            crossed += _agrees_near_ratio(wanted, r, links, points,
+                                          _sinr(links, wanted, r, wanted.interferers))
+    assert crossed >= 40
+
+
+def test_decode_tie_of_removals_only_at_the_end():
+    # distinct interior starts, every interferer still on the air at 17.5
+    crossed = 0
+    for k in range(30):
+        points = [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0), (-50.0 - 0.41 * k, -10.0),
+                  (60.0, -25.0), (-25.0, 60.0)]
+        links = link_table(points, PARAMS)
+        wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
+        wanted.interferers = [_on_air(links, j, points, 0.0, s, 20.0)
+                              for j, s in ((3, 11.0), (4, 12.5), (5, 14.0))]
+        for r in (1, 2):
+            crossed += _agrees_near_ratio(wanted, r, links, points,
+                                          _sinr(links, wanted, r, wanted.interferers))
+    assert crossed >= 40
+
+
+def test_decode_mixed_airtimes():
+    # a neighbour count (2.5 ms) ends before an advertisement (3.33 ms)
+    # starts; data packets (7.5 ms) straddle both ends of the window
+    ncnt, adv, data = (PARAMS.airtime_ms(n) for n in (PARAMS.ncnt_bytes, PARAMS.adv_bytes,
+                                                     PARAMS.data_bytes))
+    points = [(0.0, 0.0), (30.0, 0.0), (72.0, 0.0), (30.0, 42.0), (140.0, 0.0), (0.0, 150.0)]
+    links = link_table(points, PARAMS)
+    wanted = _on_air(links, 0, points, 0.0, 10.0, 10.0 + data)
+    wanted.interferers = [_on_air(links, 2, points, 0.0, 10.5, 10.5 + ncnt),
+                          _on_air(links, 3, points, 0.0, 13.5, 13.5 + adv),
+                          _on_air(links, 4, points, 0.0, 10.0 - 3.0, 10.0 - 3.0 + data),
+                          _on_air(links, 5, points, 0.0, 15.0, 15.0 + data)]
+    receivers = [1, 2, 3, 4, 5]
+    assert decode_batch(wanted, receivers, links, PARAMS) == \
+        _oracle_ids(wanted, receivers, points, PARAMS)
+    assert 1 in decode_batch(wanted, receivers, links, PARAMS)
+
+
+# instants on a 1 ms grid and airtimes that keep most ends on it, so that
+# starts, ends and window boundaries coincide often
+GRID_INSTANT = st.integers(7, 19).map(float)
+GRID_SPAN = st.sampled_from([1.0, 2.0, 3.0, 7.5])
+NEAR = st.sampled_from([0.0, 20.0, 35.0, 50.0, 60.0]) | st.floats(0.0, 80.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(NEAR, NEAR), min_size=2, max_size=7),
+       st.lists(st.tuples(st.integers(0, 6), st.sampled_from([0.0, -3.0, -9.0]),
+                          GRID_INSTANT, GRID_SPAN), max_size=10))
+def test_decode_batch_equals_decode_on_a_grid_of_instants(points, others):
+    links = link_table(points, PARAMS)
+    wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
+    wanted.interferers = [_on_air(links, k % len(points), points, p, s, s + dur)
+                          for k, p, s, dur in others]
+    receivers = list(range(1, len(points)))
+    # a mis-ordered tie moves a peak by up to 3 dB: thresholds every 0.5 dB
+    # turn most such moves into a different decision
+    for half_db in range(-12, 29):
+        params = RadioParams(sinr_threshold_db=0.5 * half_db)
+        assert decode_batch(wanted, receivers, links, params) == \
+            _oracle_ids(wanted, receivers, points, params)

@@ -3,12 +3,16 @@ import math
 import statistics
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradcast import phys, scenario
 from gradcast.config import default_config
 from gradcast.engine import Simulator, make_stream
 from gradcast.metrics import RunRecorder, run_row
+from gradcast.policies import Battery
 from gradcast.scenario import (TrafficEvent, build_network, connectivity,
                                generate_topology, generate_traffic,
                                neighbor_lists, run_cell, run_replication, sweep)
@@ -17,10 +21,10 @@ from tests.conftest import line_cfg, small_cfg
 
 def test_topology_is_reproducible():
     cfg = small_cfg()
-    a, sink_a = generate_topology(cfg, make_stream(1, 0, None, "topology"))
-    b, sink_b = generate_topology(cfg, make_stream(1, 0, None, "topology"))
+    a, sink_a, _ = generate_topology(cfg, make_stream(1, 0, None, "topology"))
+    b, sink_b, _ = generate_topology(cfg, make_stream(1, 0, None, "topology"))
     assert a == b and sink_a == sink_b
-    c, _ = generate_topology(cfg, make_stream(1, 1, None, "topology"))
+    c, _, _ = generate_topology(cfg, make_stream(1, 1, None, "topology"))
     assert a != c
 
 
@@ -28,17 +32,17 @@ def test_two_nodes_on_a_tiny_area_are_mutual_neighbors():
     cfg = default_config()
     cfg.scenario.node_count = 2
     cfg.scenario.area_width_m = cfg.scenario.area_height_m = 10.0
-    positions, sink = generate_topology(cfg, make_stream(1, 0, None, "topology"))
+    positions, sink, _ = generate_topology(cfg, make_stream(1, 0, None, "topology"))
     nbrs = neighbor_lists(positions, cfg.phys)
     assert nbrs[0] == [1] and nbrs[1] == [0]
 
 
 def test_sink_placement_modes():
     cfg = small_cfg()
-    _, corner = generate_topology(cfg, make_stream(1, 0, None, "topology"))
+    _, corner, _ = generate_topology(cfg, make_stream(1, 0, None, "topology"))
     assert corner == (0.0, 0.0)
     cfg.scenario.sink_placement = "center"
-    _, center = generate_topology(cfg, make_stream(1, 0, None, "topology"))
+    _, center, _ = generate_topology(cfg, make_stream(1, 0, None, "topology"))
     assert center == (75.0, 75.0)
 
 
@@ -48,7 +52,7 @@ def test_desk_scale_degree_band():
     cfg = default_config()
     degrees = []
     for run in range(3):
-        positions, sink = generate_topology(cfg, make_stream(1, run, None, "topology"))
+        positions, sink, _ = generate_topology(cfg, make_stream(1, run, None, "topology"))
         nbrs = neighbor_lists(positions + [sink], cfg.phys)
         degrees.extend(len(lst) for lst in nbrs[:-1])
     mean_deg = statistics.fmean(degrees)
@@ -57,7 +61,7 @@ def test_desk_scale_degree_band():
 
 def test_require_connected_resamples_until_connected():
     cfg = small_cfg(require_connected=True)
-    positions, sink = generate_topology(cfg, make_stream(1, 5, None, "topology"))
+    positions, sink, _ = generate_topology(cfg, make_stream(1, 5, None, "topology"))
     assert all(connectivity(positions, sink, cfg.phys))
 
 
@@ -249,7 +253,7 @@ def test_neighbors_from_the_link_table_equal_the_pair_loop():
     cfg = default_config()
     d_edge = 10.0 ** (54.5 / 30.0)   # reception exactly at sensitivity: not a link
     for run in range(3):
-        positions, sink = generate_topology(cfg, make_stream(1, run, None, "topology"))
+        positions, sink, _ = generate_topology(cfg, make_stream(1, run, None, "topology"))
         positions += [positions[0], (0.0, 0.0), (d_edge, 0.0), (sink[0], d_edge - 1e-9)]
         pts = positions + [sink]
         reference = _pair_loop_neighbor_lists(pts, cfg.phys)
@@ -288,3 +292,75 @@ def test_finished_replication_is_freed_without_the_collector(monkeypatch, protoc
     finally:
         gc.enable()
     assert (on_air[0] >= 2) == cut
+
+
+def test_require_connected_builds_the_link_table_once(monkeypatch):
+    built = []
+    real = phys.link_table
+
+    def counting(points, params):
+        built.append(len(points))
+        return real(points, params)
+
+    monkeypatch.setattr(phys, "link_table", counting)
+    cfg = small_cfg(require_connected=True)
+    positions, sink, links = generate_topology(cfg, make_stream(1, 0, None, "topology"))
+    fresh = real(positions + [sink], cfg.phys)
+    assert np.array_equal(links.pathloss_db, fresh.pathloss_db)
+    assert np.array_equal(links.rx_mw, fresh.rx_mw)
+    built.clear()
+    build_network(cfg, 0)
+    assert built == [61]   # the accepted sample's table serves the network
+    built.clear()
+    # a sink moved after sampling needs a table of its own
+    build_network(cfg, 0, sink_pos=(75.0, 75.0))
+    assert built == [61, 61]
+    cfg.scenario.require_connected = False
+    built.clear()
+    build_network(cfg, 0)
+    assert built == [61]
+
+
+def test_receiver_drained_mid_run_is_left_out_of_the_next_decode(monkeypatch):
+    # five mutually audible nodes; node 2 is drained to exactly zero while
+    # the sink's advertisement ends
+    cfg, _, _ = line_cfg()
+    positions = [(10.0, 0.0), (20.0, 0.0), (30.0, 0.0), (40.0, 0.0)]
+    calls = []
+    real = phys.decode_batch
+
+    def spy(wanted, receivers, links, params):
+        calls.append((wanted.sender, list(receivers)))
+        if len(calls) == 1:
+            net.nodes[2].battery.drain(net.nodes[2].battery.capacity_j)
+        return real(wanted, receivers, links, params)
+
+    monkeypatch.setattr(phys, "decode_batch", spy)
+    sim, net = build_network(cfg, 0, positions=positions, sink_pos=(0.0, 0.0), traffic=[])
+    sim.run_until_idle(cfg.scenario.max_sim_time_ms)
+    assert calls[0] == (4, [0, 1, 2, 3])
+    assert net.nodes[2].dead
+    later = calls[1:]
+    assert {sender for sender, _ in later} == {0, 1, 3}
+    assert all(rx == [j for j in (0, 1, 3, 4) if j != sender] for sender, rx in later)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TINY = 5e-324
+
+
+@settings(max_examples=500, deadline=None)
+@given(FINITE, FINITE)
+@example(1.0, 1.0)
+@example(0.5, 0.5)
+@example(1.0, math.nextafter(1.0, 0.0))
+@example(1.0, math.nextafter(1.0, 2.0))
+@example(3 * TINY, 2 * TINY)
+@example(2 * TINY, 3 * TINY)
+@example(2 * TINY, 2 * TINY)
+@example(2.2250738585072014e-308, 2.225073858507201e-308)
+def test_consumed_below_capacity_is_exactly_alive(capacity, consumed):
+    """The liveness filter of a transmission's end compares consumed with
+    capacity instead of asking Battery.dead; the two must never disagree."""
+    battery = Battery(capacity, consumed)
+    assert (consumed < capacity) == (not battery.dead)
