@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime fault.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -72,37 +73,35 @@ def _load(args) -> "SimConfig":
 def _cmd_run(args) -> int:
     cfg = _load(args)
     os.makedirs(args.out, exist_ok=True)
-    if args.trace:
-        return _traced_run(cfg, args)
-    runs = scenario.run_cell(cfg, jobs=args.jobs)
-    cell = metrics_mod.aggregate(runs)
-    metrics_mod.write_runs_csv(os.path.join(args.out, "runs.csv"), runs)
-    metrics_mod.write_aggregate_csv(os.path.join(args.out, "aggregate.csv"), [cell])
-    _print_cells([cell])
+    if not args.trace:
+        return _write_results(args.out, *scenario.sweep(cfg, {}, jobs=args.jobs))
+    with _trace_writers(args.out) as traces:
+        runs = [scenario.run_replication(cfg, i, **traces)
+                for i in range(cfg.scenario.replications)]
+    return _write_results(args.out, runs, [metrics_mod.aggregate(runs)])
+
+
+def _write_results(out: str, runs, cells) -> int:
+    """Write runs.csv and aggregate.csv under ``out`` and print the cells."""
+    metrics_mod.write_runs_csv(os.path.join(out, "runs.csv"), runs)
+    metrics_mod.write_aggregate_csv(os.path.join(out, "aggregate.csv"), cells)
+    _print_cells(cells)
     return EXIT_OK
 
 
-def _traced_run(cfg, args) -> int:
-    trace_path = os.path.join(args.out, "trace.csv")
-    dec_path = os.path.join(args.out, "decisions.csv")
-    runs = []
-    with open(trace_path, "w", newline="", encoding="utf-8") as tfh, \
-         open(dec_path, "w", newline="", encoding="utf-8") as dfh:
+@contextlib.contextmanager
+def _trace_writers(out: str):
+    """Open trace.csv and decisions.csv under ``out``; yields the
+    ``event_trace`` and ``decision_trace`` arguments of a replication."""
+    with open(os.path.join(out, "trace.csv"), "w", newline="", encoding="utf-8") as tfh, \
+         open(os.path.join(out, "decisions.csv"), "w", newline="", encoding="utf-8") as dfh:
         tw = csv.writer(tfh)
         tw.writerow(["time", "seq", "kind", "node", "detail"])
         dw = csv.writer(dfh)
         dw.writerow(["time", "node", "policy", "eligible", "action",
                      "p_fw", "c_n", "alpha_n", "r_n"])
-        for i in range(cfg.scenario.replications):
-            runs.append(scenario.run_replication(
-                cfg, i,
-                event_trace=lambda ev: tw.writerow(_trace_row(ev)),
-                decision_trace=lambda row: dw.writerow(_fmt_row(row))))
-    cell = metrics_mod.aggregate(runs)
-    metrics_mod.write_runs_csv(os.path.join(args.out, "runs.csv"), runs)
-    metrics_mod.write_aggregate_csv(os.path.join(args.out, "aggregate.csv"), [cell])
-    _print_cells([cell])
-    return EXIT_OK
+        yield {"event_trace": lambda ev: tw.writerow(_trace_row(ev)),
+               "decision_trace": lambda row: dw.writerow(_fmt_row(row))}
 
 
 def _trace_row(ev) -> list[str]:
@@ -139,10 +138,7 @@ def _cmd_sweep(args) -> int:
         axes[key.strip()] = values
     runs, cells = scenario.sweep(cfg, axes, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
-    metrics_mod.write_runs_csv(os.path.join(args.out, "runs.csv"), runs)
-    metrics_mod.write_aggregate_csv(os.path.join(args.out, "aggregate.csv"), cells)
-    _print_cells(cells)
-    return EXIT_OK
+    return _write_results(args.out, runs, cells)
 
 
 def _print_cells(cells) -> None:
@@ -195,9 +191,9 @@ def _cmd_dump_topology(args) -> int:
     cfg.scenario.event_spread = 0
     sim, net = scenario.build_network(cfg, args.run_index)
     sim.run_until_idle(cfg.scenario.max_sim_time_ms)
-    for node in net.nodes:
-        if not node.is_sink and node.pgrab is not None:
-            net._ensure_delta(node)
+    if net.proto.counts:
+        for node in net.nodes[:net.sink_id]:
+            net.ensure_delta(node)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "topology.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -212,19 +208,9 @@ def _cmd_dump_trace(args) -> int:
     cfg = _load(args)
     cfg.scenario.replications = 1
     os.makedirs(args.out, exist_ok=True)
-    trace_path = os.path.join(args.out, "trace.csv")
-    dec_path = os.path.join(args.out, "decisions.csv")
-    with open(trace_path, "w", newline="", encoding="utf-8") as tfh, \
-         open(dec_path, "w", newline="", encoding="utf-8") as dfh:
-        tw = csv.writer(tfh)
-        tw.writerow(["time", "seq", "kind", "node", "detail"])
-        dw = csv.writer(dfh)
-        dw.writerow(["time", "node", "policy", "eligible", "action",
-                     "p_fw", "c_n", "alpha_n", "r_n"])
-        scenario.run_replication(cfg, args.run_index,
-                                 event_trace=lambda ev: tw.writerow(_trace_row(ev)),
-                                 decision_trace=lambda row: dw.writerow(_fmt_row(row)))
-    print(trace_path)
+    with _trace_writers(args.out) as traces:
+        scenario.run_replication(cfg, args.run_index, **traces)
+    print(os.path.join(args.out, "trace.csv"))
     return EXIT_OK
 
 

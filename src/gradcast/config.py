@@ -20,9 +20,7 @@ from dataclasses import dataclass, fields, replace
 from .costfield import CostfieldParams
 from .mac import MacParams
 from .phys import RadioParams
-from .policies import PolicyParams
-
-PROTOCOLS = ("BGB", "GRAB", "P-GRAB", "U-GRAB", "UP-GRAB")
+from .policies import PROTOCOLS, PolicyParams
 
 
 class ConfigError(Exception):

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import ClassVar, Iterable
 
-from . import mac
 from .engine import EventKind
 
 INFINITE_COST = math.inf
@@ -40,6 +39,7 @@ class CostState:
 
 @dataclass
 class AdvPacket:
+    kind: ClassVar[str] = "adv"
     sender: int
     q_p: float                        # sender's cost when the packet hit the air
     tx_power_dbm: float
@@ -48,6 +48,7 @@ class AdvPacket:
 
 @dataclass
 class NeighborCountPacket:
+    kind: ClassVar[str] = "ncnt"
     sender: int
     count: int
 
@@ -100,24 +101,3 @@ def neighborhood_discrepancy(own_count: int, received_counts: Iterable[int]) -> 
 
 def bounds_center(bounds: tuple[float, float]) -> float:
     return (bounds[0] + bounds[1]) / 2.0
-
-
-def restart_flood(net) -> None:
-    """Manual cost refresh: wipe all costs and replay the sink advertisement.
-
-    Exposed for sink-driven refresh experiments; nothing schedules it
-    automatically, a run performs one setup phase.
-    """
-    for node in net.nodes:
-        st = node.cost
-        st.adv_timer_gen += 1
-        if node.is_sink:
-            st.q = 0.0
-            st.adv_sent = False
-        else:
-            st.q = INFINITE_COST
-            st.adv_sent = False
-    net.flood_epoch = net.sim.clock
-    sink = net.nodes[net.sink_id]
-    mac.transmit(net, sink, AdvPacket(sink.id, 0.0, net.radio.tx_power_dbm,
-                                      sink.cost.bounds))

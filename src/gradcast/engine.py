@@ -59,7 +59,6 @@ class Simulator:
         self.clock = 0.0
         self.trace = trace
         self.handler: Optional[Callable[[Simulator, Event], None]] = None
-        self.nodes: list = []
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._streams: dict[tuple[int | None, str], np.random.Generator] = {}

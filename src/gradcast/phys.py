@@ -77,6 +77,7 @@ class Transmission:
     interferers: list = field(default_factory=list)
     # received mW at every node id (LinkTable.rx_mw_row); read by decode_batch
     rx_mw: np.ndarray | None = None
+    n_bytes: int = 0         # the packet's size, which sets airtime and energy
 
 
 @dataclass

@@ -14,13 +14,18 @@ message not yet decided):
   reward, dropping outright on a busy channel;
 * hybrid: the utility game where the forward action fires with the
   interference-avoidance probability under a per-node spreading factor.
+
+``PROTOCOLS`` names each strategy and says what it adds to the shared
+gradient broadcast.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, ClassVar
 
+from . import mac
 from .costfield import bounds_center
 
 
@@ -67,12 +72,6 @@ class Battery:
 
 
 @dataclass
-class PGrabState:
-    spread: float
-    p_ia: float | None = None   # cached erfc conversion of the node's discrepancy
-
-
-@dataclass
 class UGrabState:
     ladder_scale: float = 0.75
     ladder_ratio: float = 0.75
@@ -88,6 +87,7 @@ class UGrabState:
 
 @dataclass
 class DataPacket:
+    kind: ClassVar[str] = "data"
     msg_id: tuple[int, int]    # (source id, injection sequence)
     q_p: float                 # cost of the most recent forwarder
     tx_power_dbm: float
@@ -203,7 +203,7 @@ def grab_decide(node, pkt: DataPacket, params: PolicyParams, radio) -> Decision:
 
 def pgrab_decide(node, rng) -> Decision:
     """Bernoulli forward with p = interference avoidance * life duration."""
-    p = node.pgrab.p_ia * remaining_life_probability(node.battery)
+    p = node.p_ia * remaining_life_probability(node.battery)
     return Decision(bool(rng.random() < p), p_fw=p)
 
 
@@ -308,3 +308,72 @@ def rx_joules(n_bytes: int, params: PolicyParams, radio) -> float:
     over the airtime, the same for every receiver of a transmission."""
     seconds = n_bytes * 8 / radio.bitrate_bps
     return params.rx_draw_w * seconds
+
+
+# ---------------------------------------------------------------------------
+# the protocol table
+#
+# The entries below call the functions above through this module's globals at
+# call time, so a wrapper installed on ``policies.<name>`` sees every call.
+
+
+def _default_injection(net, src) -> tuple[float, float]:
+    """A source's (budget, power): no credit limit, default power."""
+    return math.inf, net.radio.tx_power_dbm
+
+
+def _credit_injection(net, src) -> tuple[float, float]:
+    """The credit budget, (1 + credit_factor) times the source cost, and a
+    wide broadcast's power; a source without known neighbors sends at
+    default power."""
+    pol = net.policies
+    power = (reach_power(src, pol.wide_neighbor_count, pol, net.radio)
+             if src.neighbor_pathloss else net.radio.tx_power_dbm)
+    return src.cost.q * (1.0 + pol.credit_factor), power
+
+
+def _bgb(net, node, pkt: DataPacket) -> Decision:
+    return bgb_decide(node, pkt)
+
+
+def _grab(net, node, pkt: DataPacket) -> Decision:
+    return grab_decide(node, pkt, net.policies, net.radio)
+
+
+def _pgrab(net, node, pkt: DataPacket) -> Decision:
+    if node.p_ia is None:
+        node.p_ia = erfc_forward_probability(node.delta, net.policies.spread_factor,
+                                             node.delta_bounds)
+    return pgrab_decide(node, net.sim.stream(node.id, "policy"))
+
+
+def _ugrab(net, node, pkt: DataPacket) -> Decision:
+    return ugrab_decide(node, mac.sense(net, node), net.mac.congestion_limit,
+                        net.sim.stream(node.id, "policy"))
+
+
+def _upgrab(net, node, pkt: DataPacket) -> Decision:
+    return upgrab_decide(node, mac.sense(net, node), net.mac.congestion_limit,
+                         net.policies, net.sim.stream(node.id, "policy"))
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """What one strategy adds to the shared gradient broadcast."""
+    # neighbor-count stage, discrepancy bounds, and each deciding node's delta
+    counts: bool
+    # reward ladder state on every sensor and its stall timer
+    ladder: bool
+    # (net, source) -> (credit budget, transmit power) of an injected message
+    inject: Callable
+    # (net, eligible node, packet with the arriving hop spent) -> Decision
+    decide: Callable
+
+
+PROTOCOLS = {
+    "BGB": Protocol(counts=False, ladder=False, inject=_default_injection, decide=_bgb),
+    "GRAB": Protocol(counts=False, ladder=False, inject=_credit_injection, decide=_grab),
+    "P-GRAB": Protocol(counts=True, ladder=False, inject=_default_injection, decide=_pgrab),
+    "U-GRAB": Protocol(counts=False, ladder=True, inject=_default_injection, decide=_ugrab),
+    "UP-GRAB": Protocol(counts=True, ladder=True, inject=_default_injection, decide=_upgrab),
+}

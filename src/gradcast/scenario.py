@@ -9,7 +9,6 @@ inject messages that roll downhill to the sink under the selected policy.
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -19,7 +18,7 @@ from .config import SimConfig
 from .costfield import AdvPacket, CostState, NeighborCountPacket
 from .engine import Event, EventKind, Simulator
 from .metrics import RunMetrics, RunRecorder, aggregate
-from .policies import Battery, DataPacket, Decision, PGrabState, UGrabState
+from .policies import Battery, DataPacket, Decision, UGrabState
 
 
 @dataclass
@@ -29,13 +28,13 @@ class Node:
     is_sink: bool
     battery: Battery
     cost: CostState = field(default_factory=CostState)
-    pgrab: PGrabState | None = None
     ugrab: UGrabState | None = None
     neighbor_pathloss: dict = field(default_factory=dict)   # id -> learned link cost
     neighbor_counts: dict = field(default_factory=dict)     # id -> advertised count
     advertised_count: int | None = None   # own count as broadcast in the count stage
     delta: float | None = None
     delta_bounds: tuple[float, float] | None = None
+    p_ia: float | None = None   # erfc conversion of delta at policies.spread_factor
     seen: set = field(default_factory=set)
     connected: bool = True
 
@@ -133,7 +132,7 @@ class Network:
         self.mac = cfg.mac
         self.costfield = cfg.costfield
         self.policies = cfg.policies
-        self.protocol = cfg.scenario.protocol
+        self.proto = policies.PROTOCOLS[cfg.scenario.protocol]
         self.sim = sim
         self.recorder = recorder
         self.counters = recorder.counters
@@ -155,30 +154,25 @@ class Network:
               links: phys.LinkTable | None = None) -> None:
         """Create the nodes; ``links``, when given, is the link table of
         ``positions + [sink_pos]`` under this network's radio parameters."""
-        cfg = self.cfg
-        needs_delta = self.protocol in ("P-GRAB", "UP-GRAB")
-        needs_ladder = self.protocol in ("U-GRAB", "UP-GRAB")
-        pol = cfg.policies
+        pol = self.policies
         for i, pos in enumerate(positions):
             self.nodes.append(Node(i, pos, False, Battery(pol.initial_energy_j)))
+            if self.proto.ladder:
+                self.nodes[i].ugrab = UGrabState(pol.ladder_scale, pol.ladder_ratio,
+                                                 spread=pol.spread_factor)
         self.sink_id = len(positions)
         sink = Node(self.sink_id, sink_pos, True, Battery(pol.initial_energy_j))
         sink.cost.q = 0.0
         self.nodes.append(sink)
-        for node in self.nodes:
-            if needs_delta and not node.is_sink:
-                node.pgrab = PGrabState(spread=pol.spread_factor)
-            if needs_ladder and not node.is_sink:
-                node.ugrab = UGrabState(pol.ladder_scale, pol.ladder_ratio,
-                                        spread=pol.spread_factor)
         if links is None:
             links = phys.link_table([n.pos for n in self.nodes], self.radio)
         self.links = links
         self.neighbors = self.links.neighbors(self.radio.sensitivity_dbm)
         for node, ok in zip(self.nodes, _reaches(self.neighbors, self.sink_id)):
             node.connected = ok
-        self.delta_bounds = self._discrepancy_bounds()
-        sink.cost.bounds = self.delta_bounds
+        if self.proto.counts:
+            self.delta_bounds = self._discrepancy_bounds()
+            sink.cost.bounds = self.delta_bounds
 
     def _discrepancy_bounds(self) -> tuple[float, float]:
         cf = self.costfield
@@ -203,20 +197,19 @@ class Network:
         """Schedule the flood, the optional neighbor-count stage, stall checks
         and all message injections."""
         sim = self.sim
-        cfg = self.cfg
         sink = self.nodes[self.sink_id]
         mac.transmit(self, sink, AdvPacket(sink.id, 0.0, self.radio.tx_power_dbm,
                                            sink.cost.bounds))
-        if self.protocol in ("P-GRAB", "UP-GRAB"):
+        if self.proto.counts:
             cf = self.costfield
             for node in self.nodes:
                 u = float(sim.stream(node.id, "mac").uniform(0.0, cf.ncnt_window_ms))
                 sim.schedule(cf.ncnt_start_ms + u, EventKind.TIMER, node.id, ("ncnt", 0))
-        if self.protocol in ("U-GRAB", "UP-GRAB"):
+        if self.proto.ladder:
             period = self._stall_period()
             for node in self.nodes:
                 if not node.is_sink:
-                    sim.schedule(cfg.scenario.data_start_ms + period,
+                    sim.schedule(self.cfg.scenario.data_start_ms + period,
                                  EventKind.TIMER, node.id, ("stall", 0))
         for k, ev in enumerate(traffic):
             sim.schedule(ev.trigger_ms, EventKind.INJECT, -1, (k, ev))
@@ -238,13 +231,6 @@ class Network:
         elif ev.kind is EventKind.INJECT:
             self._inject(ev)
 
-    def _packet_bytes(self, packet) -> int:
-        if isinstance(packet, DataPacket):
-            return self.radio.data_bytes
-        if isinstance(packet, AdvPacket):
-            return self.radio.adv_bytes
-        return self.radio.ncnt_bytes
-
     def _tx_start(self, ev: Event) -> None:
         node = self.nodes[ev.node]
         packet, power = ev.payload
@@ -252,27 +238,28 @@ class Network:
             self.counters["suppressed_tx"] += 1
             return
         # packet contents freeze at the moment the transmission begins
-        if isinstance(packet, AdvPacket):
+        kind = packet.kind
+        if kind == "adv":
             packet.q_p = node.cost.q
             packet.bounds = node.cost.bounds
             if node.is_sink:
                 self.flood_epoch = self.sim.clock
             self.counters["adv"] += 1
-        elif isinstance(packet, NeighborCountPacket):
+        elif kind == "ncnt":
             packet.count = len(node.neighbor_pathloss)
             node.advertised_count = packet.count
             self.counters["ncnt"] += 1
         else:
             packet.q_p = node.cost.q
             self.counters["forwarded"] += 1
-        n_bytes = self._packet_bytes(packet)
+        n_bytes = getattr(self.radio, kind + "_bytes")
         joules = policies.consume_energy(node, "tx", n_bytes, power, self.policies, self.radio)
         if self.energy_log is not None:
             self.energy_log.append((node.id, joules))
         now = self.sim.clock
         tr = phys.Transmission(node.id, node.pos, power, now,
                                now + self.radio.airtime_ms(n_bytes), packet,
-                               rx_mw=self.links.rx_mw_row(node.id, power))
+                               rx_mw=self.links.rx_mw_row(node.id, power), n_bytes=n_bytes)
         tr.interferers = list(self.active.values())
         for other in self.active.values():
             other.interferers.append(tr)
@@ -293,10 +280,11 @@ class Network:
         # the transmissions still on the air keep theirs; dropping this list
         # breaks the reference cycles between finished transmissions
         tr.interferers = []
-        if isinstance(tr.packet, DataPacket):
+        kind = tr.packet.kind
+        if kind == "data":
             self._receive_data(tr, decoded)
         else:
-            if isinstance(tr.packet, AdvPacket):
+            if kind == "adv":
                 self.counters["adv_decode_failures"] += len(alive) - len(decoded)
             self._receive_setup(tr, decoded)
 
@@ -311,7 +299,7 @@ class Network:
         sink_id = self.sink_id
         sender, txp = tr.sender, tr.tx_power_dbm
         q_p, msg_id = pkt.q_p, pkt.msg_id
-        joules = policies.rx_joules(self.radio.data_bytes, pol, self.radio)
+        joules = policies.rx_joules(tr.n_bytes, pol, self.radio)
         log = self.energy_log
         p_f = self.cfg.scenario.p_f
         lottery = p_f > 0.0 and self.cfg.scenario.failure_side == "rx"
@@ -343,9 +331,9 @@ class Network:
     def _receive_setup(self, tr: phys.Transmission, decoded: list[int]) -> None:
         pkt = tr.packet
         nodes = self.nodes
-        adv = isinstance(pkt, AdvPacket)
+        adv = pkt.kind == "adv"
         txp = tr.tx_power_dbm
-        joules = policies.rx_joules(self._packet_bytes(pkt), self.policies, self.radio)
+        joules = policies.rx_joules(tr.n_bytes, self.policies, self.radio)
         log = self.energy_log
         losses = self.links.pathloss_db[tr.sender].take(decoded).tolist()
         for rx_id, pl in zip(decoded, losses):
@@ -360,7 +348,9 @@ class Network:
             else:
                 costfield.handle_ncnt(self, rx, pkt)
 
-    def _ensure_delta(self, node: Node) -> None:
+    def ensure_delta(self, node: Node) -> None:
+        """Settle the node's discrepancy and its bounds, once, from what the
+        count stage delivered."""
         if node.delta is None:
             # the node's own count enters as the value it advertised, so both
             # sides of the discrepancy are snapshots of the same stage
@@ -371,29 +361,12 @@ class Network:
             node.delta_bounds = (node.cost.bounds if node.cost.bounds is not None
                                  else (self.costfield.fixed_bounds_lo,
                                        self.costfield.fixed_bounds_hi))
-            if node.pgrab is not None:
-                node.pgrab.p_ia = policies.erfc_forward_probability(
-                    node.delta, node.pgrab.spread, node.delta_bounds)
 
     def _decide_and_forward(self, node: Node, pkt: DataPacket, hop_cost: float) -> None:
-        proto = self.protocol
-        pol = self.policies
-        rng = self.sim.stream(node.id, "policy")
         fwd_pkt = replace(pkt, consumed=pkt.consumed + hop_cost)
-        if proto == "BGB":
-            dec = policies.bgb_decide(node, fwd_pkt)
-        elif proto == "GRAB":
-            dec = policies.grab_decide(node, fwd_pkt, pol, self.radio)
-        elif proto == "P-GRAB":
-            self._ensure_delta(node)
-            dec = policies.pgrab_decide(node, rng)
-        elif proto == "U-GRAB":
-            dec = policies.ugrab_decide(node, mac.sense(self, node),
-                                        self.mac.congestion_limit, rng)
-        else:
-            self._ensure_delta(node)
-            dec = policies.upgrab_decide(node, mac.sense(self, node),
-                                         self.mac.congestion_limit, pol, rng)
+        if self.proto.counts:
+            self.ensure_delta(node)
+        dec = self.proto.decide(self, node, fwd_pkt)
         if self.decision_trace is not None:
             self._trace_decision(node, eligible=True, dec=dec)
         if not dec.forward:
@@ -410,7 +383,7 @@ class Network:
 
     def _trace_decision(self, node: Node, eligible: bool, dec: Decision | None) -> None:
         f = "" if dec is None else ("1" if dec.forward else "0")
-        row = (self.sim.clock, node.id, self.protocol, int(eligible), f,
+        row = (self.sim.clock, node.id, self.cfg.scenario.protocol, int(eligible), f,
                getattr(dec, "p_fw", None), getattr(dec, "c_n", None),
                getattr(dec, "forward_reward", None), getattr(dec, "energy_reward", None))
         self.decision_trace(row)
@@ -444,14 +417,7 @@ class Network:
         msg_id = (src.id, k)
         self.recorder.on_sent(msg_id, self.sim.clock)
         src.seen.add(msg_id)
-        pol = self.policies
-        if self.protocol == "GRAB":
-            budget = src.cost.q * (1.0 + pol.credit_factor)
-            power = (policies.reach_power(src, pol.wide_neighbor_count, pol, self.radio)
-                     if src.neighbor_pathloss else self.radio.tx_power_dbm)
-        else:
-            budget = math.inf
-            power = self.radio.tx_power_dbm
+        budget, power = self.proto.inject(self, src)
         pkt = DataPacket(msg_id, src.cost.q, power, budget=budget, consumed=0.0)
         mac.transmit(self, src, pkt, power)
 
@@ -522,23 +488,13 @@ def run_replication(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=
 
 
 def _run_task(args):
-    cell_idx, cfg, run_index, param = args
-    return cell_idx, run_index, run_replication(cfg, run_index, param=param)
+    cfg, run_index, param = args
+    return run_replication(cfg, run_index, param=param)
 
 
-def run_cell(cfg: SimConfig, *, jobs: int = 1, param: str = "") -> list[RunMetrics]:
+def run_cell(cfg: SimConfig, *, jobs: int = 1) -> list[RunMetrics]:
     """All replications of one configuration, in run-index order."""
-    tasks = [(0, cfg, i, param) for i in range(cfg.scenario.replications)]
-    return [m for _, _, m in _execute(tasks, jobs)]
-
-
-def _execute(tasks, jobs: int):
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_run_task, tasks)
-    else:
-        results = [_run_task(t) for t in tasks]
-    return sorted(results, key=lambda r: (r[0], r[1]))
+    return sweep(cfg, {}, jobs=jobs)[0]
 
 
 def sweep(base_cfg: SimConfig, axes: dict[str, list[str]], *, jobs: int = 1):
@@ -557,22 +513,17 @@ def sweep(base_cfg: SimConfig, axes: dict[str, list[str]], *, jobs: int = 1):
         param = ",".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, combo)
                          if k.split(".")[-1] not in ("protocol", "p_f"))
         cells_cfg.append((cfg_i, param))
-    tasks = []
-    for idx, (cfg_i, param) in enumerate(cells_cfg):
-        for i in range(cfg_i.scenario.replications):
-            tasks.append((idx, cfg_i, i, param))
-    results = _execute(tasks, jobs)
-    runs_by_cell: dict[int, list[RunMetrics]] = {}
-    for cell_idx, _, m in results:
-        runs_by_cell.setdefault(cell_idx, []).append(m)
-    all_runs = []
-    cells = []
-    for idx in range(len(cells_cfg)):
-        runs = runs_by_cell.get(idx, [])
-        all_runs.extend(runs)
-        if runs:
-            cells.append(aggregate(runs))
-    return all_runs, cells
+    tasks = [(cfg_i, i, param) for cfg_i, param in cells_cfg
+             for i in range(cfg_i.scenario.replications)]
+    if jobs > 1 and len(tasks) > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            runs = pool.map(_run_task, tasks)
+    else:
+        runs = [_run_task(t) for t in tasks]
+    # runs keep the task order: cells in axis order, each cell's runs by index
+    ends = list(itertools.accumulate(c.scenario.replications for c, _ in cells_cfg))
+    cells = [aggregate(runs[a:b]) for a, b in zip([0] + ends, ends)]
+    return runs, cells
 
 
 def costfield_rows(net: Network) -> list[list[str]]:

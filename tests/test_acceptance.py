@@ -224,18 +224,17 @@ def test_criterion_05_ledger_and_determinism(tmp_path):
 
 
 def test_criterion_06_bernoulli_calibration():
-    from gradcast.policies import PGrabState, pgrab_decide
+    from gradcast.policies import pgrab_decide
     from gradcast.costfield import CostState
 
     class Stub:
         def __init__(self):
             self.cost = CostState(q=50.0)
             self.battery = Battery(1.0, consumed_j=0.2, n_forwarded=10)
-            self.pgrab = PGrabState(spread=2.0,
-                                    p_ia=erfc_forward_probability(-2.0, 2.0, (-12.0, 12.0)))
+            self.p_ia = erfc_forward_probability(-2.0, 2.0, (-12.0, 12.0))
 
     node = Stub()
-    p = node.pgrab.p_ia * remaining_life_probability(node.battery)
+    p = node.p_ia * remaining_life_probability(node.battery)
     rng = np.random.default_rng(20260808)
     n = 10_000
     hits = sum(pgrab_decide(node, rng).forward for _ in range(n))

@@ -125,13 +125,16 @@ def test_report_malformed_csv_is_runtime_fault(tmp_path, capsys):
 
 
 def test_dump_topology(tmp_path, capsys):
-    out = tmp_path / "topo"
-    rc = cli.main(["dump-topology", "--out", str(out),
-                   "--set", "protocol=P-GRAB"] + FAST)
-    assert rc == 0
-    rows = read_csv(out / "topology.csv")
-    assert rows[0] == ["node", "x", "y", "Q", "N_i", "delta"]
-    assert len(rows) == 32   # header + 30 sensors + sink
+    for protocol in ("P-GRAB", "UP-GRAB"):
+        out = tmp_path / protocol
+        rc = cli.main(["dump-topology", "--out", str(out),
+                       "--set", f"protocol={protocol}"] + FAST)
+        assert rc == 0
+        rows = read_csv(out / "topology.csv")
+        assert rows[0] == ["node", "x", "y", "Q", "N_i", "delta"]
+        assert len(rows) == 32   # header + 30 sensors + sink
+        # the sink is the last row; every sensor has a discrepancy
+        assert all(row[5] != "" for row in rows[1:-1])
 
 
 def test_dump_trace(tmp_path, capsys):

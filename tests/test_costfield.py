@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradcast import phys
-from gradcast.costfield import (bounds_center, link_cost,
-                                neighborhood_discrepancy, restart_flood)
+from gradcast.costfield import bounds_center, link_cost, neighborhood_discrepancy
 from gradcast.scenario import build_network
 from tests.conftest import line_cfg, small_cfg
 
@@ -137,13 +136,3 @@ def test_fixed_bounds_mode():
     sim, net = run_setup(cfg)
     assert net.delta_bounds == (-60.0, 40.0)
 
-
-def test_restart_flood_rebuilds_field():
-    cfg, positions, sink = line_cfg(3, spacing_m=40.0)
-    sim, net = run_setup(cfg, positions=positions, sink_pos=sink)
-    old_q = [n.cost.q for n in net.nodes if not n.is_sink]
-    restart_flood(net)
-    assert all(math.isinf(n.cost.q) for n in net.nodes if not n.is_sink)
-    sim.run_until_idle(sim.clock + 1e6)
-    assert [n.cost.q for n in net.nodes if not n.is_sink] == pytest.approx(old_q)
-    assert net.counters["adv"] == 2 * (3 + 1)

@@ -3,9 +3,11 @@
 Each cell runs all five protocols on the compact arena and hashes the
 ``run_row`` lines; the low-energy cell drains nodes mid-run, so the liveness
 filter, the battery clamp and the energy ledger's order are in play. One
-U-GRAB ``dump-trace`` pins the event and decision traces byte for byte. The
-hashes were taken from the simulator before the per-transmission reception
-fan-out; a change that moves any of them changes the simulator's results.
+U-GRAB ``dump-trace`` pins the event and decision traces byte for byte, and
+``dump-topology`` pins the cost field and the discrepancy column. The run,
+ledger and trace hashes were taken from the simulator before the
+per-transmission reception fan-out, the topology hashes before the protocol
+table; a change that moves any of them changes the simulator's results.
 """
 
 import hashlib
@@ -48,6 +50,13 @@ GOLDEN = {
         "64733a6cbe1263caa05e94960430060181ac0a96ae3a9f57a43e7120838de090",
     "dump-trace":
         "acba6f43849f06ff087eb05e3c6ff492b5aa9813b3ad4fe69eb75a5aa10644ed",
+}
+
+# P-GRAB and UP-GRAB run the same set-up phase, so they share one field
+TOPOLOGY_GOLDEN = {
+    "BGB": "b492027c18baade12e958060b92cc7992b30716250267ab17f9bc3b573791f01",
+    "P-GRAB": "717c945bd23a3cee0f5e0ffc9ed37a03a7f43c8f25f160c1fbf9fd75baaf5942",
+    "UP-GRAB": "717c945bd23a3cee0f5e0ffc9ed37a03a7f43c8f25f160c1fbf9fd75baaf5942",
 }
 
 
@@ -98,3 +107,12 @@ def test_dump_trace_matches_golden_bytes(tmp_path, capsys):
                     + FAST) == 0
     blob = (out / "trace.csv").read_bytes() + b"\0" + (out / "decisions.csv").read_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN["dump-trace"]
+
+
+@pytest.mark.parametrize("protocol", sorted(TOPOLOGY_GOLDEN))
+def test_dump_topology_matches_golden_bytes(tmp_path, capsys, protocol):
+    out = tmp_path / "topo"
+    assert cli.main(["dump-topology", "--out", str(out), "--set", f"protocol={protocol}"]
+                    + FAST) == 0
+    blob = (out / "topology.csv").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == TOPOLOGY_GOLDEN[protocol]

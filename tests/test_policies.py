@@ -8,7 +8,7 @@ from scipy.special import erfc as scipy_erfc
 
 from gradcast.config import default_config
 from gradcast.costfield import CostState
-from gradcast.policies import (Battery, DataPacket, PGrabState, PolicyParams,
+from gradcast.policies import (Battery, DataPacket, PolicyParams,
                                UGrabState, bgb_decide, consume_energy, eligible,
                                energy_reward, erfc_forward_probability,
                                grab_decide, ladder_reward, note_overheard,
@@ -30,11 +30,10 @@ class StubNode:
         self.seen = set()
         self.delta = delta
         self.delta_bounds = bounds
-        self.pgrab = PGrabState(spread=spread)
         self.ugrab = UGrabState(spread=spread)
         self.neighbor_pathloss = pathloss if pathloss is not None else {2: 20.0, 3: 30.0, 4: 40.0, 5: 45.0}
-        if self.delta is not None and self.pgrab is not None:
-            self.pgrab.p_ia = erfc_forward_probability(self.delta, spread, bounds)
+        self.p_ia = (erfc_forward_probability(self.delta, spread, bounds)
+                     if self.delta is not None else None)
 
     @property
     def dead(self):
@@ -284,7 +283,7 @@ def test_pgrab_certain_forward():
 def test_pgrab_matches_analytic_rate():
     node = StubNode(delta=-2.0, bounds=(-12.0, 12.0), spread=2.0,
                     consumed=0.25, n_forwarded=10)
-    p = node.pgrab.p_ia * remaining_life_probability(node.battery)
+    p = node.p_ia * remaining_life_probability(node.battery)
     rng = np.random.default_rng(1234)
     n = 10_000
     hits = sum(pgrab_decide(node, rng).forward for _ in range(n))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradcast import phys, scenario
-from gradcast.config import default_config
+from gradcast import phys, policies, scenario
+from gradcast.config import default_config, validate
 from gradcast.engine import Simulator, make_stream
 from gradcast.metrics import RunRecorder, run_row
 from gradcast.policies import Battery
@@ -190,6 +190,31 @@ def test_run_cell_and_sweep_shapes():
     assert len(cells) == 4 and len(all_runs) == 8
     assert [(c.protocol, c.p_f) for c in cells] == \
         [("BGB", 0.0), ("BGB", 0.4), ("GRAB", 0.0), ("GRAB", 0.4)]
+
+
+def test_policy_streams_only_for_protocols_that_draw():
+    """BGB and GRAB never draw from a node's policy stream, so they build
+    none; P-GRAB does draw, so the check is not vacuous."""
+    built = {}
+    for protocol in ("BGB", "GRAB", "P-GRAB"):
+        cfg = small_cfg(protocol=protocol, replications=1)
+        sim, net = build_network(cfg, 0)
+        sim.run_until_idle(cfg.scenario.max_sim_time_ms)
+        net.release()
+        assert net.counters["forwarded"] > 0
+        built[protocol] = [k for k in sim._streams if k[1] == "policy"]
+    assert built["BGB"] == [] and built["GRAB"] == []
+    assert built["P-GRAB"]
+
+
+def test_a_new_protocol_is_one_table_row(monkeypatch):
+    monkeypatch.setitem(policies.PROTOCOLS, "BGB-COPY", policies.PROTOCOLS["BGB"])
+    copy_cfg = small_cfg(protocol="BGB-COPY")
+    validate(copy_cfg)
+    copy = [run_row(m) for m in run_cell(copy_cfg)]
+    bgb = [run_row(m) for m in run_cell(small_cfg(protocol="BGB"))]
+    assert [r[1] for r in copy] == ["BGB-COPY"] * len(bgb)
+    assert [r[:1] + r[2:] for r in copy] == [r[:1] + r[2:] for r in bgb]
 
 
 def test_sweep_rejects_empty_axis():
