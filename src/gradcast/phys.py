@@ -93,6 +93,8 @@ class LinkTable:
     pathloss_db: np.ndarray   # (n, n), symmetric
     rx_mw: np.ndarray         # (n, n), row = sender at params.tx_power_dbm
     tx_power_dbm: float
+    # (sender, power) -> row at a non-default power, built on first use
+    rows: dict = field(default_factory=dict, repr=False)
 
     def neighbors(self, sensitivity_dbm: float) -> list[list[int]]:
         """Ids whose default-power reception lies strictly above sensitivity,
@@ -103,11 +105,17 @@ class LinkTable:
 
     def rx_mw_row(self, sender: int, tx_power_dbm: float) -> np.ndarray:
         """Received mW at every node from ``sender`` transmitting at the given
-        power; the shared table row at the default power."""
+        power: the shared table row at the default power, otherwise a row
+        kept per (sender, power) for every later call. numpy's subtraction
+        and division round like Python floats; only the power goes through
+        ``math.pow``, the same libm call as ``10.0 ** x``."""
         if tx_power_dbm == self.tx_power_dbm:
             return self.rx_mw[sender]
-        return np.array([10.0 ** ((tx_power_dbm - pl) / 10.0)
-                         for pl in self.pathloss_db[sender].tolist()])
+        row = self.rows.get((sender, tx_power_dbm))
+        if row is None:
+            exps = ((tx_power_dbm - self.pathloss_db[sender]) / 10.0).tolist()
+            row = self.rows[sender, tx_power_dbm] = np.array([math.pow(10.0, x) for x in exps])
+        return row
 
 
 def link_table(points: list, params: RadioParams) -> LinkTable:

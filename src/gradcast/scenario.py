@@ -9,11 +9,14 @@ inject messages that roll downhill to the sink under the selected policy.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Optional
 
-from . import costfield, mac, phys, policies
+import numpy as np
+
+from . import costfield, engine, mac, phys, policies
 from .config import SimConfig
 from .costfield import AdvPacket, CostState, NeighborCountPacket
 from .engine import Event, EventKind, Simulator
@@ -36,7 +39,6 @@ class Node:
     delta_bounds: tuple[float, float] | None = None
     p_ia: float | None = None   # erfc conversion of delta at policies.spread_factor
     seen: set = field(default_factory=set)
-    connected: bool = True
 
     @property
     def dead(self) -> bool:
@@ -54,12 +56,10 @@ class TrafficEvent:
 
 
 def generate_topology(cfg: SimConfig, rng) -> tuple[list, tuple[float, float],
-                                                    phys.LinkTable | None]:
-    """Uniform sensor positions plus the sink position. With
-    require_connected, resample until every sensor reaches the sink, and
-    also return the accepted sample's link table (sensors, then the sink:
-    the network's node order) so the network does not build it again;
-    without the check the table is None."""
+                                                    phys.LinkTable]:
+    """Uniform sensor positions, the sink position and their link table
+    (sensors, then the sink: the network's node order). With
+    require_connected, resample until every sensor reaches the sink."""
     sc = cfg.scenario
     w, h = sc.area_width_m, sc.area_height_m
     sink_pos = (0.0, 0.0) if sc.sink_placement == "corner" else (w / 2.0, h / 2.0)
@@ -67,10 +67,9 @@ def generate_topology(cfg: SimConfig, rng) -> tuple[list, tuple[float, float],
         xs = rng.uniform(0.0, w, sc.node_count)
         ys = rng.uniform(0.0, h, sc.node_count)
         positions = [(float(x), float(y)) for x, y in zip(xs, ys)]
-        if not sc.require_connected:
-            return positions, sink_pos, None
         links = phys.link_table(positions + [sink_pos], cfg.phys)
-        if all(_reaches(links.neighbors(cfg.phys.sensitivity_dbm), sc.node_count)):
+        if not sc.require_connected or all(
+                _reaches(links.neighbors(cfg.phys.sensitivity_dbm), sc.node_count)):
             return positions, sink_pos, links
     raise RuntimeError("could not sample a fully connected topology")
 
@@ -141,6 +140,7 @@ class Network:
         self.sink_id = -1
         self.neighbors: list[list[int]] = []
         self.links: phys.LinkTable | None = None
+        self.sensor_xy: np.ndarray | None = None   # (sensors, 2), for the source search
         self.active: dict[int, phys.Transmission] = {}
         self._tx_serial = 0
         self.flood_epoch = 0.0
@@ -168,8 +168,7 @@ class Network:
             links = phys.link_table([n.pos for n in self.nodes], self.radio)
         self.links = links
         self.neighbors = self.links.neighbors(self.radio.sensitivity_dbm)
-        for node, ok in zip(self.nodes, _reaches(self.neighbors, self.sink_id)):
-            node.connected = ok
+        self.sensor_xy = np.array(positions, dtype=float).reshape(-1, 2)
         if self.proto.counts:
             self.delta_bounds = self._discrepancy_bounds()
             sink.cost.bounds = self.delta_bounds
@@ -422,12 +421,25 @@ class Network:
         mac.transmit(self, src, pkt, power)
 
     def _nearest_alive_sensor(self, pos) -> Node | None:
+        """The alive sensor with the least (phys.distance, id). np.hypot and
+        math.hypot each lie within an ulp of the true distance, so the exact
+        minimum is among the alive sensors whose np.hypot distance is within
+        a relative 1e-9 of the nearest alive one's; only those are compared
+        exactly."""
+        dist = np.hypot(self.sensor_xy[:, 0] - pos[0], self.sensor_xy[:, 1] - pos[1])
+        order = dist.argsort()
         best = None
         best_key = None
-        for node in self.nodes:
-            if node.is_sink or node.dead:
+        limit = math.inf
+        for i, d in zip(order.tolist(), dist.take(order).tolist()):
+            if d > limit:
+                break
+            node = self.nodes[i]
+            if node.dead:
                 continue
-            key = (phys.distance(node.pos, pos), node.id)
+            if best is None:
+                limit = d * (1.0 + 1e-9)
+            key = (phys.distance(node.pos, pos), i)
             if best_key is None or key < best_key:
                 best, best_key = node, key
         return best
@@ -451,13 +463,13 @@ class Network:
 
 
 def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=None,
-                  traffic=None, event_trace=None, decision_trace=None,
+                  links=None, traffic=None, event_trace=None, decision_trace=None,
                   param: str = "") -> tuple[Simulator, Network]:
     """Assemble a ready-to-run replication. Positions and traffic may be
     supplied explicitly for scripted topologies; otherwise they come from the
-    run's topology and traffic streams."""
+    run's topology and traffic streams. ``links``, given with explicit
+    positions, is their link table (``generate_topology``'s third item)."""
     sim = Simulator(cfg.scenario.base_seed, run_index, trace=event_trace)
-    links = None
     if positions is None:
         positions, generated_sink, links = generate_topology(
             cfg, sim.stream(None, "topology"))
@@ -477,19 +489,33 @@ def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=No
 
 
 def run_replication(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=None,
-                    traffic=None, event_trace=None, decision_trace=None,
+                    links=None, traffic=None, event_trace=None, decision_trace=None,
                     param: str = "") -> RunMetrics:
     sim, net = build_network(cfg, run_index, positions=positions, sink_pos=sink_pos,
-                             traffic=traffic, event_trace=event_trace,
+                             links=links, traffic=traffic, event_trace=event_trace,
                              decision_trace=decision_trace, param=param)
     sim.run_until_idle(cfg.scenario.max_sim_time_ms)
     net.release()
     return net.finish()
 
 
-def _run_task(args):
-    cfg, run_index, param = args
-    return run_replication(cfg, run_index, param=param)
+def _topology_key(cfg: SimConfig, run_index: int) -> tuple:
+    """Everything ``generate_topology`` and the link table read."""
+    sc = cfg.scenario
+    return (run_index, sc.base_seed, sc.node_count, sc.area_width_m, sc.area_height_m,
+            sc.sink_placement, sc.require_connected, astuple(cfg.phys))
+
+
+def _run_group(tasks: list) -> list[RunMetrics]:
+    """Replications of one run index whose cells share the topology: sample
+    it and its link table once, then play each cell on them. Traffic is
+    still drawn per cell."""
+    cfg, run_index, _ = tasks[0]
+    topology = engine.make_stream(cfg.scenario.base_seed, run_index, None, "topology")
+    positions, sink_pos, links = generate_topology(cfg, topology)
+    return [run_replication(cell, run_index, positions=positions, sink_pos=sink_pos,
+                            links=links, param=param)
+            for cell, _, param in tasks]
 
 
 def run_cell(cfg: SimConfig, *, jobs: int = 1) -> list[RunMetrics]:
@@ -515,12 +541,20 @@ def sweep(base_cfg: SimConfig, axes: dict[str, list[str]], *, jobs: int = 1):
         cells_cfg.append((cfg_i, param))
     tasks = [(cfg_i, i, param) for cfg_i, param in cells_cfg
              for i in range(cfg_i.scenario.replications)]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            runs = pool.map(_run_task, tasks)
+    groups: dict[tuple, list[int]] = {}
+    for k, (cfg_i, i, _) in enumerate(tasks):
+        groups.setdefault(_topology_key(cfg_i, i), []).append(k)
+    work = [[tasks[k] for k in members] for members in groups.values()]
+    if jobs > 1 and len(work) > 1:
+        with multiprocessing.Pool(min(jobs, len(work))) as pool:
+            played = pool.map(_run_group, work)
     else:
-        runs = [_run_task(t) for t in tasks]
+        played = [_run_group(g) for g in work]
     # runs keep the task order: cells in axis order, each cell's runs by index
+    runs = [None] * len(tasks)
+    for members, group_runs in zip(groups.values(), played):
+        for k, m in zip(members, group_runs):
+            runs[k] = m
     ends = list(itertools.accumulate(c.scenario.replications for c, _ in cells_cfg))
     cells = [aggregate(runs[a:b]) for a, b in zip([0] + ends, ends)]
     return runs, cells

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,6 +204,24 @@ def test_link_table_entries_equal_scalar_formulas():
                 -7.25, d, PARAMS.alpha_exp, PARAMS.d_min_m) / 10.0)
     # the default power shares the table row instead of copying it
     assert links.rx_mw_row(5, PARAMS.tx_power_dbm).base is links.rx_mw
+
+
+ARENA_61 = [(float(x), float(y))
+            for x, y in np.random.default_rng(7).uniform(0.0, 150.0, (61, 2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sender=st.integers(0, 60), power=st.floats(-40.0, 20.0))
+def test_reduced_power_rows_are_exact_and_kept(sender, power):
+    links = link_table(ARENA_61, PARAMS)
+    row = links.rx_mw_row(sender, power)
+    if power == PARAMS.tx_power_dbm:
+        assert row.base is links.rx_mw
+        return
+    expected = [10.0 ** ((power - pl) / 10.0) for pl in links.pathloss_db[sender].tolist()]
+    assert row.tolist() == expected
+    assert links.rx_mw_row(sender, power) is row
+    assert list(links.rows) == [(sender, power)]
 
 
 def _oracle_ids(wanted, receivers, points, params):

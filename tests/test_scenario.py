@@ -192,9 +192,11 @@ def test_run_cell_and_sweep_shapes():
         [("BGB", 0.0), ("BGB", 0.4), ("GRAB", 0.0), ("GRAB", 0.4)]
 
 
-def test_policy_streams_only_for_protocols_that_draw():
+def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
     """BGB and GRAB never draw from a node's policy stream, so they build
-    none; P-GRAB does draw, so the check is not vacuous."""
+    none; P-GRAB does draw, so the check is not vacuous. U-GRAB draws only
+    on a reward tie, so it builds a stream exactly for each node that drew;
+    with the energy reward pinned to the fresh ladder's, ties are common."""
     built = {}
     for protocol in ("BGB", "GRAB", "P-GRAB"):
         cfg = small_cfg(protocol=protocol, replications=1)
@@ -206,6 +208,35 @@ def test_policy_streams_only_for_protocols_that_draw():
     assert built["BGB"] == [] and built["GRAB"] == []
     assert built["P-GRAB"]
 
+    draws = []
+    real = policies.ugrab_decide
+
+    class Counted:
+        def __init__(self, node_id, rng):
+            self.node_id, self.rng = node_id, rng
+
+        def random(self):
+            draws.append(self.node_id)
+            return self.rng.random()
+
+    monkeypatch.setattr(policies, "ugrab_decide", lambda node, c_n, limit, rng:
+                        real(node, c_n, limit, Counted(node.id, rng)))
+    for forced_tie in (False, True):
+        if forced_tie:
+            monkeypatch.setattr(policies, "energy_reward", lambda battery: 0.25)
+        draws.clear()
+        cfg = small_cfg(protocol="U-GRAB", replications=1)
+        sim, net = build_network(cfg, 0)
+        sim.run_until_idle(cfg.scenario.max_sim_time_ms)
+        net.release()
+        assert net.counters["forwarded"] > 0
+        streams = sorted(k[0] for k in sim._streams if k[1] == "policy")
+        assert streams == sorted(set(draws))
+        if forced_tie:
+            assert len(draws) > 10
+        else:
+            assert len(streams) == len(draws)
+
 
 def test_a_new_protocol_is_one_table_row(monkeypatch):
     monkeypatch.setitem(policies.PROTOCOLS, "BGB-COPY", policies.PROTOCOLS["BGB"])
@@ -215,6 +246,66 @@ def test_a_new_protocol_is_one_table_row(monkeypatch):
     bgb = [run_row(m) for m in run_cell(small_cfg(protocol="BGB"))]
     assert [r[1] for r in copy] == ["BGB-COPY"] * len(bgb)
     assert [r[:1] + r[2:] for r in copy] == [r[:1] + r[2:] for r in bgb]
+
+
+SWEEP_PROTOCOLS = ["BGB", "GRAB", "P-GRAB", "U-GRAB", "UP-GRAB"]
+SWEEP_AXES = {"scenario.protocol": SWEEP_PROTOCOLS, "scenario.p_f": ["0", "0.4"]}
+# require_connected resamples several times per replication on this arena
+SPARSE_CONNECTED = dict(area_width_m=360.0, area_height_m=360.0, require_connected=True)
+
+
+def _count_link_tables(monkeypatch) -> list[int]:
+    built = []
+    real = phys.link_table
+
+    def counting(points, params):
+        built.append(len(points))
+        return real(points, params)
+
+    monkeypatch.setattr(phys, "link_table", counting)
+    return built
+
+
+@pytest.mark.parametrize("arena", [{}, SPARSE_CONNECTED], ids=["compact", "sparse-connected"])
+def test_sweep_cells_share_each_topology(monkeypatch, arena):
+    """Ten cells on two replications: the sweep samples each replication's
+    topology and table once, yet every row equals a replication run on its
+    own, serially and in parallel."""
+    built = _count_link_tables(monkeypatch)
+    runs, _ = sweep(small_cfg(**arena), SWEEP_AXES)
+    shared = len(built)
+    built.clear()
+    alone = [run_row(run_replication(small_cfg(protocol=protocol, p_f=p_f, **arena), i))
+             for protocol in SWEEP_PROTOCOLS for p_f in (0.0, 0.4) for i in range(2)]
+    assert [run_row(m) for m in runs] == alone
+    # one table per replication, or per sample drawn where resampling
+    assert len(built) == 10 * shared
+    assert shared > 2 if arena else shared == 2
+    parallel, _ = sweep(small_cfg(**arena), SWEEP_AXES, jobs=2)
+    assert [run_row(m) for m in parallel] == alone
+
+
+@pytest.mark.parametrize("axis", [{"scenario.node_count": ["50", "60"]},
+                                  {"phys.alpha_exp": ["3.0", "3.5"]}],
+                         ids=["node_count", "alpha_exp"])
+def test_topology_axis_gives_each_value_its_table(monkeypatch, axis):
+    built = _count_link_tables(monkeypatch)
+    cfg = small_cfg(replications=1)
+    sweep(cfg, axis)
+    assert len(built) == 2   # one table per cell
+    built.clear()
+    sweep(cfg, {**axis, "scenario.protocol": ["BGB", "GRAB"]})
+    assert len(built) == 2   # the protocols of one value share it
+    if "scenario.node_count" in axis:
+        assert built == [51, 61]
+
+
+def test_build_network_alone_builds_its_own_table(monkeypatch):
+    built = _count_link_tables(monkeypatch)
+    cfg = small_cfg()
+    _, a = build_network(cfg, 0)
+    _, b = build_network(cfg, 0)
+    assert built == [61, 61] and a.links is not b.links
 
 
 def test_sweep_rejects_empty_axis():
@@ -286,7 +377,61 @@ def test_neighbors_from_the_link_table_equal_the_pair_loop():
         net = scenario.Network(cfg, Simulator(1, run), RunRecorder(run, "BGB", 0.0))
         net.build(positions, sink)
         assert net.neighbors == reference
-        assert [n.connected for n in net.nodes[:-1]] == connectivity(positions, sink, cfg.phys)
+        assert scenario._reaches(net.neighbors, net.sink_id)[:-1] == \
+            connectivity(positions, sink, cfg.phys)
+
+
+def _loop_nearest_alive_sensor(net, pos):
+    """The reference: every alive sensor's (phys.distance, id) key."""
+    best = None
+    best_key = None
+    for node in net.nodes:
+        if node.is_sink or node.dead:
+            continue
+        key = (phys.distance(node.pos, pos), node.id)
+        if best_key is None or key < best_key:
+            best, best_key = node, key
+    return best
+
+
+# repeated values make duplicate positions and exact distance ties common;
+# the next double after 10 makes keys one ulp apart
+NEAR = st.sampled_from([0.0, 10.0, math.nextafter(10.0, 11.0), 30.0, 75.0]) | st.floats(0.0, 150.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(NEAR, NEAR), min_size=1, max_size=40),
+       dead=st.lists(st.booleans(), min_size=40, max_size=40),
+       pos=st.tuples(NEAR, NEAR))
+@example(points=[(10.0, 0.0), (0.0, 10.0), (10.0, 0.0)], dead=[False] * 40, pos=(0.0, 0.0))
+@example(points=[(10.0, 10.0)] * 3, dead=[True] + [False] * 39, pos=(10.0, 10.0))
+@example(points=[(5.0, 5.0), (6.0, 6.0)], dead=[True] * 40, pos=(0.0, 0.0))
+@example(points=[(30.0, 30.0)] * 40, dead=[False] * 40, pos=(0.0, 0.0))
+# math.hypot puts the second sensor one ulp nearer, np.hypot (numpy 2.4,
+# x86-64) the first: only the exact comparison picks the second
+@example(points=[(36.32520752167883, 24.672297793085797),
+                 (36.325207521678834, 24.672297793085786)], dead=[False] * 40, pos=(0.0, 0.0))
+def test_nearest_alive_sensor_equals_the_loop(points, dead, pos):
+    net = scenario.Network(default_config(), Simulator(1, 0), RunRecorder(0, "BGB", 0.0))
+    net.build(points, (75.0, 75.0))
+    for node, off in zip(net.nodes[:-1], dead):
+        if off:
+            node.battery.consumed_j = node.battery.capacity_j
+    assert net._nearest_alive_sensor(pos) is _loop_nearest_alive_sensor(net, pos)
+
+
+def test_nearest_alive_sensor_ties_and_all_dead():
+    net = scenario.Network(default_config(), Simulator(1, 0), RunRecorder(0, "BGB", 0.0))
+    net.build([(10.0, 0.0), (0.0, 10.0), (10.0, 0.0), (3.0, 4.0)], (75.0, 75.0))
+    assert net._nearest_alive_sensor((0.0, 0.0)).id == 3
+    net.nodes[3].battery.consumed_j = net.nodes[3].battery.capacity_j
+    assert net._nearest_alive_sensor((0.0, 0.0)).id == 0   # ties break by id
+    net.nodes[0].battery.consumed_j = net.nodes[0].battery.capacity_j
+    assert net._nearest_alive_sensor((0.0, 0.0)).id == 1
+    assert net._nearest_alive_sensor((10.0, 0.0)).id == 2  # duplicate of a dead one
+    for node in net.nodes[:-1]:
+        node.battery.consumed_j = node.battery.capacity_j
+    assert net._nearest_alive_sensor((0.0, 0.0)) is None
 
 
 @pytest.mark.parametrize("protocol", ["BGB", "GRAB", "P-GRAB", "U-GRAB", "UP-GRAB"])
