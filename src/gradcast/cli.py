@@ -61,6 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> "SimConfig":
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
+    if getattr(args, "run_index", 0) < 0:
+        raise ConfigError("--run-index must be >= 0")
     cfg = load_config(args.config) if args.config else default_config()
     cfg = apply_overrides(cfg, args.set)
     if args.seeds is not None:

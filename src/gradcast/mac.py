@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import phys
 from .engine import EventKind
 
 
@@ -24,31 +23,17 @@ class MacParams:
     carrier_sense_offset_db: float = 15.0
 
 
-@dataclass
-class ChannelView:
-    node: int
-    active: list   # foreign transmissions currently arriving above sensitivity
-
-
-def channel_view(net, node) -> ChannelView:
-    radio = net.radio
-    floor = radio.sensitivity_dbm - net.mac.carrier_sense_offset_db
-    arriving = []
-    for tr in net.active.values():
-        if tr.sender == node.id:
-            continue
-        pr = phys.received_power_dbm(tr.tx_power_dbm,
-                                     phys.distance(node.pos, tr.sender_pos),
-                                     radio.alpha_exp, radio.d_min_m)
-        if pr > floor:
-            arriving.append(tr)
-    return ChannelView(node.id, arriving)
-
-
 def sense(net, node) -> int:
     """Sensed congestion: distinct foreign transmissions currently received
-    above sensitivity (a local estimate of concurrent channel accesses)."""
-    return len(channel_view(net, node).active)
+    above sensitivity minus the carrier-sense offset (a local estimate of
+    concurrent channel accesses), read from the link table's pathloss."""
+    floor = net.radio.sensitivity_dbm - net.mac.carrier_sense_offset_db
+    pathloss = net.links.pathloss_db
+    busy = 0
+    for tr in net.active.values():
+        if tr.sender != node.id and tr.tx_power_dbm - pathloss[node.id, tr.sender] > floor:
+            busy += 1
+    return busy
 
 
 def transmit(net, node, packet, tx_power_dbm: float | None = None) -> bool:

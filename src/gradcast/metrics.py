@@ -118,8 +118,19 @@ def _audit_energy(nodes, energy_log) -> None:
 # ---------------------------------------------------------------------------
 # aggregation
 
-AGG_METRICS = ("success_ratio", "avg_delay_ms", "forwarded", "adv",
-               "energy_pct", "dead_nodes")
+# Each metric's column name and how a run yields it, in column order: run_row
+# formats the value, aggregate averages it as a float over the runs that
+# have it (not None).
+METRICS = (
+    ("success_ratio", lambda m: m.success_ratio),
+    ("avg_delay_ms", lambda m: m.avg_delay_ms),
+    ("forwarded", lambda m: m.forwarded_total),
+    ("adv", lambda m: m.adv_total + m.ncnt_total),
+    ("energy_pct", lambda m: m.energy_consumed_pct),
+    ("dead_nodes", lambda m: m.dead_nodes),
+)
+
+AGG_METRICS = tuple(name for name, _ in METRICS)
 
 
 @dataclass
@@ -131,22 +142,6 @@ class CellAggregate:
     stats: dict = field(default_factory=dict)   # metric -> (mean, std, n_present)
 
 
-def _metric_value(m: RunMetrics, name: str):
-    if name == "success_ratio":
-        return m.success_ratio
-    if name == "avg_delay_ms":
-        return m.avg_delay_ms
-    if name == "forwarded":
-        return float(m.forwarded_total)
-    if name == "adv":
-        return float(m.adv_total + m.ncnt_total)
-    if name == "energy_pct":
-        return m.energy_consumed_pct
-    if name == "dead_nodes":
-        return float(m.dead_nodes)
-    raise KeyError(name)
-
-
 def aggregate(runs: list[RunMetrics]) -> CellAggregate:
     """Mean and sample (n-1) standard deviation per metric; runs where a
     metric is absent are excluded from that metric with the count kept."""
@@ -154,8 +149,8 @@ def aggregate(runs: list[RunMetrics]) -> CellAggregate:
         raise ValueError("aggregate() needs at least one run")
     head = runs[0]
     stats: dict = {}
-    for name in AGG_METRICS:
-        values = [v for m in runs if (v := _metric_value(m, name)) is not None]
+    for name, get in METRICS:
+        values = [float(v) for m in runs if (v := get(m)) is not None]
         if not values:
             stats[name] = (None, None, 0)
         elif len(values) == 1:
@@ -168,8 +163,7 @@ def aggregate(runs: list[RunMetrics]) -> CellAggregate:
 # ---------------------------------------------------------------------------
 # CSV input/output
 
-RUN_COLUMNS = ["run", "protocol", "p_f", "param", "success_ratio", "avg_delay_ms",
-               "forwarded", "adv", "energy_pct", "dead_nodes"]
+RUN_COLUMNS = ["run", "protocol", "p_f", "param", *AGG_METRICS]
 
 
 def _fmt(x) -> str:
@@ -182,9 +176,7 @@ def _fmt(x) -> str:
 
 def run_row(m: RunMetrics) -> list[str]:
     return [str(m.run_index), m.protocol, _fmt(m.p_f), m.param,
-            _fmt(m.success_ratio), _fmt(m.avg_delay_ms),
-            str(m.forwarded_total), str(m.adv_total + m.ncnt_total),
-            _fmt(m.energy_consumed_pct), str(m.dead_nodes)]
+            *(_fmt(get(m)) for _, get in METRICS)]
 
 
 def write_runs_csv(path, runs: list[RunMetrics]) -> None:

@@ -290,13 +290,11 @@ def stall_check(node, params: PolicyParams) -> bool:
 # energy
 
 
-def consume_energy(node, kind: str, n_bytes: int, tx_power_dbm: float,
+def consume_energy(node, n_bytes: int, tx_power_dbm: float,
                    params: PolicyParams, radio) -> float:
-    """Debit the battery for one radio operation and return the joules drawn.
-    Transmissions scale with radiated power and bump the broadcast count;
-    receptions draw a flat power."""
-    if kind != "tx":
-        return node.battery.drain(rx_joules(n_bytes, params, radio))
+    """Debit the battery for one transmission and return the joules drawn.
+    The draw scales with radiated power, and the broadcast count goes up.
+    Receptions debit ``rx_joules`` through ``Battery.drain``."""
     seconds = n_bytes * 8 / radio.bitrate_bps
     draw_w = params.tx_draw_w * 10.0 ** (tx_power_dbm / 10.0)
     node.battery.n_forwarded += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -252,7 +252,7 @@ class Network:
             packet.q_p = node.cost.q
             self.counters["forwarded"] += 1
         n_bytes = getattr(self.radio, kind + "_bytes")
-        joules = policies.consume_energy(node, "tx", n_bytes, power, self.policies, self.radio)
+        joules = policies.consume_energy(node, n_bytes, power, self.policies, self.radio)
         if self.energy_log is not None:
             self.energy_log.append((node.id, joules))
         now = self.sim.clock
@@ -362,7 +362,8 @@ class Network:
                                        self.costfield.fixed_bounds_hi))
 
     def _decide_and_forward(self, node: Node, pkt: DataPacket, hop_cost: float) -> None:
-        fwd_pkt = replace(pkt, consumed=pkt.consumed + hop_cost)
+        fwd_pkt = DataPacket(pkt.msg_id, pkt.q_p, pkt.tx_power_dbm, pkt.budget,
+                             pkt.consumed + hop_cost)
         if self.proto.counts:
             self.ensure_delta(node)
         dec = self.proto.decide(self, node, fwd_pkt)

@@ -154,6 +154,20 @@ def test_seeds_must_be_positive(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["dump-trace", "--run-index", "-1"], "--run-index"),
+    (["dump-topology", "--run-index", "-3"], "--run-index"),
+    (["run", "--jobs", "0"], "--jobs"),
+    (["sweep", "--jobs", "-2", "--axis", "scenario.protocol=BGB"], "--jobs"),
+])
+def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    rc = cli.main(argv + ["--out", str(out)] + FAST)
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", [
     "phys.tx_power_dbm=nan",        # ran to a silent 0% success
     "phys.alpha_exp=nan",           # ran to a silent 0% success

@@ -4,10 +4,12 @@ Each cell runs all five protocols on the compact arena and hashes the
 ``run_row`` lines; the low-energy cell drains nodes mid-run, so the liveness
 filter, the battery clamp and the energy ledger's order are in play. One
 U-GRAB ``dump-trace`` pins the event and decision traces byte for byte, and
-``dump-topology`` pins the cost field and the discrepancy column. The run,
-ledger and trace hashes were taken from the simulator before the
-per-transmission reception fan-out, the topology hashes before the protocol
-table; a change that moves any of them changes the simulator's results.
+``dump-topology`` pins the cost field and the discrepancy column, and one
+sweep pins ``aggregate.csv``. The run, ledger and trace hashes were taken
+from the simulator before the per-transmission reception fan-out, the
+topology hashes before the protocol table, the aggregate hash before the
+metric table; a change that moves any of them changes the simulator's
+results.
 """
 
 import hashlib
@@ -15,8 +17,8 @@ import hashlib
 import pytest
 
 from gradcast import cli
-from gradcast.scenario import build_network, run_cell
-from gradcast.metrics import run_row
+from gradcast.scenario import build_network, run_cell, sweep
+from gradcast.metrics import run_row, write_aggregate_csv
 from tests.conftest import small_cfg
 from tests.test_cli import FAST
 
@@ -50,6 +52,18 @@ GOLDEN = {
         "64733a6cbe1263caa05e94960430060181ac0a96ae3a9f57a43e7120838de090",
     "dump-trace":
         "acba6f43849f06ff087eb05e3c6ff492b5aa9813b3ad4fe69eb75a5aa10644ed",
+    "aggregate":
+        "fe6af73d8071420674892c94f271022bbc334f9764e92ffa27cfb68f12275934",
+}
+
+# event_count=0 with event_spread=1 leaves some runs of a cell without a
+# message or a delivery, and with event_spread=0 every run, so the aggregate
+# rows hold means over fewer runs than the cell has and empty fields
+AGGREGATE_AXES = {
+    "scenario.protocol": list(PROTOCOLS),
+    "scenario.p_f": ["0", "0.8"],
+    "scenario.event_count": ["0", "30"],
+    "scenario.event_spread": ["0", "1"],
 }
 
 # P-GRAB and UP-GRAB run the same set-up phase, so they share one field
@@ -84,6 +98,15 @@ def test_run_rows_match_golden_bytes(cell):
         # the cell must really kill nodes, or it pins nothing about liveness
         assert all(m.dead_nodes > 0 for m in runs if m.protocol == "BGB")
     assert digest == GOLDEN[cell]
+
+
+def test_aggregate_csv_matches_golden_bytes(tmp_path):
+    _, cells = sweep(small_cfg(), AGGREGATE_AXES)
+    path = tmp_path / "aggregate.csv"
+    write_aggregate_csv(path, cells)
+    blob = path.read_bytes()
+    assert b",,0," in blob   # a metric no run of a cell has
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN["aggregate"]
 
 
 def test_energy_ledger_order_matches_golden_bytes():

@@ -13,7 +13,7 @@ from gradcast.policies import (Battery, DataPacket, PolicyParams,
                                energy_reward, erfc_forward_probability,
                                grab_decide, ladder_reward, note_overheard,
                                pgrab_decide, reach_power,
-                               remaining_life_probability, stall_check,
+                               remaining_life_probability, rx_joules, stall_check,
                                strategy_payoff, ugrab_decide, upgrab_decide)
 
 
@@ -448,15 +448,15 @@ def test_downstream_traffic_suppresses_the_step():
 def test_zero_length_packet_costs_nothing():
     node = StubNode()
     radio = default_config().phys
-    assert consume_energy(node, "tx", 0, 0.0, PolicyParams(), radio) == 0.0
+    assert consume_energy(node, 0, 0.0, PolicyParams(), radio) == 0.0
 
 
 def test_tx_draws_more_than_rx_for_equal_packets():
     radio = default_config().phys
     params = PolicyParams()
     a, b = StubNode(), StubNode()
-    tx = consume_energy(a, "tx", 36, 0.0, params, radio)
-    rx = consume_energy(b, "rx", 36, 0.0, params, radio)
+    tx = consume_energy(a, 36, 0.0, params, radio)
+    rx = b.battery.drain(rx_joules(36, params, radio))
     assert tx > rx > 0.0
     assert a.battery.n_forwarded == 1
     assert b.battery.n_forwarded == 0
@@ -465,8 +465,8 @@ def test_tx_draws_more_than_rx_for_equal_packets():
 def test_tx_energy_scales_with_radiated_power():
     radio = default_config().phys
     params = PolicyParams()
-    hi = consume_energy(StubNode(), "tx", 36, 0.0, params, radio)
-    lo = consume_energy(StubNode(), "tx", 36, -10.0, params, radio)
+    hi = consume_energy(StubNode(), 36, 0.0, params, radio)
+    lo = consume_energy(StubNode(), 36, -10.0, params, radio)
     assert lo == pytest.approx(hi / 10.0)
 
 
@@ -481,7 +481,7 @@ def test_debits_accumulate_exactly():
     node = StubNode()
     radio = default_config().phys
     params = PolicyParams()
-    debits = [consume_energy(node, "rx", 36, 0.0, params, radio) for _ in range(50)]
+    debits = [node.battery.drain(rx_joules(36, params, radio)) for _ in range(50)]
     total = 0.0
     for d in debits:
         total += d
