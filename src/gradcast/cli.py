@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 runtime fault.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import os
 import sys
@@ -36,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one configuration cell")
     _add_common(run)
-    run.add_argument("--trace", action="store_true",
-                     help="also dump event and decision traces")
 
     sw = sub.add_parser("sweep", help="run the cross product of override axes")
     _add_common(sw)
@@ -77,12 +74,7 @@ def _load(args) -> "SimConfig":
 def _cmd_run(args) -> int:
     cfg = _load(args)
     os.makedirs(args.out, exist_ok=True)
-    if not args.trace:
-        return _write_results(args.out, *scenario.sweep(cfg, {}, jobs=args.jobs))
-    with _trace_writers(args.out) as traces:
-        runs = [scenario.run_replication(cfg, i, **traces)
-                for i in range(cfg.scenario.replications)]
-    return _write_results(args.out, runs, [metrics_mod.aggregate(runs)])
+    return _write_results(args.out, *scenario.sweep(cfg, {}, jobs=args.jobs))
 
 
 def _write_results(out: str, runs, cells) -> int:
@@ -91,21 +83,6 @@ def _write_results(out: str, runs, cells) -> int:
     metrics_mod.write_aggregate_csv(os.path.join(out, "aggregate.csv"), cells)
     _print_cells(cells)
     return EXIT_OK
-
-
-@contextlib.contextmanager
-def _trace_writers(out: str):
-    """Open trace.csv and decisions.csv under ``out``; yields the
-    ``event_trace`` and ``decision_trace`` arguments of a replication."""
-    with open(os.path.join(out, "trace.csv"), "w", newline="", encoding="utf-8") as tfh, \
-         open(os.path.join(out, "decisions.csv"), "w", newline="", encoding="utf-8") as dfh:
-        tw = csv.writer(tfh)
-        tw.writerow(["time", "seq", "kind", "node", "detail"])
-        dw = csv.writer(dfh)
-        dw.writerow(["time", "node", "policy", "eligible", "action",
-                     "p_fw", "c_n", "alpha_n", "r_n"])
-        yield {"event_trace": lambda ev: tw.writerow(_trace_row(ev)),
-               "decision_trace": lambda row: dw.writerow(_fmt_row(row))}
 
 
 def _trace_row(ev) -> list[str]:
@@ -212,8 +189,16 @@ def _cmd_dump_trace(args) -> int:
     cfg = _load(args)
     cfg.scenario.replications = 1
     os.makedirs(args.out, exist_ok=True)
-    with _trace_writers(args.out) as traces:
-        scenario.run_replication(cfg, args.run_index, **traces)
+    with open(os.path.join(args.out, "trace.csv"), "w", newline="", encoding="utf-8") as tfh, \
+         open(os.path.join(args.out, "decisions.csv"), "w", newline="", encoding="utf-8") as dfh:
+        tw = csv.writer(tfh)
+        tw.writerow(["time", "seq", "kind", "node", "detail"])
+        dw = csv.writer(dfh)
+        dw.writerow(["time", "node", "policy", "eligible", "action",
+                     "p_fw", "c_n", "alpha_n", "r_n"])
+        scenario.run_replication(cfg, args.run_index,
+                                 event_trace=lambda ev: tw.writerow(_trace_row(ev)),
+                                 decision_trace=lambda row: dw.writerow(_fmt_row(row)))
     print(os.path.join(args.out, "trace.csv"))
     return EXIT_OK
 

@@ -56,8 +56,8 @@ class RunRecorder:
         self.param = param
         self.sent: dict = {}        # msg id -> injection time
         self.delivered: dict = {}   # msg id -> min delay
-        self.counters = {
-            "forwarded": 0, "adv": 0, "ncnt": 0, "suppressed_tx": 0,
+        self.counters = {   # keyed by the RunMetrics fields they become
+            "forwarded_total": 0, "adv_total": 0, "ncnt_total": 0, "suppressed_tx": 0,
             "relay_failures": 0, "adv_decode_failures": 0,
         }
 
@@ -82,7 +82,6 @@ class RunRecorder:
                              for n in counted) / len(counted) * 100.0
         else:
             energy_pct = 0.0
-        c = self.counters
         return RunMetrics(
             run_index=self.run_index,
             protocol=self.protocol,
@@ -91,12 +90,7 @@ class RunRecorder:
             messages_sent=len(self.sent),
             messages_delivered=len(self.delivered),
             min_delay_ms=dict(self.delivered),
-            forwarded_total=c["forwarded"],
-            adv_total=c["adv"],
-            ncnt_total=c["ncnt"],
-            suppressed_tx=c["suppressed_tx"],
-            relay_failures=c["relay_failures"],
-            adv_decode_failures=c["adv_decode_failures"],
+            **self.counters,
             energy_consumed_pct=energy_pct,
             dead_nodes=sum(1 for n in counted if n.battery.dead),
         )

@@ -243,14 +243,14 @@ class Network:
             packet.bounds = node.cost.bounds
             if node.is_sink:
                 self.flood_epoch = self.sim.clock
-            self.counters["adv"] += 1
+            self.counters["adv_total"] += 1
         elif kind == "ncnt":
             packet.count = len(node.neighbor_pathloss)
             node.advertised_count = packet.count
-            self.counters["ncnt"] += 1
+            self.counters["ncnt_total"] += 1
         else:
             packet.q_p = node.cost.q
-            self.counters["forwarded"] += 1
+            self.counters["forwarded_total"] += 1
         n_bytes = getattr(self.radio, kind + "_bytes")
         joules = policies.consume_energy(node, n_bytes, power, self.policies, self.radio)
         if self.energy_log is not None:
@@ -466,20 +466,16 @@ class Network:
 def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=None,
                   links=None, traffic=None, event_trace=None, decision_trace=None,
                   param: str = "") -> tuple[Simulator, Network]:
-    """Assemble a ready-to-run replication. Positions and traffic may be
-    supplied explicitly for scripted topologies; otherwise they come from the
-    run's topology and traffic streams. ``links``, given with explicit
-    positions, is their link table (``generate_topology``'s third item)."""
+    """Assemble a ready-to-run replication. Positions and the sink position
+    may be supplied together for scripted topologies, and traffic too;
+    otherwise they come from the run's topology and traffic streams.
+    ``links``, given with explicit positions, is their link table
+    (``generate_topology``'s third item)."""
+    if (positions is None) != (sink_pos is None):
+        raise ValueError("positions and sink_pos must be given together")
     sim = Simulator(cfg.scenario.base_seed, run_index, trace=event_trace)
     if positions is None:
-        positions, generated_sink, links = generate_topology(
-            cfg, sim.stream(None, "topology"))
-        if sink_pos is None:
-            sink_pos = generated_sink
-        else:
-            links = None   # the table holds the generated sink, not this one
-    elif sink_pos is None:
-        raise ValueError("explicit positions need an explicit sink position")
+        positions, sink_pos, links = generate_topology(cfg, sim.stream(None, "topology"))
     if traffic is None:
         traffic = generate_traffic(cfg, sim.stream(None, "traffic"))
     recorder = RunRecorder(run_index, cfg.scenario.protocol, cfg.scenario.p_f, param)
@@ -519,11 +515,6 @@ def _run_group(tasks: list) -> list[RunMetrics]:
             for cell, _, param in tasks]
 
 
-def run_cell(cfg: SimConfig, *, jobs: int = 1) -> list[RunMetrics]:
-    """All replications of one configuration, in run-index order."""
-    return sweep(cfg, {}, jobs=jobs)[0]
-
-
 def sweep(base_cfg: SimConfig, axes: dict[str, list[str]], *, jobs: int = 1):
     """Cross product of override axes; returns (runs, cell aggregates) with
     cells ordered by axis combination."""
@@ -532,15 +523,22 @@ def sweep(base_cfg: SimConfig, axes: dict[str, list[str]], *, jobs: int = 1):
         if not values:
             raise ValueError(f"sweep axis {key} has no values")
     keys = list(axes)
-    combos = list(itertools.product(*(axes[k] for k in keys)))
-    cells_cfg = []
-    for combo in combos:
+    cells = []
+    for combo in itertools.product(*(axes[k] for k in keys)):
         overrides = [f"{k}={v}" for k, v in zip(keys, combo)]
-        cfg_i = apply_overrides(base_cfg, overrides)
         param = ",".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, combo)
                          if k.split(".")[-1] not in ("protocol", "p_f"))
-        cells_cfg.append((cfg_i, param))
-    tasks = [(cfg_i, i, param) for cfg_i, param in cells_cfg
+        cells.append((apply_overrides(base_cfg, overrides), param))
+    return play(cells, jobs=jobs)
+
+
+def play(cells: list[tuple[SimConfig, str]], *, jobs: int = 1):
+    """Every replication of each (config, param) cell; returns (runs, cell
+    aggregates), runs in cell order and each cell's runs by index. Cells
+    that share a replication's topology (``_topology_key``) share its sample
+    and link table, and ``jobs`` > 1 maps those groups over a process pool;
+    the results do not depend on ``jobs``."""
+    tasks = [(cfg_i, i, param) for cfg_i, param in cells
              for i in range(cfg_i.scenario.replications)]
     groups: dict[tuple, list[int]] = {}
     for k, (cfg_i, i, _) in enumerate(tasks):
@@ -551,14 +549,13 @@ def sweep(base_cfg: SimConfig, axes: dict[str, list[str]], *, jobs: int = 1):
             played = pool.map(_run_group, work)
     else:
         played = [_run_group(g) for g in work]
-    # runs keep the task order: cells in axis order, each cell's runs by index
+    # runs keep the task order: cells in order, each cell's runs by index
     runs = [None] * len(tasks)
     for members, group_runs in zip(groups.values(), played):
         for k, m in zip(members, group_runs):
             runs[k] = m
-    ends = list(itertools.accumulate(c.scenario.replications for c, _ in cells_cfg))
-    cells = [aggregate(runs[a:b]) for a, b in zip([0] + ends, ends)]
-    return runs, cells
+    ends = list(itertools.accumulate(c.scenario.replications for c, _ in cells))
+    return runs, [aggregate(runs[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def costfield_rows(net: Network) -> list[list[str]]:

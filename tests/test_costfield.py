@@ -49,7 +49,7 @@ def test_chain_costs_accumulate_shortest_path():
 def test_every_connected_node_advertises_exactly_once():
     cfg = small_cfg(require_connected=True)
     sim, net = run_setup(cfg)
-    assert net.counters["adv"] == cfg.scenario.node_count + 1   # sink included
+    assert net.counters["adv_total"] == cfg.scenario.node_count + 1   # sink included
     assert all(n.cost.adv_sent for n in net.nodes if not n.is_sink)
     assert all(math.isfinite(n.cost.q) for n in net.nodes)
 
@@ -89,7 +89,7 @@ def test_neighbor_count_stage_on_a_clique():
     cfg, positions, sink = line_cfg(2, spacing_m=30.0, protocol="P-GRAB")
     # 2 sensors 30 m apart, 30/60 m from the sink: everyone hears everyone
     sim, net = run_setup(cfg, positions=positions, sink_pos=sink)
-    assert net.counters["ncnt"] == 3
+    assert net.counters["ncnt_total"] == 3
     a, b, s = net.nodes
     assert a.neighbor_counts[b.id] == 2
     assert b.neighbor_counts[a.id] == 2

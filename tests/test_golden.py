@@ -17,7 +17,7 @@ import hashlib
 import pytest
 
 from gradcast import cli
-from gradcast.scenario import build_network, run_cell, sweep
+from gradcast.scenario import build_network, play, sweep
 from gradcast.metrics import run_row, write_aggregate_csv
 from tests.conftest import small_cfg
 from tests.test_cli import FAST
@@ -87,7 +87,7 @@ def _cell_cfg(protocol: str, overrides: dict):
 
 
 def _rows_digest(overrides: dict):
-    runs = [m for p in PROTOCOLS for m in run_cell(_cell_cfg(p, overrides))]
+    runs, _ = play([(_cell_cfg(p, overrides), "") for p in PROTOCOLS])
     return _sha("\n".join(",".join(run_row(m)) for m in runs)), runs
 
 

@@ -15,7 +15,7 @@ from gradcast.metrics import RunRecorder, run_row
 from gradcast.policies import Battery
 from gradcast.scenario import (TrafficEvent, build_network, connectivity,
                                generate_topology, generate_traffic,
-                               neighbor_lists, run_cell, run_replication, sweep)
+                               neighbor_lists, play, run_replication, sweep)
 from tests.conftest import line_cfg, small_cfg
 
 
@@ -180,10 +180,10 @@ def test_tx_side_failure_mode_blocks_relays():
     assert m.messages_delivered == 0 and m.relay_failures == 1
 
 
-def test_run_cell_and_sweep_shapes():
+def test_sweep_shapes():
     cfg = small_cfg()
     cfg.scenario.replications = 2
-    runs = run_cell(cfg)
+    runs = sweep(cfg, {})[0]
     assert [m.run_index for m in runs] == [0, 1]
     all_runs, cells = sweep(cfg, {"scenario.protocol": ["BGB", "GRAB"],
                                   "scenario.p_f": ["0", "0.4"]})
@@ -203,7 +203,7 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
         sim, net = build_network(cfg, 0)
         sim.run_until_idle(cfg.scenario.max_sim_time_ms)
         net.release()
-        assert net.counters["forwarded"] > 0
+        assert net.counters["forwarded_total"] > 0
         built[protocol] = [k for k in sim._streams if k[1] == "policy"]
     assert built["BGB"] == [] and built["GRAB"] == []
     assert built["P-GRAB"]
@@ -229,7 +229,7 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
         sim, net = build_network(cfg, 0)
         sim.run_until_idle(cfg.scenario.max_sim_time_ms)
         net.release()
-        assert net.counters["forwarded"] > 0
+        assert net.counters["forwarded_total"] > 0
         streams = sorted(k[0] for k in sim._streams if k[1] == "policy")
         assert streams == sorted(set(draws))
         if forced_tie:
@@ -242,8 +242,8 @@ def test_a_new_protocol_is_one_table_row(monkeypatch):
     monkeypatch.setitem(policies.PROTOCOLS, "BGB-COPY", policies.PROTOCOLS["BGB"])
     copy_cfg = small_cfg(protocol="BGB-COPY")
     validate(copy_cfg)
-    copy = [run_row(m) for m in run_cell(copy_cfg)]
-    bgb = [run_row(m) for m in run_cell(small_cfg(protocol="BGB"))]
+    copy = [run_row(m) for m in sweep(copy_cfg, {})[0]]
+    bgb = [run_row(m) for m in sweep(small_cfg(protocol="BGB"), {})[0]]
     assert [r[1] for r in copy] == ["BGB-COPY"] * len(bgb)
     assert [r[:1] + r[2:] for r in copy] == [r[:1] + r[2:] for r in bgb]
 
@@ -282,6 +282,39 @@ def test_sweep_cells_share_each_topology(monkeypatch, arena):
     assert len(built) == 10 * shared
     assert shared > 2 if arena else shared == 2
     parallel, _ = sweep(small_cfg(**arena), SWEEP_AXES, jobs=2)
+    assert [run_row(m) for m in parallel] == alone
+
+
+# cells shaped like the acceptance gate's: no cross product of axes, and
+# differing in protocol, p_f and the policy knobs but not in topology
+PLAY_CELLS = [("BGB", 0.0, 10.0, 2.0), ("GRAB", 0.4, 1.0, 2.0), ("GRAB", 0.4, 20.0, 2.0),
+              ("P-GRAB", 0.8, 10.0, 2.0), ("P-GRAB", 0.4, 10.0, 16.0),
+              ("U-GRAB", 0.0, 10.0, 2.0), ("UP-GRAB", 0.4, 5.0, 8.0)]
+
+
+def _play_cell(protocol, p_f, credit, spread):
+    cfg = small_cfg(protocol=protocol, p_f=p_f, require_connected=True)
+    cfg.policies.credit_factor = credit
+    cfg.policies.spread_factor = spread
+    return cfg, f"credit={credit:g},spread={spread:g}"
+
+
+def test_play_an_explicit_cell_list_shares_each_topology(monkeypatch):
+    """Seven cells on two replications: play builds one link table per run
+    index, yet each cell's rows equal its replications run on their own,
+    serially and in parallel."""
+    cells = [_play_cell(*c) for c in PLAY_CELLS]
+    built = _count_link_tables(monkeypatch)
+    runs, aggs = play(cells)
+    assert len(built) == 2
+    built.clear()
+    alone = [run_row(run_replication(cfg, i, param=param))
+             for cfg, param in cells for i in range(2)]
+    assert len(built) == 2 * len(cells)
+    assert [run_row(m) for m in runs] == alone
+    assert [(a.protocol, a.p_f, a.param, a.n_runs) for a in aggs] == \
+        [(cfg.scenario.protocol, cfg.scenario.p_f, param, 2) for cfg, param in cells]
+    parallel, _ = play(cells, jobs=2)
     assert [run_row(m) for m in parallel] == alone
 
 
@@ -328,8 +361,8 @@ def test_dead_source_is_skipped():
 def test_parallel_jobs_match_serial_results():
     cfg = small_cfg(protocol="GRAB")
     cfg.scenario.replications = 3
-    serial = [run_row(m) for m in run_cell(cfg, jobs=1)]
-    parallel = [run_row(m) for m in run_cell(cfg, jobs=2)]
+    serial = [run_row(m) for m in sweep(cfg, {}, jobs=1)[0]]
+    parallel = [run_row(m) for m in sweep(cfg, {}, jobs=2)[0]]
     assert serial == parallel
 
 
@@ -481,10 +514,11 @@ def test_require_connected_builds_the_link_table_once(monkeypatch):
     built.clear()
     build_network(cfg, 0)
     assert built == [61]   # the accepted sample's table serves the network
-    built.clear()
-    # a sink moved after sampling needs a table of its own
-    build_network(cfg, 0, sink_pos=(75.0, 75.0))
-    assert built == [61, 61]
+    # a sink only comes with explicit positions, and they only with a sink
+    with pytest.raises(ValueError):
+        build_network(cfg, 0, sink_pos=(75.0, 75.0))
+    with pytest.raises(ValueError):
+        build_network(cfg, 0, positions=positions)
     cfg.scenario.require_connected = False
     built.clear()
     build_network(cfg, 0)
