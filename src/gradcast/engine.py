@@ -7,6 +7,7 @@ insertion order, which makes every run a total order and hence reproducible.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional
@@ -49,11 +50,62 @@ def make_stream(seed: int, run_index: int, node: int | None, purpose: str) -> np
     return np.random.default_rng([seed ^ run_index, node_key, STREAM_PURPOSES[purpose]])
 
 
+class Tape:
+    """Every draw of one (seed, run, node, purpose) stream, for all the cells
+    of a topology group to read. The generator is seeded at the first draw,
+    through ``make_stream``, and the tape then grows in blocks: numpy fills
+    ``random(k)`` with the same doubles as k scalar ``random()`` calls."""
+    __slots__ = ("key", "gen", "draws")
+
+    # a desk replication reads at most one block from a mac or policy stream
+    # and at most four from a failure stream
+    BLOCK = 64
+
+    def __init__(self, seed: int, run_index: int, node: int, purpose: str):
+        self.key = (seed, run_index, node, purpose)
+        self.gen: np.random.Generator | None = None
+        self.draws = array("d")
+
+    def grow(self) -> None:
+        if self.gen is None:
+            self.gen = make_stream(*self.key)
+        self.draws.frombytes(self.gen.random(self.BLOCK).tobytes())
+
+
+class Cursor:
+    """One cell's read position on a tape. It references only the tape: the
+    group's tapes outlive each cell, and a reference back to the simulator
+    or network would keep a played replication alive."""
+    __slots__ = ("tape", "pos")
+
+    def __init__(self, tape: Tape):
+        self.tape = tape
+        self.pos = 0
+
+    def random(self) -> float:
+        """The next uniform double in [0, 1)."""
+        pos = self.pos
+        draws = self.tape.draws
+        if pos == len(draws):
+            self.tape.grow()
+        self.pos = pos + 1
+        return draws[pos]
+
+    def uniform(self, lo: float, hi: float) -> float:
+        """numpy's scalar ``Generator.uniform(lo, hi)``, which computes
+        ``lo + (hi - lo) * random()`` from the same double."""
+        return lo + (hi - lo) * self.random()
+
+
 class Simulator:
-    """Single-threaded event loop owning the state of one replication."""
+    """Single-threaded event loop owning the state of one replication.
+
+    ``tapes`` maps (seed, run, node, purpose) to a ``Tape``; cells that share
+    one dict replay the same draws without seeding them again."""
 
     def __init__(self, seed: int, run_index: int = 0,
-                 trace: Optional[Callable[[Event], None]] = None):
+                 trace: Optional[Callable[[Event], None]] = None,
+                 tapes: dict | None = None):
         self.seed = seed
         self.run_index = run_index
         self.clock = 0.0
@@ -61,14 +113,20 @@ class Simulator:
         self.handler: Optional[Callable[[Simulator, Event], None]] = None
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._streams: dict[tuple[int | None, str], np.random.Generator] = {}
+        self.tapes = {} if tapes is None else tapes
+        self._cursors: dict[tuple[int, str], Cursor] = {}
 
-    def stream(self, node: int | None, purpose: str) -> np.random.Generator:
+    def stream(self, node: int, purpose: str) -> Cursor:
+        """This replication's cursor on the node's stream for ``purpose``."""
         key = (node, purpose)
-        gen = self._streams.get(key)
-        if gen is None:
-            gen = self._streams[key] = make_stream(self.seed, self.run_index, node, purpose)
-        return gen
+        cursor = self._cursors.get(key)
+        if cursor is None:
+            tape_key = (self.seed, self.run_index, node, purpose)
+            tape = self.tapes.get(tape_key)
+            if tape is None:
+                tape = self.tapes[tape_key] = Tape(*tape_key)
+            cursor = self._cursors[key] = Cursor(tape)
+        return cursor
 
     def schedule(self, fire_at: float, kind: EventKind, node: int = -1,
                  payload: Any = None) -> Event:

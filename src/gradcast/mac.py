@@ -44,6 +44,6 @@ def transmit(net, node, packet, tx_power_dbm: float | None = None) -> bool:
         return False
     power = net.radio.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
     lo, hi = net.mac.backoff_min_ms, net.mac.backoff_max_ms
-    u = float(net.sim.stream(node.id, "mac").uniform(lo, hi)) if hi > lo else lo
+    u = net.sim.stream(node.id, "mac").uniform(lo, hi) if hi > lo else lo
     net.sim.schedule(net.sim.clock + u, EventKind.TX_START, node.id, (packet, power))
     return True

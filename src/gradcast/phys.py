@@ -95,13 +95,20 @@ class LinkTable:
     tx_power_dbm: float
     # (sender, power) -> row at a non-default power, built on first use
     rows: dict = field(default_factory=dict, repr=False)
+    # sensitivity -> neighbor lists, built on first use; callers only read them
+    neighbor_lists: dict = field(default_factory=dict, repr=False)
 
     def neighbors(self, sensitivity_dbm: float) -> list[list[int]]:
         """Ids whose default-power reception lies strictly above sensitivity,
-        ascending, self excluded (``is_neighbor`` for every pair)."""
-        audible = self.tx_power_dbm - self.pathloss_db > sensitivity_dbm
-        np.fill_diagonal(audible, False)
-        return [np.flatnonzero(row).tolist() for row in audible]
+        ascending, self excluded (``is_neighbor`` for every pair). Every call
+        with the same sensitivity returns the same lists."""
+        nbrs = self.neighbor_lists.get(sensitivity_dbm)
+        if nbrs is None:
+            audible = self.tx_power_dbm - self.pathloss_db > sensitivity_dbm
+            np.fill_diagonal(audible, False)
+            nbrs = self.neighbor_lists[sensitivity_dbm] = [
+                np.flatnonzero(row).tolist() for row in audible]
+        return nbrs
 
     def rx_mw_row(self, sender: int, tx_power_dbm: float) -> np.ndarray:
         """Received mW at every node from ``sender`` transmitting at the given

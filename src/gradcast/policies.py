@@ -345,21 +345,9 @@ def _pgrab(net, node, pkt: DataPacket) -> Decision:
     return pgrab_decide(node, net.sim.stream(node.id, "policy"))
 
 
-class _PolicyDraw:
-    """A node's policy stream, fetched at its first draw: U-GRAB draws only
-    on a reward tie, and most of its decisions never do."""
-    __slots__ = ("sim", "node")
-
-    def __init__(self, sim, node: int):
-        self.sim, self.node = sim, node
-
-    def random(self) -> float:
-        return self.sim.stream(self.node, "policy").random()
-
-
 def _ugrab(net, node, pkt: DataPacket) -> Decision:
     return ugrab_decide(node, mac.sense(net, node), net.mac.congestion_limit,
-                        _PolicyDraw(net.sim, node.id))
+                        net.sim.stream(node.id, "policy"))
 
 
 def _upgrab(net, node, pkt: DataPacket) -> Decision:

@@ -202,7 +202,7 @@ class Network:
         if self.proto.counts:
             cf = self.costfield
             for node in self.nodes:
-                u = float(sim.stream(node.id, "mac").uniform(0.0, cf.ncnt_window_ms))
+                u = sim.stream(node.id, "mac").uniform(0.0, cf.ncnt_window_ms)
                 sim.schedule(cf.ncnt_start_ms + u, EventKind.TIMER, node.id, ("ncnt", 0))
         if self.proto.ladder:
             period = self._stall_period()
@@ -307,7 +307,7 @@ class Network:
         losses = self.links.pathloss_db[sender].take(decoded).tolist()
         for rx_id, pl in zip(decoded, losses):
             rx = nodes[rx_id]
-            if lottery and rx_id != sink_id and float(stream(rx_id, "failure").random()) < p_f:
+            if lottery and rx_id != sink_id and stream(rx_id, "failure").random() < p_f:
                 self.counters["relay_failures"] += 1
                 continue
             drawn = rx.battery.drain(joules)
@@ -373,7 +373,7 @@ class Network:
             return
         sc = self.cfg.scenario
         if sc.p_f > 0.0 and sc.failure_side == "tx":
-            if float(self.sim.stream(node.id, "failure").random()) < sc.p_f:
+            if self.sim.stream(node.id, "failure").random() < sc.p_f:
                 self.counters["relay_failures"] += 1
                 return
         fwd_pkt.q_p = node.cost.q
@@ -464,20 +464,23 @@ class Network:
 
 
 def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=None,
-                  links=None, traffic=None, event_trace=None, decision_trace=None,
-                  param: str = "") -> tuple[Simulator, Network]:
+                  links=None, traffic=None, tapes=None, event_trace=None,
+                  decision_trace=None, param: str = "") -> tuple[Simulator, Network]:
     """Assemble a ready-to-run replication. Positions and the sink position
     may be supplied together for scripted topologies, and traffic too;
     otherwise they come from the run's topology and traffic streams.
     ``links``, given with explicit positions, is their link table
-    (``generate_topology``'s third item)."""
+    (``generate_topology``'s third item). ``tapes`` is the ``Simulator``'s
+    tape dict, shared by the cells of one topology group."""
     if (positions is None) != (sink_pos is None):
         raise ValueError("positions and sink_pos must be given together")
-    sim = Simulator(cfg.scenario.base_seed, run_index, trace=event_trace)
+    seed = cfg.scenario.base_seed
     if positions is None:
-        positions, sink_pos, links = generate_topology(cfg, sim.stream(None, "topology"))
+        positions, sink_pos, links = generate_topology(
+            cfg, engine.make_stream(seed, run_index, None, "topology"))
     if traffic is None:
-        traffic = generate_traffic(cfg, sim.stream(None, "traffic"))
+        traffic = generate_traffic(cfg, engine.make_stream(seed, run_index, None, "traffic"))
+    sim = Simulator(seed, run_index, trace=event_trace, tapes=tapes)
     recorder = RunRecorder(run_index, cfg.scenario.protocol, cfg.scenario.p_f, param)
     net = Network(cfg, sim, recorder, decision_trace=decision_trace)
     net.build(positions, sink_pos, links)
@@ -486,11 +489,12 @@ def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=No
 
 
 def run_replication(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=None,
-                    links=None, traffic=None, event_trace=None, decision_trace=None,
-                    param: str = "") -> RunMetrics:
+                    links=None, traffic=None, tapes=None, event_trace=None,
+                    decision_trace=None, param: str = "") -> RunMetrics:
     sim, net = build_network(cfg, run_index, positions=positions, sink_pos=sink_pos,
-                             links=links, traffic=traffic, event_trace=event_trace,
-                             decision_trace=decision_trace, param=param)
+                             links=links, traffic=traffic, tapes=tapes,
+                             event_trace=event_trace, decision_trace=decision_trace,
+                             param=param)
     sim.run_until_idle(cfg.scenario.max_sim_time_ms)
     net.release()
     return net.finish()
@@ -503,16 +507,34 @@ def _topology_key(cfg: SimConfig, run_index: int) -> tuple:
             sc.sink_placement, sc.require_connected, astuple(cfg.phys))
 
 
+def _traffic_key(cfg: SimConfig) -> tuple:
+    """Everything ``generate_traffic`` reads besides its stream."""
+    sc = cfg.scenario
+    return (sc.event_count, sc.event_spread, sc.area_width_m, sc.area_height_m,
+            sc.data_start_ms, sc.data_window_ms)
+
+
 def _run_group(tasks: list) -> list[RunMetrics]:
     """Replications of one run index whose cells share the topology: sample
-    it and its link table once, then play each cell on them. Traffic is
-    still drawn per cell."""
+    it and its link table once, draw the traffic once per traffic setting,
+    and play each cell on them with one tape dict, so each per-node stream
+    is seeded once for the group."""
     cfg, run_index, _ = tasks[0]
-    topology = engine.make_stream(cfg.scenario.base_seed, run_index, None, "topology")
-    positions, sink_pos, links = generate_topology(cfg, topology)
-    return [run_replication(cell, run_index, positions=positions, sink_pos=sink_pos,
-                            links=links, param=param)
-            for cell, _, param in tasks]
+    seed = cfg.scenario.base_seed
+    positions, sink_pos, links = generate_topology(
+        cfg, engine.make_stream(seed, run_index, None, "topology"))
+    traffic: dict[tuple, list[TrafficEvent]] = {}
+    tapes: dict = {}
+    runs = []
+    for cell, _, param in tasks:
+        key = _traffic_key(cell)
+        if key not in traffic:
+            traffic[key] = generate_traffic(
+                cell, engine.make_stream(seed, run_index, None, "traffic"))
+        runs.append(run_replication(cell, run_index, positions=positions, sink_pos=sink_pos,
+                                    links=links, traffic=traffic[key], tapes=tapes,
+                                    param=param))
+    return runs
 
 
 def sweep(base_cfg: SimConfig, axes: dict[str, list[str]], *, jobs: int = 1):

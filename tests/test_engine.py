@@ -1,8 +1,12 @@
+import math
+import struct
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcast.engine import (Event, EventKind, SchedulingInPastError, Simulator,
+from gradcast import engine
+from gradcast.engine import (Event, EventKind, SchedulingInPastError, Simulator, Tape,
                              make_stream)
 
 
@@ -85,14 +89,77 @@ def test_streams_are_deterministic_and_distinct():
     assert a != c and a != d and a != e
 
 
-def test_simulator_stream_cache_returns_same_generator():
+def test_simulator_stream_cursor_keeps_its_place():
     sim = Simulator(seed=5, run_index=2)
-    g1 = sim.stream(4, "policy")
-    first = g1.random()
-    g2 = sim.stream(4, "policy")
-    assert g1 is g2
+    c1 = sim.stream(4, "policy")
+    first = c1.random()
+    assert sim.stream(4, "policy") is c1
+    second = c1.random()
     fresh = make_stream(5, 2, 4, "policy")
-    assert fresh.random() == pytest.approx(first)
+    assert [first, second] == [fresh.random(), fresh.random()]
+
+
+def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):
+    """Two simulators on one tape dict read the same draws, each from its own
+    position, and the stream is seeded once, through the module attribute."""
+    seeded = []
+    real = engine.make_stream
+    monkeypatch.setattr(engine, "make_stream",
+                        lambda *key: seeded.append(key) or real(*key))
+    tapes = {}
+    a = Simulator(seed=9, run_index=1, tapes=tapes).stream(3, "mac")
+    b = Simulator(seed=9, run_index=1, tapes=tapes).stream(3, "mac")
+    n = 3 * Tape.BLOCK + 5
+    first = [a.random() for _ in range(n)]
+    assert [b.random() for _ in range(n)] == first
+    assert seeded == [(9, 1, 3, "mac")]
+    assert first == real(9, 1, 3, "mac").random(n).tolist()
+    assert list(tapes) == [(9, 1, 3, "mac")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), node=st.integers(0, 2000),
+       k=st.integers(1, 3 * Tape.BLOCK + 1), offset=st.integers(0, 2 * Tape.BLOCK))
+def test_block_draws_equal_scalar_draws(seed, node, k, offset):
+    """``Generator.random(k)`` gives the doubles of k scalar ``random()``
+    calls, at any offset into the stream; a cursor reads them across its
+    tape's block refills."""
+    blocks = make_stream(seed, 0, node, "failure")
+    scalars = make_stream(seed, 0, node, "failure")
+    cursor = Simulator(seed, 0).stream(node, "failure")
+    for _ in range(offset):
+        scalars.random()
+        cursor.random()
+    blocks.random(offset)
+    expected = [scalars.random() for _ in range(k)]
+    assert blocks.random(k).tolist() == expected
+    assert [cursor.random() for _ in range(k)] == expected
+
+
+FINITE = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0, 120.0, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lo=FINITE, hi=FINITE, same=st.booleans())
+def test_uniform_is_affine_in_one_double(seed, lo, hi, same):
+    """numpy's scalar ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()`` bit
+    for bit wherever it accepts lo and hi, and a cursor's ``uniform`` is that
+    formula for any finite lo and hi. numpy refuses a range with its sign bit
+    set (lo > hi, or 0.0 to -0.0), so nothing in the simulator can have
+    depended on its value there."""
+    if same:
+        hi = lo
+    numpy_draws = make_stream(seed, 0, 1, "mac")
+    doubles = make_stream(seed, 0, 1, "mac")
+    cursor = Simulator(seed, 0).stream(1, "mac")
+    for _ in range(3):
+        want = struct.pack("<d", lo + (hi - lo) * doubles.random())
+        assert struct.pack("<d", cursor.uniform(lo, hi)) == want
+        if math.copysign(1.0, hi - lo) < 0.0:
+            with pytest.raises(ValueError):
+                numpy_draws.uniform(lo, hi)
+        else:
+            assert struct.pack("<d", numpy_draws.uniform(lo, hi)) == want
 
 
 def test_event_fields():

@@ -224,6 +224,16 @@ def test_reduced_power_rows_are_exact_and_kept(sender, power):
     assert list(links.rows) == [(sender, power)]
 
 
+def test_neighbor_lists_are_kept_per_sensitivity():
+    links = link_table(ARENA_61, PARAMS)
+    lists = {}
+    for sensitivity in (PARAMS.sensitivity_dbm, PARAMS.sensitivity_dbm + 10.0):
+        nbrs = lists[sensitivity] = links.neighbors(sensitivity)
+        assert links.neighbors(sensitivity) is nbrs
+        assert nbrs == link_table(ARENA_61, PARAMS).neighbors(sensitivity)
+    assert lists[PARAMS.sensitivity_dbm] != lists[PARAMS.sensitivity_dbm + 10.0]
+
+
 def _oracle_ids(wanted, receivers, points, params):
     return [r for r in receivers if decode(points[r], wanted, wanted.interferers, params)]
 

@@ -2,13 +2,14 @@ import gc
 import math
 import statistics
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradcast import phys, policies, scenario
+from gradcast import engine, phys, policies, scenario
 from gradcast.config import default_config, validate
 from gradcast.engine import Simulator, make_stream
 from gradcast.metrics import RunRecorder, run_row
@@ -192,10 +193,16 @@ def test_sweep_shapes():
         [("BGB", 0.0), ("BGB", 0.4), ("GRAB", 0.0), ("GRAB", 0.4)]
 
 
+def _seeded(sim, purpose: str) -> list[int]:
+    """Node ids whose ``purpose`` tape has seeded its generator."""
+    return sorted(node for (_, _, node, p), tape in sim.tapes.items()
+                  if p == purpose and tape.gen is not None)
+
+
 def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
-    """BGB and GRAB never draw from a node's policy stream, so they build
-    none; P-GRAB does draw, so the check is not vacuous. U-GRAB draws only
-    on a reward tie, so it builds a stream exactly for each node that drew;
+    """BGB and GRAB never draw from a node's policy stream, so they seed no
+    policy tape; P-GRAB does draw, so the check is not vacuous. U-GRAB draws
+    only on a reward tie, so it seeds a tape exactly for each node that drew;
     with the energy reward pinned to the fresh ladder's, ties are common."""
     built = {}
     for protocol in ("BGB", "GRAB", "P-GRAB"):
@@ -204,7 +211,7 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
         sim.run_until_idle(cfg.scenario.max_sim_time_ms)
         net.release()
         assert net.counters["forwarded_total"] > 0
-        built[protocol] = [k for k in sim._streams if k[1] == "policy"]
+        built[protocol] = _seeded(sim, "policy")
     assert built["BGB"] == [] and built["GRAB"] == []
     assert built["P-GRAB"]
 
@@ -230,7 +237,7 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
         sim.run_until_idle(cfg.scenario.max_sim_time_ms)
         net.release()
         assert net.counters["forwarded_total"] > 0
-        streams = sorted(k[0] for k in sim._streams if k[1] == "policy")
+        streams = _seeded(sim, "policy")
         assert streams == sorted(set(draws))
         if forced_tie:
             assert len(draws) > 10
@@ -314,6 +321,28 @@ def test_play_an_explicit_cell_list_shares_each_topology(monkeypatch):
     assert [run_row(m) for m in runs] == alone
     assert [(a.protocol, a.p_f, a.param, a.n_runs) for a in aggs] == \
         [(cfg.scenario.protocol, cfg.scenario.p_f, param, 2) for cfg, param in cells]
+    parallel, _ = play(cells, jobs=2)
+    assert [run_row(m) for m in parallel] == alone
+
+
+def test_play_seeds_each_stream_once_per_topology_group(monkeypatch):
+    """Twenty cells on two replications, differing in protocol, p_f and the
+    failure side: every stream key is seeded once in the play, yet each
+    cell's rows equal its replications run on their own, serially and in
+    parallel."""
+    cells = [(small_cfg(protocol=protocol, p_f=p_f, failure_side=side), "")
+             for protocol in SWEEP_PROTOCOLS for p_f in (0.0, 0.4) for side in ("rx", "tx")]
+    seeded = []
+    real = engine.make_stream
+    monkeypatch.setattr(engine, "make_stream",
+                        lambda *key: seeded.append(key) or real(*key))
+    runs, _ = play(cells)
+    counts = Counter(seeded)
+    assert set(counts.values()) == {1}
+    assert {(run, purpose) for _, run, _, purpose in counts} == \
+        {(run, purpose) for run in (0, 1) for purpose in engine.STREAM_PURPOSES}
+    alone = [run_row(run_replication(cfg, i)) for cfg, _ in cells for i in range(2)]
+    assert [run_row(m) for m in runs] == alone
     parallel, _ = play(cells, jobs=2)
     assert [run_row(m) for m in parallel] == alone
 
