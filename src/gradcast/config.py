@@ -239,6 +239,9 @@ def validate(cfg: SimConfig) -> None:
     for key in ("area_width_m", "area_height_m", "data_window_ms", "max_sim_time_ms"):
         _require(getattr(sc, key) > 0, f"scenario.{key}", "must be positive")
     _require(sc.data_start_ms >= 0, "scenario.data_start_ms", "must be >= 0")
+    # a data phase that starts after the run ends injects nothing
+    _require(sc.data_start_ms < sc.max_sim_time_ms, "scenario.data_start_ms",
+             "must be below scenario.max_sim_time_ms")
     _require(0.0 <= sc.p_f <= 1.0, "scenario.p_f", "must lie in [0, 1]")
     _require(sc.failure_side in ("rx", "tx"), "scenario.failure_side", "must be rx or tx")
     _require(sc.sink_placement in ("corner", "center"), "scenario.sink_placement",

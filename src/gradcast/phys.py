@@ -8,8 +8,9 @@ also gives a node's own transmissions an effectively infinite self-interference
 (the radio is half-duplex for free).
 
 A replication's geometry never changes, so ``link_table`` computes every
-pair's pathloss and default-power received mW once, and ``decode_batch``
-decodes one transmission for all its receivers from those rows. The scalar
+pair's pathloss and default-power received mW once, and keeps each
+sender's hearers per power as they are first asked for; ``decode_batch``
+decodes one transmission for all its hearers from those rows. The scalar
 ``decode`` is the reference the batched path must equal bit for bit.
 """
 
@@ -75,8 +76,10 @@ class Transmission:
     packet: object
     # every other transmission overlapping [start, end]; maintained by the network
     interferers: list = field(default_factory=list)
-    # received mW at every node id (LinkTable.rx_mw_row); read by decode_batch
+    # received mW at every node id (LinkTable.rx_mw_row) and its negation, the
+    # row of the removal marks; read by decode_batch
     rx_mw: np.ndarray | None = None
+    rx_mw_neg: np.ndarray | None = None
     n_bytes: int = 0         # the packet's size, which sets airtime and energy
 
 
@@ -97,6 +100,8 @@ class LinkTable:
     rows: dict = field(default_factory=dict, repr=False)
     # sensitivity -> neighbor lists, built on first use; callers only read them
     neighbor_lists: dict = field(default_factory=dict, repr=False)
+    # (sender, power, sensitivity) -> read-only hearer ids, built on first use
+    hearer_arrays: dict = field(default_factory=dict, repr=False)
 
     def neighbors(self, sensitivity_dbm: float) -> list[list[int]]:
         """Ids whose default-power reception lies strictly above sensitivity,
@@ -109,6 +114,23 @@ class LinkTable:
             nbrs = self.neighbor_lists[sensitivity_dbm] = [
                 np.flatnonzero(row).tolist() for row in audible]
         return nbrs
+
+    def hearers(self, sender: int, tx_power_dbm: float,
+                sensitivity_dbm: float) -> np.ndarray:
+        """Ids other than ``sender`` that receive it at the given power
+        strictly above sensitivity, ascending, as a read-only ``intp``
+        array; every call with the same arguments returns the same array.
+        At or below the default power this is ``neighbors(sensitivity_dbm)
+        [sender]`` cut by the same test at the lower power: subtraction
+        rounds monotonically, so no id outside the neighbor list passes."""
+        key = (sender, tx_power_dbm, sensitivity_dbm)
+        ids = self.hearer_arrays.get(key)
+        if ids is None:
+            audible = tx_power_dbm - self.pathloss_db[sender] > sensitivity_dbm
+            audible[sender] = False
+            ids = self.hearer_arrays[key] = np.flatnonzero(audible)
+            ids.flags.writeable = False
+        return ids
 
     def rx_mw_row(self, sender: int, tx_power_dbm: float) -> np.ndarray:
         """Received mW at every node from ``sender`` transmitting at the given
@@ -196,28 +218,28 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
     return signal_mw / (noise_mw + peak) >= threshold
 
 
-def decode_batch(wanted: Transmission, receivers: list[int], links: LinkTable,
+def decode_batch(wanted: Transmission, hearers: np.ndarray,
                  params: RadioParams) -> list[int]:
-    """The receivers (node ids into ``links``) that demodulate ``wanted``
-    among ``wanted.interferers``; ``decode`` for each of them, bit for bit.
+    """The ``hearers`` (node ids, an ``intp`` array of ids that receive
+    ``wanted`` above sensitivity, such as ``LinkTable.hearers``) that
+    demodulate ``wanted`` among ``wanted.interferers``; ``decode`` for each
+    of them, bit for bit.
 
-    One signed mark list serves every receiver: (clamped start, +row) per
-    overlapping interferer and (end, -row) where it ends inside the window.
-    Sorting it by instant fixes the order everywhere except inside groups of
-    marks at one instant, which ``decode`` orders by signed mW; each receiver's
-    column of such a group is sorted on its own. A cumulative sum then adds
-    the marks in ``decode``'s order, so every partial sum equals its loop's.
+    One signed mark list serves every receiver: (clamped start, row) per
+    overlapping interferer and (end, negated row) where it ends inside the
+    window. Sorting it by instant fixes the order everywhere except inside
+    groups of marks at one instant, which ``decode`` orders by signed mW;
+    each receiver's column of such a group is sorted on its own. A
+    cumulative sum then adds the marks in ``decode``'s order, so every
+    partial sum equals its loop's.
 
     Removals at ``wanted.end`` are left out. No addition falls on that
     instant (an overlap must have ``end > start``), so they come after every
     addition, and each one turns a level L into fl(L - x) <= L: no level
     after them can raise the peak.
     """
-    rx = np.array(receivers, dtype=np.intp)
-    rx = rx.compress(wanted.tx_power_dbm - links.pathloss_db[wanted.sender].take(rx)
-                     > params.sensitivity_dbm)
-    if params.perfect_decode or not rx.size:
-        return rx.tolist()
+    if params.perfect_decode or not hearers.size:
+        return hearers.tolist()
 
     marks = []
     ws, we = wanted.start, wanted.end
@@ -226,20 +248,19 @@ def decode_batch(wanted: Transmission, receivers: list[int], links: LinkTable,
         e = other.end if other.end < we else we
         if e <= s:
             continue
-        marks.append((s, 1.0, other.rx_mw))
+        marks.append((s, other.rx_mw))
         if e < we:
-            marks.append((e, -1.0, other.rx_mw))
+            marks.append((e, other.rx_mw_neg))
 
     noise_mw = 10.0 ** (params.noise_floor_dbm / 10.0)
     threshold = 10.0 ** (params.sinr_threshold_db / 10.0)
-    signal_mw = wanted.rx_mw.take(rx)
+    signal_mw = wanted.rx_mw.take(hearers)
     if not marks:
-        return rx.compress(signal_mw / noise_mw >= threshold).tolist()
+        return hearers.compress(signal_mw / noise_mw >= threshold).tolist()
 
     marks.sort(key=itemgetter(0))
-    at, sign, rows = zip(*marks)
-    level = np.array(rows).take(rx, axis=1)
-    level *= np.array(sign)[:, None]
+    at, rows = zip(*marks)
+    level = np.array(rows).take(hearers, axis=1)
     first = 0
     for i in range(1, len(at) + 1):
         if i == len(at) or at[i] != at[first]:
@@ -249,4 +270,4 @@ def decode_batch(wanted: Transmission, receivers: list[int], links: LinkTable,
     # the first mark is an addition of a non-negative power, so the peak is
     # never below decode's starting level of zero
     peak = level.cumsum(axis=0).max(axis=0)
-    return rx.compress(signal_mw / (noise_mw + peak) >= threshold).tolist()
+    return hearers.compress(signal_mw / (noise_mw + peak) >= threshold).tolist()

@@ -256,9 +256,10 @@ class Network:
         if self.energy_log is not None:
             self.energy_log.append((node.id, joules))
         now = self.sim.clock
+        row = self.links.rx_mw_row(node.id, power)
         tr = phys.Transmission(node.id, node.pos, power, now,
                                now + self.radio.airtime_ms(n_bytes), packet,
-                               rx_mw=self.links.rx_mw_row(node.id, power), n_bytes=n_bytes)
+                               rx_mw=row, rx_mw_neg=-row, n_bytes=n_bytes)
         tr.interferers = list(self.active.values())
         for other in self.active.values():
             other.interferers.append(tr)
@@ -269,23 +270,27 @@ class Network:
     def _tx_end(self, ev: Event) -> None:
         serial, tr = ev.payload
         del self.active[serial]
-        nodes = self.nodes
-        # Battery.dead without its property chain: for finite floats,
-        # capacity - consumed <= 0 exactly when consumed >= capacity, since
-        # the rounded difference keeps the sign of the exact one
-        alive = [j for j in self.neighbors[tr.sender]
-                 if (b := nodes[j].battery).consumed_j < b.capacity_j]
-        decoded = phys.decode_batch(tr, alive, self.links, self.radio)
+        hearers = self.links.hearers(tr.sender, tr.tx_power_dbm, self.radio.sensitivity_dbm)
+        decoded = phys.decode_batch(tr, hearers, self.radio)
         # the transmissions still on the air keep theirs; dropping this list
         # breaks the reference cycles between finished transmissions
         tr.interferers = []
+        # Dead receivers drop out after the decode, which equals leaving them
+        # out of it: each column decodes on its own, and the decode changes
+        # no battery. Battery.dead without its property chain: for finite
+        # floats, capacity - consumed <= 0 exactly when consumed >= capacity,
+        # the rounded difference keeping the sign of the exact one.
+        nodes = self.nodes
+        alive = [j for j in decoded if (b := nodes[j].battery).consumed_j < b.capacity_j]
         kind = tr.packet.kind
         if kind == "data":
-            self._receive_data(tr, decoded)
+            self._receive_data(tr, alive)
         else:
             if kind == "adv":
-                self.counters["adv_decode_failures"] += len(alive) - len(decoded)
-            self._receive_setup(tr, decoded)
+                heard = sum(1 for j in hearers.tolist()
+                            if (b := nodes[j].battery).consumed_j < b.capacity_j)
+                self.counters["adv_decode_failures"] += heard - len(alive)
+            self._receive_setup(tr, alive)
 
     # Everything a reception reads that is the same for all receivers of one
     # transmission (powers, byte count, joules, packet fields, switches) is

@@ -96,10 +96,17 @@ def test_every_float_key_must_be_finite(key, value):
     "scenario.data_window_ms=-1", "scenario.max_sim_time_ms=0", "scenario.base_seed=-1",
     "policies.stall_check_factor=0", "policies.ema_weight=1.5", "policies.tx_draw_w=-0.1",
     "costfield.ncnt_window_ms=-1", "mac.carrier_sense_offset_db=-3", "phys.data_bytes=0",
+    "scenario.data_start_ms=26500", "scenario.data_start_ms=30000",
 ])
 def test_out_of_range_value_names_its_key(pair):
     with pytest.raises(ConfigError, match=pair.split("=")[0].replace(".", r"\.")):
         apply_overrides(default_config(), [pair])
+
+
+def test_run_ending_before_the_data_phase_names_its_start():
+    with pytest.raises(ConfigError, match=r"^scenario\.data_start_ms must be below "
+                                          r"scenario\.max_sim_time_ms"):
+        apply_overrides(default_config(), ["scenario.max_sim_time_ms=3000"])
 
 
 def test_every_design_default_has_a_key():

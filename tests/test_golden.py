@@ -1,17 +1,20 @@
 """Golden bytes: fixed seeds must keep producing the same output bytes.
 
 Each cell runs all five protocols on the compact arena and hashes the
-``run_row`` lines; the low-energy cell drains nodes mid-run, so the liveness
-filter, the battery clamp and the energy ledger's order are in play. One
+``run_row`` lines, and apart from them the run counters that ``runs.csv``
+leaves out (``adv_decode_failures`` among them); the low-energy cell drains
+nodes mid-run, so the liveness filter, the battery clamp and the energy
+ledger's order are in play. One
 U-GRAB ``dump-trace`` pins the event and decision traces byte for byte, and
 ``dump-topology`` pins the cost field and the discrepancy column, and one
 sweep pins ``aggregate.csv``. The run, ledger and trace hashes were taken
 from the simulator before the per-transmission reception fan-out, the
 topology hashes before the protocol table, the aggregate hash before the
-metric table; a change that moves any of them changes the simulator's
-results.
+metric table, the counter hashes before the decode over cached hearer
+arrays; a change that moves any of them changes the simulator's results.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -56,6 +59,22 @@ GOLDEN = {
         "fe6af73d8071420674892c94f271022bbc334f9764e92ffa27cfb68f12275934",
 }
 
+# the run counters that runs.csv leaves out, per cell
+COUNTERS = ("forwarded_total", "adv_total", "ncnt_total", "suppressed_tx",
+            "relay_failures", "adv_decode_failures")
+COUNTERS_GOLDEN = {
+    "pf0":
+        "63210f1f81677cb6987813d2cab2e7c6ea529c81ba92c7a04355f026d563e4c0",
+    "pf0-connected":
+        "8ae650f8cf409873e6e0473536605160b2d33820a6224da96bc9280820dd3a0e",
+    "pf04-rx":
+        "f51dce9db8e288097b0b40eb2214777723f98ba1933bbd1dbfd2c5ebc62dabef",
+    "pf04-tx-connected":
+        "26055236b37c3f2a316d79d23c2e15fe9b2c595bd039456f4a299f8abfa22c0c",
+    "low-energy":
+        "da302b1da3d1b8566e7adb96cedf18711776da9b7f7170894fd66676e1e2c8ef",
+}
+
 # event_count=0 with event_spread=1 leaves some runs of a cell without a
 # message or a delivery, and with event_spread=0 every run, so the aggregate
 # rows hold means over fewer runs than the cell has and empty fields
@@ -86,18 +105,25 @@ def _cell_cfg(protocol: str, overrides: dict):
     return cfg
 
 
-def _rows_digest(overrides: dict):
-    runs, _ = play([(_cell_cfg(p, overrides), "") for p in PROTOCOLS])
-    return _sha("\n".join(",".join(run_row(m)) for m in runs)), runs
+@functools.cache
+def _played(cell: str):
+    runs, _ = play([(_cell_cfg(p, CELLS[cell]), "") for p in PROTOCOLS])
+    return runs
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_run_rows_match_golden_bytes(cell):
-    digest, runs = _rows_digest(CELLS[cell])
+    runs = _played(cell)
     if cell == "low-energy":
         # the cell must really kill nodes, or it pins nothing about liveness
         assert all(m.dead_nodes > 0 for m in runs if m.protocol == "BGB")
-    assert digest == GOLDEN[cell]
+    assert _sha("\n".join(",".join(run_row(m)) for m in runs)) == GOLDEN[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_run_counters_match_golden(cell):
+    lines = [" ".join(str(getattr(m, name)) for name in COUNTERS) for m in _played(cell)]
+    assert _sha("\n".join(lines)) == COUNTERS_GOLDEN[cell]
 
 
 def test_aggregate_csv_matches_golden_bytes(tmp_path):

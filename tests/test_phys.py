@@ -234,13 +234,42 @@ def test_neighbor_lists_are_kept_per_sensitivity():
     assert lists[PARAMS.sensitivity_dbm] != lists[PARAMS.sensitivity_dbm + 10.0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(sender=st.integers(0, 60),
+       power=st.sampled_from([0.0, -3.0, -12.5, -84.5]) | st.floats(-90.0, 0.0))
+def test_hearers_cut_the_neighbor_lists_at_the_power(sender, power):
+    links = link_table(ARENA_61, PARAMS)
+    ids = links.hearers(sender, power, PARAMS.sensitivity_dbm)
+    assert ids.dtype == np.intp and not ids.flags.writeable
+    # at or below the default power: the neighbor list, filtered by power
+    row = links.pathloss_db[sender].tolist()
+    assert ids.tolist() == [j for j in links.neighbors(PARAMS.sensitivity_dbm)[sender]
+                            if power - row[j] > PARAMS.sensitivity_dbm]
+    # the sender's own entry is the d_min_m clamp, audible above -84.5 dBm,
+    # and still left out
+    assert row[sender] == pathloss_db(0.0, PARAMS.alpha_exp, PARAMS.d_min_m)
+    assert sender not in ids.tolist()
+    assert links.hearers(sender, power, PARAMS.sensitivity_dbm) is ids
+
+
 def _oracle_ids(wanted, receivers, points, params):
     return [r for r in receivers if decode(points[r], wanted, wanted.interferers, params)]
 
 
 def _on_air(links, sender, points, power, start, end):
+    row = links.rx_mw_row(sender, power)
     return Transmission(sender, points[sender], power, start, end, "p",
-                        rx_mw=links.rx_mw_row(sender, power))
+                        rx_mw=row, rx_mw_neg=-row)
+
+
+def _hearers(links, wanted, params):
+    return links.hearers(wanted.sender, wanted.tx_power_dbm, params.sensitivity_dbm)
+
+
+def _heard(links, wanted, params, *ids):
+    """``ids`` as the array decode_batch takes; each must hear ``wanted``."""
+    assert set(ids) <= set(_hearers(links, wanted, params).tolist())
+    return np.array(ids, dtype=np.intp)
 
 
 # grid values make coincident nodes, clamped starts and shared boundaries common
@@ -263,9 +292,11 @@ def test_decode_batch_equals_decode(points, wanted_power, others, perfect):
     # interferers may be sent by a receiver itself (distance 0, below d_min_m)
     wanted.interferers = [_on_air(links, k % len(points), points, p, s, s + dur)
                           for k, p, s, dur in others]
-    receivers = list(range(1, len(points)))
-    assert decode_batch(wanted, receivers, links, params) == \
-        _oracle_ids(wanted, receivers, points, params)
+    # every other node, above the default power too: hearers is the plain
+    # sensitivity rule
+    rest = list(range(1, len(points)))
+    assert decode_batch(wanted, _hearers(links, wanted, params), params) == \
+        _oracle_ids(wanted, rest, points, params)
 
 
 def test_decode_batch_boundary_cases():
@@ -283,10 +314,11 @@ def test_decode_batch_boundary_cases():
         _on_air(links, 3, points, 0.0, 17.5, 20.0),    # starts exactly at the end
     ]
     receivers = [1, 2, 3, 4, 5]
-    assert decode_batch(wanted, receivers, links, PARAMS) == \
+    hearers = _hearers(links, wanted, PARAMS)
+    assert decode_batch(wanted, hearers, PARAMS) == \
         _oracle_ids(wanted, receivers, points, PARAMS) == [1]
     wanted.interferers[0].start = 13.25   # now the two overlap
-    assert decode_batch(wanted, receivers, links, PARAMS) == \
+    assert decode_batch(wanted, hearers, PARAMS) == \
         _oracle_ids(wanted, receivers, points, PARAMS) == []
 
 
@@ -322,7 +354,7 @@ def test_decode_batch_at_exact_sinr_threshold():
         for thr_db, expected in ((at, [1]), (above, [])):
             params = RadioParams(sinr_threshold_db=thr_db)
             assert _oracle_ids(wanted, [1], points, params) == expected
-            assert decode_batch(wanted, [1], links, params) == expected
+            assert decode_batch(wanted, _heard(links, wanted, params, 1), params) == expected
     assert hits >= 10
 
 
@@ -342,7 +374,7 @@ def _agrees_near_ratio(wanted, receiver, links, points, ratio):
     for _ in range(97):
         params = RadioParams(sinr_threshold_db=x)
         expected = _oracle_ids(wanted, [receiver], points, params)
-        assert decode_batch(wanted, [receiver], links, params) == expected
+        assert decode_batch(wanted, _heard(links, wanted, params, receiver), params) == expected
         outcomes.add(bool(expected))
         x = math.nextafter(x, math.inf)
     return outcomes == {True, False}
@@ -381,7 +413,8 @@ def test_decode_tie_of_an_addition_and_a_removal():
     wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
     wanted.interferers = [_on_air(links, 2, points, 0.0, 13.5, 15.0),
                           _on_air(links, 3, points, 0.0, 8.0, 13.5)]
-    assert decode_batch(wanted, [1], links, PARAMS) == _oracle_ids(wanted, [1], points, PARAMS) == [1]
+    assert decode_batch(wanted, _heard(links, wanted, PARAMS, 1), PARAMS) == \
+        _oracle_ids(wanted, [1], points, PARAMS) == [1]
 
 
 def test_decode_tie_of_clamped_starts_only():
@@ -430,9 +463,9 @@ def test_decode_mixed_airtimes():
                           _on_air(links, 4, points, 0.0, 10.0 - 3.0, 10.0 - 3.0 + data),
                           _on_air(links, 5, points, 0.0, 15.0, 15.0 + data)]
     receivers = [1, 2, 3, 4, 5]
-    assert decode_batch(wanted, receivers, links, PARAMS) == \
-        _oracle_ids(wanted, receivers, points, PARAMS)
-    assert 1 in decode_batch(wanted, receivers, links, PARAMS)
+    decoded = decode_batch(wanted, _hearers(links, wanted, PARAMS), PARAMS)
+    assert decoded == _oracle_ids(wanted, receivers, points, PARAMS)
+    assert 1 in decoded
 
 
 # instants on a 1 ms grid and airtimes that keep most ends on it, so that
@@ -451,10 +484,11 @@ def test_decode_batch_equals_decode_on_a_grid_of_instants(points, others):
     wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
     wanted.interferers = [_on_air(links, k % len(points), points, p, s, s + dur)
                           for k, p, s, dur in others]
-    receivers = list(range(1, len(points)))
+    rest = list(range(1, len(points)))
+    hearers = _hearers(links, wanted, PARAMS)
     # a mis-ordered tie moves a peak by up to 3 dB: thresholds every 0.5 dB
     # turn most such moves into a different decision
     for half_db in range(-12, 29):
         params = RadioParams(sinr_threshold_db=0.5 * half_db)
-        assert decode_batch(wanted, receivers, links, params) == \
-            _oracle_ids(wanted, receivers, points, params)
+        assert decode_batch(wanted, hearers, params) == \
+            _oracle_ids(wanted, rest, points, params)

@@ -554,28 +554,37 @@ def test_require_connected_builds_the_link_table_once(monkeypatch):
     assert built == [61]
 
 
-def test_receiver_drained_mid_run_is_left_out_of_the_next_decode(monkeypatch):
-    # five mutually audible nodes; node 2 is drained to exactly zero while
-    # the sink's advertisement ends
+def test_receiver_drained_mid_run_hears_nothing_more():
+    # five mutually audible nodes; node 2 hears the sink's advertisement and
+    # is drained to exactly zero as that advertisement ends
     cfg, _, _ = line_cfg()
+    cfg.metrics.energy_audit = True
     positions = [(10.0, 0.0), (20.0, 0.0), (30.0, 0.0), (40.0, 0.0)]
-    calls = []
-    real = phys.decode_batch
-
-    def spy(wanted, receivers, links, params):
-        calls.append((wanted.sender, list(receivers)))
-        if len(calls) == 1:
-            net.nodes[2].battery.drain(net.nodes[2].battery.capacity_j)
-        return real(wanted, receivers, links, params)
-
-    monkeypatch.setattr(phys, "decode_batch", spy)
     sim, net = build_network(cfg, 0, positions=positions, sink_pos=(0.0, 0.0), traffic=[])
+    node = net.nodes[2]
+    tx_end = net._tx_end
+    frozen = []
+
+    def drain_after_first_end(ev):
+        tx_end(ev)
+        if not frozen:
+            assert ev.node == net.sink_id
+            net.energy_log.append((2, node.battery.drain(node.battery.capacity_j)))
+            frozen.append((len(net.energy_log), dict(node.neighbor_pathloss), node.cost.q))
+
+    net._tx_end = drain_after_first_end
     sim.run_until_idle(cfg.scenario.max_sim_time_ms)
-    assert calls[0] == (4, [0, 1, 2, 3])
-    assert net.nodes[2].dead
-    later = calls[1:]
-    assert {sender for sender, _ in later} == {0, 1, 3}
-    assert all(rx == [j for j in (0, 1, 3, 4) if j != sender] for sender, rx in later)
+    net.release()
+    metrics = net.finish()   # re-checks the ledger against the batteries
+    at, pathloss, q = frozen[0]
+    assert node.dead and list(pathloss) == [net.sink_id] and math.isfinite(q)
+    # the other nodes kept advertising, and none of it reached node 2
+    assert metrics.adv_total == 4
+    assert [j for j, _ in net.energy_log[at:]].count(2) == 0
+    assert node.neighbor_pathloss == pathloss and node.cost.q == q
+    # no advertisement collides here, and a dead hearer is no failed one:
+    # node 2 misses the three advertisements after its drain uncounted
+    assert metrics.adv_decode_failures == 0
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -593,7 +602,8 @@ TINY = 5e-324
 @example(2 * TINY, 2 * TINY)
 @example(2.2250738585072014e-308, 2.225073858507201e-308)
 def test_consumed_below_capacity_is_exactly_alive(capacity, consumed):
-    """The liveness filter of a transmission's end compares consumed with
+    """The end of a transmission drops dead ids from the decoded list, and
+    counts an advertisement's alive hearers, by comparing consumed with
     capacity instead of asking Battery.dead; the two must never disagree."""
     battery = Battery(capacity, consumed)
     assert (consumed < capacity) == (not battery.dead)
