@@ -242,6 +242,10 @@ def validate(cfg: SimConfig) -> None:
     # a data phase that starts after the run ends injects nothing
     _require(sc.data_start_ms < sc.max_sim_time_ms, "scenario.data_start_ms",
              "must be below scenario.max_sim_time_ms")
+    # injections past the end of the run would never fire
+    _require(sc.data_start_ms + sc.data_window_ms <= sc.max_sim_time_ms,
+             "scenario.data_window_ms",
+             "plus scenario.data_start_ms must not exceed scenario.max_sim_time_ms")
     _require(0.0 <= sc.p_f <= 1.0, "scenario.p_f", "must lie in [0, 1]")
     _require(sc.failure_side in ("rx", "tx"), "scenario.failure_side", "must be rx or tx")
     _require(sc.sink_placement in ("corner", "center"), "scenario.sink_placement",

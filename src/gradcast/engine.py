@@ -112,7 +112,7 @@ class Simulator:
         self.trace = trace
         self.handler: Optional[Callable[[Simulator, Event], None]] = None
         self._heap: list[tuple[float, int, Event]] = []
-        self._seq = 0
+        self.seq = 0   # the next event's sequence number
         self.tapes = {} if tapes is None else tapes
         self._cursors: dict[tuple[int, str], Cursor] = {}
 
@@ -128,13 +128,26 @@ class Simulator:
             cursor = self._cursors[key] = Cursor(tape)
         return cursor
 
+    def positions(self) -> dict[tuple[int, str], int]:
+        """Each cursor's read position, keyed by (node, purpose)."""
+        return {key: cursor.pos for key, cursor in self._cursors.items()}
+
+    def seek(self, positions: dict[tuple[int, str], int]) -> None:
+        """Move the cursors to ``positions`` (as ``positions`` returns them),
+        growing a tape that holds fewer draws than its cursor's position."""
+        for (node, purpose), pos in positions.items():
+            cursor = self.stream(node, purpose)
+            while len(cursor.tape.draws) < pos:
+                cursor.tape.grow()
+            cursor.pos = pos
+
     def schedule(self, fire_at: float, kind: EventKind, node: int = -1,
                  payload: Any = None) -> Event:
         if fire_at < self.clock:
             raise SchedulingInPastError(
                 f"event scheduled at t={fire_at} behind clock t={self.clock}")
-        ev = Event(fire_at, self._seq, kind, node, payload)
-        self._seq += 1
+        ev = Event(fire_at, self.seq, kind, node, payload)
+        self.seq += 1
         heapq.heappush(self._heap, (fire_at, ev.seq, ev))
         return ev
 

@@ -4,6 +4,8 @@ A replication plays three phases on one seeded event loop: the advertisement
 flood that builds the cost field, an optional neighbor-count stage (needed by
 the discrepancy-based policies), and the data phase where sensing events
 inject messages that roll downhill to the sink under the selected policy.
+The first two form the setup phase, which cells of a topology group that
+share its inputs play once (see ``shared_setup``).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+from collections import Counter
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
@@ -22,6 +25,7 @@ from .costfield import AdvPacket, CostState, NeighborCountPacket
 from .engine import Event, EventKind, Simulator
 from .metrics import RunMetrics, RunRecorder, aggregate
 from .policies import Battery, DataPacket, Decision, UGrabState
+from .shared_setup import SetupSnapshot, SharedSetup, node_states, restore_nodes, setup_key
 
 
 @dataclass
@@ -146,6 +150,8 @@ class Network:
         self.flood_epoch = 0.0
         self.delta_bounds: tuple[float, float] | None = None
         self.energy_log: list | None = [] if cfg.metrics.energy_audit else None
+        self._setup_seqs = 0    # events the setup phase schedules at the start
+        self._data_events = 0   # events the data phase schedules at the start
         sim.handler = self.handle
 
     # -- construction ------------------------------------------------------
@@ -169,9 +175,6 @@ class Network:
         self.links = links
         self.neighbors = self.links.neighbors(self.radio.sensitivity_dbm)
         self.sensor_xy = np.array(positions, dtype=float).reshape(-1, 2)
-        if self.proto.counts:
-            self.delta_bounds = self._discrepancy_bounds()
-            sink.cost.bounds = self.delta_bounds
 
     def _discrepancy_bounds(self) -> tuple[float, float]:
         cf = self.costfield
@@ -193,10 +196,14 @@ class Network:
         return (lo, hi)
 
     def start(self, traffic: list[TrafficEvent]) -> None:
-        """Schedule the flood, the optional neighbor-count stage, stall checks
-        and all message injections."""
+        """Schedule the setup phase (the flood and the optional
+        neighbor-count stage), then the data phase: stall checks and all
+        message injections."""
         sim = self.sim
         sink = self.nodes[self.sink_id]
+        if self.proto.counts:
+            self.delta_bounds = self._discrepancy_bounds()
+            sink.cost.bounds = self.delta_bounds
         mac.transmit(self, sink, AdvPacket(sink.id, 0.0, self.radio.tx_power_dbm,
                                            sink.cost.bounds))
         if self.proto.counts:
@@ -204,6 +211,13 @@ class Network:
             for node in self.nodes:
                 u = sim.stream(node.id, "mac").uniform(0.0, cf.ncnt_window_ms)
                 sim.schedule(cf.ncnt_start_ms + u, EventKind.TIMER, node.id, ("ncnt", 0))
+        self._start_data(traffic)
+
+    def _start_data(self, traffic: list[TrafficEvent]) -> None:
+        """Schedule the data phase's events, all at or after the data start,
+        after the setup phase's."""
+        sim = self.sim
+        self._setup_seqs = sim.seq
         if self.proto.ladder:
             period = self._stall_period()
             for node in self.nodes:
@@ -212,6 +226,39 @@ class Network:
                                  EventKind.TIMER, node.id, ("stall", 0))
         for k, ev in enumerate(traffic):
             sim.schedule(ev.trigger_ms, EventKind.INJECT, -1, (k, ev))
+        self._data_events = sim.seq - self._setup_seqs
+
+    def snapshot(self) -> SetupSnapshot | None:
+        """The state after the setup phase, taken once every event before
+        the data start has played; None while a setup event is still
+        queued or on the air."""
+        sim = self.sim
+        if sim.pending() != self._data_events:
+            return None
+        played = sim.seq - self._setup_seqs - self._data_events
+        return SetupSnapshot(sim.clock, (self._setup_seqs, played), sim.positions(),
+                             node_states(self.nodes), dict(self.counters),
+                             None if self.energy_log is None else list(self.energy_log),
+                             self.flood_epoch, self._tx_serial, self.delta_bounds)
+
+    def resume(self, snap: SetupSnapshot, traffic: list[TrafficEvent]) -> None:
+        """Start from ``snap`` in place of a setup phase of this network's
+        own, then schedule the data phase. Every event takes the number it
+        takes after a setup of its own: the data events follow the setup's
+        start, and the setup's played events took the numbers after them."""
+        restore_nodes(self.nodes, snap.nodes)
+        self.counters.update(snap.counters)
+        if snap.energy_log is not None:
+            self.energy_log = list(snap.energy_log)
+        self.flood_epoch = snap.flood_epoch
+        self._tx_serial = snap.tx_serial
+        self.delta_bounds = snap.delta_bounds
+        sim = self.sim
+        sim.clock = snap.clock
+        sim.seek(snap.cursors)
+        sim.seq, played = snap.seqs
+        self._start_data(traffic)
+        sim.seq += played
 
     def _stall_period(self) -> float:
         sc = self.cfg.scenario
@@ -470,13 +517,16 @@ class Network:
 
 def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=None,
                   links=None, traffic=None, tapes=None, event_trace=None,
-                  decision_trace=None, param: str = "") -> tuple[Simulator, Network]:
+                  decision_trace=None, param: str = "",
+                  snapshot: SetupSnapshot | None = None) -> tuple[Simulator, Network]:
     """Assemble a ready-to-run replication. Positions and the sink position
     may be supplied together for scripted topologies, and traffic too;
     otherwise they come from the run's topology and traffic streams.
     ``links``, given with explicit positions, is their link table
     (``generate_topology``'s third item). ``tapes`` is the ``Simulator``'s
-    tape dict, shared by the cells of one topology group."""
+    tape dict, shared by the cells of one topology group. With ``snapshot``,
+    taken on the same topology and tapes by a cell of the same setup key,
+    the replication starts from it and plays only its data phase."""
     if (positions is None) != (sink_pos is None):
         raise ValueError("positions and sink_pos must be given together")
     seed = cfg.scenario.base_seed
@@ -489,17 +539,33 @@ def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=No
     recorder = RunRecorder(run_index, cfg.scenario.protocol, cfg.scenario.p_f, param)
     net = Network(cfg, sim, recorder, decision_trace=decision_trace)
     net.build(positions, sink_pos, links)
-    net.start(traffic)
+    if snapshot is None:
+        net.start(traffic)
+    else:
+        net.resume(snapshot, traffic)
     return sim, net
 
 
 def run_replication(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=None,
                     links=None, traffic=None, tapes=None, event_trace=None,
-                    decision_trace=None, param: str = "") -> RunMetrics:
+                    decision_trace=None, param: str = "",
+                    setup: SharedSetup | None = None) -> RunMetrics:
+    """Play one replication. ``setup``, shared by the cells of one setup
+    key on one topology and tape dict, supplies a snapshot to start from
+    when its setup ended before this cell's data start; otherwise the cell
+    plays its own setup phase and, when ``setup.wanted``, leaves its
+    snapshot there."""
+    snap = None if setup is None else setup.claim(cfg.scenario.data_start_ms)
     sim, net = build_network(cfg, run_index, positions=positions, sink_pos=sink_pos,
                              links=links, traffic=traffic, tapes=tapes,
                              event_trace=event_trace, decision_trace=decision_trace,
-                             param=param)
+                             param=param, snapshot=snap)
+    del snap   # the key's last cell frees the snapshot here
+    if setup is not None and setup.wanted:
+        # every event strictly before the data start, and none past the end
+        sim.run_until_idle(min(math.nextafter(cfg.scenario.data_start_ms, -math.inf),
+                               cfg.scenario.max_sim_time_ms))
+        setup.snapshot = net.snapshot()
     sim.run_until_idle(cfg.scenario.max_sim_time_ms)
     net.release()
     return net.finish()
@@ -523,22 +589,29 @@ def _run_group(tasks: list) -> list[RunMetrics]:
     """Replications of one run index whose cells share the topology: sample
     it and its link table once, draw the traffic once per traffic setting,
     and play each cell on them with one tape dict, so each per-node stream
-    is seeded once for the group."""
+    is seeded once for the group. Cells of one setup key share a
+    ``SharedSetup``, so its setup phase plays once when it ends before the
+    data start."""
     cfg, run_index, _ = tasks[0]
     seed = cfg.scenario.base_seed
     positions, sink_pos, links = generate_topology(
         cfg, engine.make_stream(seed, run_index, None, "topology"))
     traffic: dict[tuple, list[TrafficEvent]] = {}
     tapes: dict = {}
-    runs = []
-    for cell, _, param in tasks:
-        key = _traffic_key(cell)
-        if key not in traffic:
-            traffic[key] = generate_traffic(
+    keys = [setup_key(cell) for cell, _, _ in tasks]
+    setups = {key: SharedSetup(n) for key, n in Counter(keys).items()}
+    rank = {key: r for r, key in enumerate(setups)}
+    runs = [None] * len(tasks)
+    # one key's cells after another, so one snapshot is kept at a time
+    for k in sorted(range(len(tasks)), key=lambda k: rank[keys[k]]):
+        cell, _, param = tasks[k]
+        tkey = _traffic_key(cell)
+        if tkey not in traffic:
+            traffic[tkey] = generate_traffic(
                 cell, engine.make_stream(seed, run_index, None, "traffic"))
-        runs.append(run_replication(cell, run_index, positions=positions, sink_pos=sink_pos,
-                                    links=links, traffic=traffic[key], tapes=tapes,
-                                    param=param))
+        runs[k] = run_replication(cell, run_index, positions=positions, sink_pos=sink_pos,
+                                  links=links, traffic=traffic[tkey], tapes=tapes,
+                                  param=param, setup=setups[keys[k]])
     return runs
 
 
@@ -564,7 +637,8 @@ def play(cells: list[tuple[SimConfig, str]], *, jobs: int = 1):
     aggregates), runs in cell order and each cell's runs by index. Cells
     that share a replication's topology (``_topology_key``) share its sample
     and link table, and ``jobs`` > 1 maps those groups over a process pool;
-    the results do not depend on ``jobs``."""
+    the results do not depend on ``jobs``. Within a group, the cells of one
+    setup key (``shared_setup.setup_key``) play its setup phase once."""
     tasks = [(cfg_i, i, param) for cfg_i, param in cells
              for i in range(cfg_i.scenario.replications)]
     groups: dict[tuple, list[int]] = {}

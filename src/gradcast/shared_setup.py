@@ -1,0 +1,107 @@
+"""The setup phase that the cells of one topology group share.
+
+A replication's setup phase (the advertisement flood, then for ``counts``
+protocols the neighbor-count stage) reads no data-phase setting. The cells of
+a group that agree on everything it does read, their setup key, play it once:
+the first snapshots its state just before its data start, and the others start
+their data phase from that snapshot.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+
+from .policies import PROTOCOLS
+
+# Config fields that only the data phase reads. The protocol enters the
+# setup key as its ``counts`` flag; every other field, a new one included,
+# enters it as it is.
+DATA_ONLY_FIELDS = frozenset({
+    "scenario.protocol", "scenario.p_f", "scenario.failure_side",
+    # traffic
+    "scenario.event_count", "scenario.event_spread", "scenario.data_start_ms",
+    "scenario.data_window_ms",
+    # credit, spread, ladder and stall policies
+    "policies.credit_factor", "policies.wide_neighbor_count", "policies.power_margin_db",
+    "policies.spread_factor", "policies.spread_factor_max",
+    "policies.ladder_scale", "policies.ladder_ratio",
+    "policies.ema_weight", "policies.stall_high", "policies.stall_low",
+    "policies.stall_check_factor",
+    "metrics.include_sink",
+})
+
+
+def setup_key(cfg) -> tuple:
+    """Everything the setup phase may read: the protocol's ``counts`` flag
+    and each config field outside ``DATA_ONLY_FIELDS``."""
+    key = [PROTOCOLS[cfg.scenario.protocol].counts]
+    for section in fields(cfg):
+        values = getattr(cfg, section.name)
+        key += [getattr(values, f.name) for f in fields(values)
+                if f"{section.name}.{f.name}" not in DATA_ONLY_FIELDS]
+    return tuple(key)
+
+
+@dataclass
+class SetupSnapshot:
+    """A replication's state after its setup phase, taken before the data
+    start once no setup event is left to fire. It holds plain values only,
+    no network, simulator or tape, so it keeps no played replication alive."""
+    clock: float              # the last setup event's time
+    seqs: tuple[int, int]     # numbers the setup took at the start, then in play
+    cursors: dict             # (node, purpose) -> read position
+    nodes: list[tuple]        # per node, as node_states lists it
+    counters: dict
+    energy_log: list | None
+    flood_epoch: float
+    tx_serial: int
+    delta_bounds: tuple[float, float] | None
+
+
+def node_states(nodes) -> list[tuple]:
+    """What the setup phase leaves on each node: battery, cost state,
+    learned link costs and neighbor counts. The data phase adds to
+    neighbor_pathloss but never to neighbor_counts, so every cell may read
+    the same counts."""
+    return [(n.battery.consumed_j, n.battery.n_forwarded, n.cost.q, n.cost.adv_sent,
+             n.cost.adv_timer_gen, n.cost.bounds, dict(n.neighbor_pathloss),
+             n.neighbor_counts, n.advertised_count) for n in nodes]
+
+
+def restore_nodes(nodes, states: list[tuple]) -> None:
+    """Put ``node_states``' values back on freshly built nodes."""
+    for node, (consumed, sent, q, adv_sent, gen, bounds, pathloss, counts,
+               advertised) in zip(nodes, states):
+        node.battery.consumed_j = consumed
+        node.battery.n_forwarded = sent
+        st = node.cost
+        st.q, st.adv_sent, st.adv_timer_gen, st.bounds = q, adv_sent, gen, bounds
+        node.neighbor_pathloss = dict(pathloss)
+        node.neighbor_counts = counts
+        node.advertised_count = advertised
+
+
+class SharedSetup:
+    """The setup phase of the cells of one setup key in a group. ``cells``
+    of them are still to play; the first to play the setup leaves its
+    snapshot here when others are to come, and the last drops it."""
+    __slots__ = ("cells", "snapshot")
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self.snapshot: SetupSnapshot | None = None
+
+    def claim(self, data_start_ms: float) -> SetupSnapshot | None:
+        """Count one cell as playing; return the snapshot it starts from,
+        if its setup ended before the cell's data start."""
+        self.cells -= 1
+        snap = self.snapshot
+        if not self.cells:
+            self.snapshot = None
+        return snap if snap is not None and snap.clock < data_start_ms else None
+
+    @property
+    def wanted(self) -> bool:
+        """Whether the cell that just claimed should snapshot its setup: no
+        snapshot is kept, so the cell plays its own, and others are to come."""
+        return self.cells > 0 and self.snapshot is None

@@ -174,6 +174,7 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     "policies.initial_energy_j=0",  # crashed mid-run on a division by zero
     "scenario.area_width_m=-5",     # crashed in the topology sampler
     "scenario.data_start_ms=30000",  # ran to no message and a blank success ratio
+    "scenario.data_window_ms=30000",  # most injections fell after the end of the run
 ])
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, override):
     out = tmp_path / "out"

@@ -97,6 +97,7 @@ def test_every_float_key_must_be_finite(key, value):
     "policies.stall_check_factor=0", "policies.ema_weight=1.5", "policies.tx_draw_w=-0.1",
     "costfield.ncnt_window_ms=-1", "mac.carrier_sense_offset_db=-3", "phys.data_bytes=0",
     "scenario.data_start_ms=26500", "scenario.data_start_ms=30000",
+    "scenario.data_window_ms=21001",
 ])
 def test_out_of_range_value_names_its_key(pair):
     with pytest.raises(ConfigError, match=pair.split("=")[0].replace(".", r"\.")):
@@ -107,6 +108,12 @@ def test_run_ending_before_the_data_phase_names_its_start():
     with pytest.raises(ConfigError, match=r"^scenario\.data_start_ms must be below "
                                           r"scenario\.max_sim_time_ms"):
         apply_overrides(default_config(), ["scenario.max_sim_time_ms=3000"])
+
+
+def test_data_window_may_end_with_the_run():
+    cfg = apply_overrides(default_config(), ["scenario.data_window_ms=21000"])
+    assert cfg.scenario.data_start_ms + cfg.scenario.data_window_ms == \
+        cfg.scenario.max_sim_time_ms
 
 
 def test_every_design_default_has_a_key():

@@ -99,6 +99,20 @@ def test_simulator_stream_cursor_keeps_its_place():
     assert [first, second] == [fresh.random(), fresh.random()]
 
 
+def test_seek_resumes_every_cursor_on_fresh_tapes():
+    played = Simulator(seed=3, run_index=1)
+    mac = played.stream(7, "mac")
+    for _ in range(Tape.BLOCK + 5):   # two blocks in
+        mac.random()
+    played.stream(2, "policy").random()
+    fresh = Simulator(seed=3, run_index=1)
+    fresh.seek(played.positions())
+    assert fresh.positions() == {(7, "mac"): Tape.BLOCK + 5, (2, "policy"): 1}
+    assert [fresh.stream(7, "mac").random() for _ in range(80)] == \
+        [mac.random() for _ in range(80)]
+    assert fresh.stream(2, "policy").random() == played.stream(2, "policy").random()
+
+
 def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):
     """Two simulators on one tape dict read the same draws, each from its own
     position, and the stream is seeded once, through the module attribute."""

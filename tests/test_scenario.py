@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import math
 import statistics
+import types
 import weakref
 from collections import Counter
 
@@ -9,14 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradcast import engine, phys, policies, scenario
-from gradcast.config import default_config, validate
-from gradcast.engine import Simulator, make_stream
+from gradcast import costfield, engine, phys, policies, scenario
+from gradcast.config import apply_overrides, default_config, validate
+from gradcast.engine import Cursor, Simulator, Tape, make_stream
 from gradcast.metrics import RunRecorder, run_row
 from gradcast.policies import Battery
 from gradcast.scenario import (TrafficEvent, build_network, connectivity,
                                generate_topology, generate_traffic,
                                neighbor_lists, play, run_replication, sweep)
+from gradcast.shared_setup import DATA_ONLY_FIELDS, SetupSnapshot, SharedSetup, setup_key
 from tests.conftest import line_cfg, small_cfg
 
 
@@ -526,6 +529,52 @@ def test_finished_replication_is_freed_without_the_collector(monkeypatch, protoc
     assert (on_air[0] >= 2) == cut
 
 
+def _referenced(root) -> list:
+    """Every object reachable from ``root``, classes and modules left out."""
+    seen, out, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+def test_shared_setup_is_freed_with_its_group(monkeypatch):
+    """Four cells of one replication hold two setup keys: with the collector
+    off, no network, simulator, link table row or snapshot outlives the
+    play, and a snapshot reaches no network, node, simulator or tape."""
+    cells = [(small_cfg(protocol=p, replications=1), "")
+             for p in ("GRAB", "P-GRAB", "U-GRAB", "UP-GRAB")]
+    built, snapshots = [], []
+
+    def spy(*args, **kwargs):
+        sim, net = build_network(*args, **kwargs)
+        built.append((weakref.ref(net), weakref.ref(sim), weakref.ref(net.links.rx_mw)))
+        return sim, net
+
+    def snapshot(net, snapshot=scenario.Network.snapshot):
+        snap = snapshot(net)
+        held = {type(obj) for obj in _referenced(snap)}
+        assert not held & {scenario.Network, scenario.Node, Simulator, Tape, Cursor,
+                           phys.LinkTable}
+        snapshots.append(weakref.ref(snap))
+        return snap
+
+    monkeypatch.setattr(scenario, "build_network", spy)
+    monkeypatch.setattr(scenario.Network, "snapshot", snapshot)
+    gc.disable()
+    try:
+        play(cells)
+        assert len(built) == 4 and len(snapshots) == 2
+        assert [ref() is None for refs in built for ref in refs] == [True] * 12
+        assert [ref() is None for ref in snapshots] == [True, True]
+    finally:
+        gc.enable()
+
+
 def test_require_connected_builds_the_link_table_once(monkeypatch):
     built = []
     real = phys.link_table
@@ -607,3 +656,223 @@ def test_consumed_below_capacity_is_exactly_alive(capacity, consumed):
     capacity instead of asking Battery.dead; the two must never disagree."""
     battery = Battery(capacity, consumed)
     assert (consumed < capacity) == (not battery.dead)
+
+
+# ---------------------------------------------------------------------------
+# the setup phase, played once per setup key
+
+
+@pytest.fixture
+def setups_of(monkeypatch):
+    """Plays a list of cells serially and returns how often each of the two
+    setup handlers ran."""
+    calls = Counter()
+    for name in ("handle_adv", "handle_ncnt"):
+        def counting(*args, real=getattr(costfield, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(costfield, name, counting)
+
+    def play_counting(cells) -> Counter:
+        calls.clear()
+        play(cells)
+        return Counter(calls)
+    return play_counting
+
+
+def _keep_ledgers(monkeypatch) -> None:
+    """Give every RunMetrics its energy ledger, so the ledger comes back from
+    a worker process with it."""
+    finalize = RunRecorder.finalize
+
+    def keeping(self, nodes, include_sink, energy_log=None):
+        m = finalize(self, nodes, include_sink, energy_log)
+        m.ledger = None if energy_log is None else list(energy_log)
+        return m
+
+    monkeypatch.setattr(RunRecorder, "finalize", keeping)
+
+
+COUNTERS = tuple(RunRecorder(0, "", 0.0).counters)
+
+
+def _outcome(m) -> tuple:
+    return run_row(m), [getattr(m, c) for c in COUNTERS], getattr(m, "ledger", None)
+
+
+def _assert_plays_as_alone(cells) -> None:
+    """Every row, counter and ledger of ``play`` at jobs 1 and 2 equals
+    that of each replication run on its own."""
+    alone = [_outcome(run_replication(cfg, i, param=param))
+             for cfg, param in cells for i in range(cfg.scenario.replications)]
+    for jobs in (1, 2):
+        runs, _ = play(cells, jobs=jobs)
+        assert [_outcome(m) for m in runs] == alone, jobs
+
+
+def _cell(protocol, *overrides, **scenario_values):
+    cfg = small_cfg(protocol=protocol, p_f=0.4, replications=1, **scenario_values)
+    cfg = apply_overrides(cfg, list(overrides))
+    return cfg, ""
+
+
+# each field changes the setup: a cell with it gets a setup of its own
+SETUP_FIELDS = ("mac.backoff_max_ms=100", "costfield.beta_adv_ms=4",
+                "policies.initial_energy_j=0.4", "policies.rx_draw_w=0.03",
+                "metrics.energy_audit=True")
+
+
+def test_one_setup_per_key(monkeypatch, setups_of):
+    """The cells of a replication play one setup per setup key: the
+    protocols without the count stage share one, those with it another,
+    and a cell apart in any setup field plays its own."""
+    _keep_ledgers(monkeypatch)
+    grab = setups_of([_cell("GRAB")])
+    assert grab["handle_adv"] > 0 and grab["handle_ncnt"] == 0
+    assert setups_of([_cell(p) for p in ("BGB", "GRAB", "U-GRAB")]) == grab
+    pgrab = setups_of([_cell("P-GRAB")])
+    assert pgrab["handle_ncnt"] > 0
+    assert setups_of([_cell("P-GRAB"), _cell("UP-GRAB")]) == pgrab
+    for pair in SETUP_FIELDS:
+        apart = setups_of([_cell("GRAB", pair)])
+        assert setups_of([_cell("GRAB"), _cell("GRAB", pair)]) == \
+            grab + apart, pair
+    _assert_plays_as_alone([_cell(p) for p in ("BGB", "GRAB", "P-GRAB", "U-GRAB", "UP-GRAB")]
+                           + [_cell("U-GRAB", pair) for pair in SETUP_FIELDS])
+
+
+# each data-only field: the protocol the field acts on, and two values
+DATA_ONLY_VALUES = {
+    "scenario.protocol": ("P-GRAB", "P-GRAB", "UP-GRAB"),
+    "scenario.p_f": ("GRAB", "0.1", "0.6"),
+    "scenario.failure_side": ("U-GRAB", "rx", "tx"),
+    "scenario.event_count": ("GRAB", "20", "30"),
+    "scenario.event_spread": ("GRAB", "0", "5"),
+    "scenario.data_start_ms": ("GRAB", "5500", "7000"),
+    "scenario.data_window_ms": ("GRAB", "15000", "12000"),
+    "policies.credit_factor": ("GRAB", "10", "2"),
+    "policies.wide_neighbor_count": ("GRAB", "3", "5"),
+    "policies.power_margin_db": ("GRAB", "7", "3"),
+    "policies.spread_factor": ("P-GRAB", "2", "8"),
+    "policies.spread_factor_max": ("UP-GRAB", "64", "4"),
+    "policies.ladder_scale": ("U-GRAB", "0.75", "0.5"),
+    "policies.ladder_ratio": ("U-GRAB", "0.75", "0.5"),
+    "policies.ema_weight": ("U-GRAB", "0.1", "0.3"),
+    "policies.stall_high": ("U-GRAB", "0.5", "0.2"),
+    "policies.stall_low": ("U-GRAB", "0.05", "0.2"),
+    "policies.stall_check_factor": ("UP-GRAB", "10", "2"),
+    "metrics.include_sink": ("GRAB", "False", "True"),
+}
+
+
+def _setup_snapshot(cfg) -> SetupSnapshot:
+    """The snapshot a replication alone takes at its data start."""
+    sim, net = build_network(cfg, 0)
+    sim.run_until_idle(math.nextafter(cfg.scenario.data_start_ms, -math.inf))
+    snap = net.snapshot()
+    net.release()
+    assert snap is not None
+    return snap
+
+
+def test_the_data_only_fields_are_listed_with_values():
+    assert set(DATA_ONLY_VALUES) == DATA_ONLY_FIELDS
+
+
+@pytest.mark.parametrize("name", sorted(DATA_ONLY_VALUES))
+def test_cells_apart_only_in_a_data_only_field_share_the_setup(monkeypatch, setups_of, name):
+    protocol, a, b = DATA_ONLY_VALUES[name]
+    cells = [_cell(protocol, f"{name}={v}", "metrics.energy_audit=True") for v in (a, b)]
+    assert setup_key(cells[0][0]) == setup_key(cells[1][0])
+    assert _setup_snapshot(cells[0][0]) == _setup_snapshot(cells[1][0])
+    _keep_ledgers(monkeypatch)
+    assert setups_of(cells) == setups_of(cells[:1])
+    _assert_plays_as_alone(cells)
+
+
+def _another(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    return value + "~"
+
+
+def test_every_other_field_is_in_the_setup_key():
+    """A field not listed as data-only, a new one included, keeps cells
+    apart in it from sharing a setup."""
+    cfg = small_cfg()
+    key = setup_key(cfg)
+    names = []
+    for section in dataclasses.fields(cfg):
+        for f in dataclasses.fields(getattr(cfg, section.name)):
+            name = f"{section.name}.{f.name}"
+            if name in DATA_ONLY_FIELDS:
+                continue
+            names.append(name)
+            other = cfg.copy()
+            part = getattr(other, section.name)
+            setattr(part, f.name, _another(getattr(part, f.name)))
+            assert setup_key(other) != key, name
+    assert "scenario.max_sim_time_ms" in names and "mac.congestion_limit" in names
+    # the protocol enters as its count-stage flag
+    assert setup_key(small_cfg(protocol="BGB")) == key
+    assert setup_key(small_cfg(protocol="P-GRAB")) != key
+
+
+# setups that run into the data phase, or past the end of the run: each
+# cell's protocol and timing
+OVERLAPS = {
+    "flood": [("GRAB", dict(data_start_ms=500.0)), ("U-GRAB", dict(data_start_ms=500.0))],
+    "count-stage": [("P-GRAB", dict(data_start_ms=4500.0)),
+                    ("UP-GRAB", dict(data_start_ms=4500.0))],
+    "cut": [(p, dict(data_start_ms=200.0, data_window_ms=200.0, max_sim_time_ms=400.0))
+            for p in ("GRAB", "U-GRAB")],
+    # the first cell's setup ends before its own data start, not the second's
+    "second-inside-flood": [("GRAB", {}), ("U-GRAB", dict(data_start_ms=500.0))],
+    # validate rejects a run that ends before its data start; play takes it
+    # as given and must not play past the end to reach the data start
+    "ends-before-data": [(p, dict(max_sim_time_ms=4500.0)) for p in ("P-GRAB", "UP-GRAB")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERLAPS))
+def test_setup_overlapping_the_data_phase_is_not_shared(monkeypatch, setups_of, case):
+    cells = []
+    for protocol, timing in OVERLAPS[case]:
+        cfg, param = _cell(protocol, "metrics.energy_audit=True")
+        for key, value in timing.items():
+            setattr(cfg.scenario, key, value)
+        if case != "ends-before-data":
+            validate(cfg)
+        cells.append((cfg, param))
+    _keep_ledgers(monkeypatch)
+    alone = setups_of(cells[:1]) + setups_of(cells[1:])
+    assert setups_of(cells) == alone
+    _assert_plays_as_alone(cells)
+
+
+def _head(ev) -> tuple:
+    return ev.fire_at, ev.seq, ev.kind, ev.node
+
+
+def test_resumed_cell_plays_the_events_of_its_own_setup_run():
+    """A cell started from another's snapshot, on tapes of its own, plays
+    the same data-phase events, sequence numbers included, as a run with a
+    setup of its own; the key's last cell drops the snapshot."""
+    grab, ugrab = (small_cfg(protocol=p, replications=1) for p in ("GRAB", "U-GRAB"))
+    shared = SharedSetup(2)
+    run_replication(grab, 0, setup=shared)
+    assert shared.snapshot is not None
+    resumed, own = [], []
+    m = run_replication(ugrab, 0, setup=shared,
+                        event_trace=lambda ev: resumed.append(_head(ev)))
+    assert shared.snapshot is None and shared.cells == 0
+    alone = run_replication(ugrab, 0, event_trace=lambda ev: own.append(_head(ev)))
+    start = ugrab.scenario.data_start_ms
+    assert resumed and resumed == [ev for ev in own if ev[0] >= start]
+    assert _outcome(m) == _outcome(alone)
+    # a network started from a snapshot holds all of it
+    snap = _setup_snapshot(grab)
+    _, net = build_network(ugrab, 0, snapshot=snap)
+    assert net.snapshot() == snap
