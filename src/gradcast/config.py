@@ -246,6 +246,15 @@ def validate(cfg: SimConfig) -> None:
     _require(sc.data_start_ms + sc.data_window_ms <= sc.max_sim_time_ms,
              "scenario.data_window_ms",
              "plus scenario.data_start_ms must not exceed scenario.max_sim_time_ms")
+    # the count stage's latest send, after its longest backoff, leaves the
+    # air by the data start: a node settles its discrepancy once, at its
+    # first decision, from the counts heard so far
+    if PROTOCOLS[sc.protocol].counts:
+        count_end = (c.ncnt_start_ms + c.ncnt_window_ms + m.backoff_max_ms
+                     + p.airtime_ms(p.ncnt_bytes))
+        _require(count_end <= sc.data_start_ms, "costfield.ncnt_start_ms",
+                 "plus costfield.ncnt_window_ms, mac.backoff_max_ms and the airtime of "
+                 f"phys.ncnt_bytes must not exceed scenario.data_start_ms, got {count_end}")
     _require(0.0 <= sc.p_f <= 1.0, "scenario.p_f", "must lie in [0, 1]")
     _require(sc.failure_side in ("rx", "tx"), "scenario.failure_side", "must be rx or tx")
     _require(sc.sink_placement in ("corner", "center"), "scenario.sink_placement",

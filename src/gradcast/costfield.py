@@ -55,7 +55,8 @@ class NeighborCountPacket:
 
 def link_cost(tx_power_dbm: float, rx_power_dbm: float) -> float:
     """Energy-related link cost: transmit minus received power, i.e. the
-    pathloss in dB. Negative below one metre; cost updates stay monotone."""
+    pathloss in dB. Negative below one metre; cost updates stay monotone.
+    ``Network._receive_data`` inlines it; keep the two in step."""
     return tx_power_dbm - rx_power_dbm
 
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,8 +21,10 @@ class EventKind(Enum):
     INJECT = "inject"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """A queued event. It sits on the heap as it is: tuples order by
+    (fire_at, seq), and seq is unique, so no comparison reaches the kind or
+    the payload."""
     fire_at: float
     seq: int            # insertion number, breaks fire_at ties
     kind: EventKind
@@ -83,7 +84,8 @@ class Cursor:
         self.pos = 0
 
     def random(self) -> float:
-        """The next uniform double in [0, 1)."""
+        """The next uniform double in [0, 1). ``Network._receive_data``
+        inlines it for the failure lottery; keep the two in step."""
         pos = self.pos
         draws = self.tape.draws
         if pos == len(draws):
@@ -111,7 +113,7 @@ class Simulator:
         self.clock = 0.0
         self.trace = trace
         self.handler: Optional[Callable[[Simulator, Event], None]] = None
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self.seq = 0   # the next event's sequence number
         self.tapes = {} if tapes is None else tapes
         self._cursors: dict[tuple[int, str], Cursor] = {}
@@ -148,7 +150,7 @@ class Simulator:
                 f"event scheduled at t={fire_at} behind clock t={self.clock}")
         ev = Event(fire_at, self.seq, kind, node, payload)
         self.seq += 1
-        heapq.heappush(self._heap, (fire_at, ev.seq, ev))
+        heapq.heappush(self._heap, ev)
         return ev
 
     def pending(self) -> int:
@@ -159,8 +161,9 @@ class Simulator:
         next event lies beyond max_time. Later events stay queued. Returns the
         clock after the last processed event."""
         heap = self._heap
-        while heap and heap[0][0] <= max_time:
-            _, _, ev = heapq.heappop(heap)
+        pop = heapq.heappop
+        while heap and heap[0].fire_at <= max_time:
+            ev = pop(heap)
             self.clock = ev.fire_at
             if self.trace is not None:
                 self.trace(ev)

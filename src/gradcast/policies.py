@@ -62,7 +62,8 @@ class Battery:
         return self.remaining_j <= 0.0
 
     def drain(self, joules: float) -> float:
-        """Debit up to ``joules``; returns the amount actually drawn."""
+        """Debit up to ``joules``; returns the amount actually drawn.
+        ``Network._receive_data`` inlines it; keep the two in step."""
         remaining = self.capacity_j - self.consumed_j
         take = joules if joules < remaining else remaining
         if take < 0.0:
@@ -108,7 +109,8 @@ class Decision:
 
 def eligible(node, pkt: DataPacket) -> bool:
     """Downhill rule: only undecided non-sink nodes strictly cheaper than the
-    packet cost get a forwarding decision."""
+    packet cost get a forwarding decision. ``Network._receive_data``
+    inlines it; keep the two in step."""
     return (not node.is_sink) and node.cost.q < pkt.q_p and pkt.msg_id not in node.seen
 
 
@@ -342,17 +344,17 @@ def _pgrab(net, node, pkt: DataPacket) -> Decision:
     if node.p_ia is None:
         node.p_ia = erfc_forward_probability(node.delta, net.policies.spread_factor,
                                              node.delta_bounds)
-    return pgrab_decide(node, net.sim.stream(node.id, "policy"))
+    return pgrab_decide(node, net.cursor(node.id, "policy"))
 
 
 def _ugrab(net, node, pkt: DataPacket) -> Decision:
     return ugrab_decide(node, mac.sense(net, node), net.mac.congestion_limit,
-                        net.sim.stream(node.id, "policy"))
+                        net.cursor(node.id, "policy"))
 
 
 def _upgrab(net, node, pkt: DataPacket) -> Decision:
     return upgrab_decide(node, mac.sense(net, node), net.mac.congestion_limit,
-                         net.policies, net.sim.stream(node.id, "policy"))
+                         net.policies, net.cursor(node.id, "policy"))
 
 
 @dataclass(frozen=True)

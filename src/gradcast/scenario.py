@@ -46,7 +46,9 @@ class Node:
 
     @property
     def dead(self) -> bool:
-        return self.battery.dead
+        """``Battery.dead`` without its property chain (see ``_tx_end``)."""
+        battery = self.battery
+        return battery.consumed_j >= battery.capacity_j
 
 
 @dataclass
@@ -124,6 +126,9 @@ def generate_traffic(cfg: SimConfig, rng) -> list[TrafficEvent]:
 # ---------------------------------------------------------------------------
 # the wired network
 
+# the per-node streams a replication draws from once its nodes exist
+CURSOR_PURPOSES = ("failure", "mac", "policy")
+
 
 class Network:
     """Owns one replication: nodes, the active-transmission set, dispatch."""
@@ -152,6 +157,15 @@ class Network:
         self.energy_log: list | None = [] if cfg.metrics.energy_audit else None
         self._setup_seqs = 0    # events the setup phase schedules at the start
         self._data_events = 0   # events the data phase schedules at the start
+        # purpose -> one cursor slot per node id, filled at the node's first
+        # draw from that stream (see ``cursor``)
+        self.cursors: dict[str, list[engine.Cursor | None]] = {}
+        # the class's functions, read when the network is made: a handler
+        # patched on the class beforehand is seen, and the table holds no
+        # reference back to this network
+        cls = type(self)
+        self._handlers = {EventKind.TX_END: cls._tx_end, EventKind.TX_START: cls._tx_start,
+                          EventKind.TIMER: cls._timer, EventKind.INJECT: cls._inject}
         sim.handler = self.handle
 
     # -- construction ------------------------------------------------------
@@ -175,6 +189,18 @@ class Network:
         self.links = links
         self.neighbors = self.links.neighbors(self.radio.sensitivity_dbm)
         self.sensor_xy = np.array(positions, dtype=float).reshape(-1, 2)
+        self.cursors = {purpose: [None] * len(self.nodes) for purpose in CURSOR_PURPOSES}
+
+    def cursor(self, node_id: int, purpose: str) -> engine.Cursor:
+        """The node's cursor on its ``purpose`` stream: the simulator's own
+        (``Simulator.stream``), taken at the node's first draw so that
+        ``Simulator.positions`` keeps its order and a cursor moved by
+        ``Simulator.seek`` is the one read."""
+        slots = self.cursors[purpose]
+        cur = slots[node_id]
+        if cur is None:
+            cur = slots[node_id] = self.sim.stream(node_id, purpose)
+        return cur
 
     def _discrepancy_bounds(self) -> tuple[float, float]:
         cf = self.costfield
@@ -209,7 +235,7 @@ class Network:
         if self.proto.counts:
             cf = self.costfield
             for node in self.nodes:
-                u = sim.stream(node.id, "mac").uniform(0.0, cf.ncnt_window_ms)
+                u = self.cursor(node.id, "mac").uniform(0.0, cf.ncnt_window_ms)
                 sim.schedule(cf.ncnt_start_ms + u, EventKind.TIMER, node.id, ("ncnt", 0))
         self._start_data(traffic)
 
@@ -268,14 +294,7 @@ class Network:
     # -- event dispatch ------------------------------------------------------
 
     def handle(self, sim: Simulator, ev: Event) -> None:
-        if ev.kind is EventKind.TX_END:
-            self._tx_end(ev)
-        elif ev.kind is EventKind.TX_START:
-            self._tx_start(ev)
-        elif ev.kind is EventKind.TIMER:
-            self._timer(ev)
-        elif ev.kind is EventKind.INJECT:
-            self._inject(ev)
+        self._handlers[ev.kind](self, ev)
 
     def _tx_start(self, ev: Event) -> None:
         node = self.nodes[ev.node]
@@ -322,28 +341,37 @@ class Network:
         # the transmissions still on the air keep theirs; dropping this list
         # breaks the reference cycles between finished transmissions
         tr.interferers = []
-        # Dead receivers drop out after the decode, which equals leaving them
-        # out of it: each column decodes on its own, and the decode changes
-        # no battery. Battery.dead without its property chain: for finite
-        # floats, capacity - consumed <= 0 exactly when consumed >= capacity,
-        # the rounded difference keeping the sign of the exact one.
-        nodes = self.nodes
-        alive = [j for j in decoded if (b := nodes[j].battery).consumed_j < b.capacity_j]
+        # Dead receivers drop out after the decode (a data packet's in its
+        # receive loop), which equals leaving them out of it: each column
+        # decodes on its own, and the decode changes no battery.
+        # Battery.dead without its property chain: for finite floats,
+        # capacity - consumed <= 0 exactly when consumed >= capacity, the
+        # rounded difference keeping the sign of the exact one.
         kind = tr.packet.kind
         if kind == "data":
-            self._receive_data(tr, alive)
-        else:
-            if kind == "adv":
-                heard = sum(1 for j in hearers.tolist()
-                            if (b := nodes[j].battery).consumed_j < b.capacity_j)
-                self.counters["adv_decode_failures"] += heard - len(alive)
-            self._receive_setup(tr, alive)
+            self._receive_data(tr, decoded)
+            return
+        nodes = self.nodes
+        alive = [j for j in decoded if (b := nodes[j].battery).consumed_j < b.capacity_j]
+        if kind == "adv":
+            heard = sum(1 for j in hearers.tolist()
+                        if (b := nodes[j].battery).consumed_j < b.capacity_j)
+            self.counters["adv_decode_failures"] += heard - len(alive)
+        self._receive_setup(tr, alive)
 
     # Everything a reception reads that is the same for all receivers of one
     # transmission (powers, byte count, joules, packet fields, switches) is
     # read once; each receiver's side effects keep their order.
 
     def _receive_data(self, tr: phys.Transmission, decoded: list[int]) -> None:
+        """Every alive decoded receiver of a data packet, in one flat loop.
+        It inlines the liveness filter, the failure lottery
+        (``Cursor.random``), the debit (``Battery.drain``), the hop cost
+        (``costfield.link_cost``) and the downhill rule
+        (``policies.eligible``), each with its helper's exact arithmetic; the
+        helpers remain the reference. A receiver changes no other
+        receiver's battery, so filtering each one as the loop reaches it
+        equals filtering them all first."""
         pkt = tr.packet
         nodes = self.nodes
         pol = self.policies
@@ -354,25 +382,41 @@ class Network:
         log = self.energy_log
         p_f = self.cfg.scenario.p_f
         lottery = p_f > 0.0 and self.cfg.scenario.failure_side == "rx"
-        stream = self.sim.stream
+        failure = self.cursors["failure"]
+        counters = self.counters
         traced = self.decision_trace is not None
         losses = self.links.pathloss_db[sender].take(decoded).tolist()
         for rx_id, pl in zip(decoded, losses):
             rx = nodes[rx_id]
-            if lottery and rx_id != sink_id and stream(rx_id, "failure").random() < p_f:
-                self.counters["relay_failures"] += 1
+            battery = rx.battery
+            if battery.consumed_j >= battery.capacity_j:
                 continue
-            drawn = rx.battery.drain(joules)
+            if lottery and rx_id != sink_id:
+                cur = failure[rx_id] or self.cursor(rx_id, "failure")
+                pos = cur.pos
+                draws = cur.tape.draws
+                if pos == len(draws):
+                    cur.tape.grow()
+                cur.pos = pos + 1
+                if draws[pos] < p_f:
+                    counters["relay_failures"] += 1
+                    continue
+            remaining = battery.capacity_j - battery.consumed_j
+            drawn = joules if joules < remaining else remaining
+            if drawn < 0.0:
+                drawn = 0.0
+            battery.consumed_j += drawn
             if log is not None:
                 log.append((rx_id, drawn))
             if rx_id == sink_id:
                 self.recorder.on_delivery(msg_id, self.sim.clock)
                 continue
-            hop_cost = costfield.link_cost(txp, txp - pl)
+            hop_cost = txp - (txp - pl)
             rx.neighbor_pathloss[sender] = hop_cost
             if rx.ugrab is not None:
                 policies.note_overheard(rx, q_p, pol)
-            if not policies.eligible(rx, pkt):
+            # the receiver is no sink here
+            if not (rx.cost.q < q_p and msg_id not in rx.seen):
                 if traced:
                     self._trace_decision(rx, eligible=False, dec=None)
                 continue
@@ -425,7 +469,7 @@ class Network:
             return
         sc = self.cfg.scenario
         if sc.p_f > 0.0 and sc.failure_side == "tx":
-            if self.sim.stream(node.id, "failure").random() < sc.p_f:
+            if self.cursor(node.id, "failure").random() < sc.p_f:
                 self.counters["relay_failures"] += 1
                 return
         fwd_pkt.q_p = node.cost.q

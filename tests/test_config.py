@@ -98,10 +98,14 @@ def test_every_float_key_must_be_finite(key, value):
     "costfield.ncnt_window_ms=-1", "mac.carrier_sense_offset_db=-3", "phys.data_bytes=0",
     "scenario.data_start_ms=26500", "scenario.data_start_ms=30000",
     "scenario.data_window_ms=21001",
+    # the count stage runs to 6,522.5 ms, past the 5,500 ms data start
+    "scenario.protocol=P-GRAB costfield.ncnt_start_ms=5400",
 ])
 def test_out_of_range_value_names_its_key(pair):
-    with pytest.raises(ConfigError, match=pair.split("=")[0].replace(".", r"\.")):
-        apply_overrides(default_config(), [pair])
+    """``pair`` is one or more overrides; the last one's key is named."""
+    overrides = pair.split()
+    with pytest.raises(ConfigError, match=overrides[-1].split("=")[0].replace(".", r"\.")):
+        apply_overrides(default_config(), overrides)
 
 
 def test_run_ending_before_the_data_phase_names_its_start():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gradcast import engine
 from gradcast.engine import (Event, EventKind, SchedulingInPastError, Simulator, Tape,
                              make_stream)
+from gradcast.phys import Transmission
 
 
 def test_schedule_keeps_clock():
@@ -180,3 +181,38 @@ def test_event_fields():
     ev = Event(1.5, 7, EventKind.TX_START, 3, "payload")
     assert (ev.fire_at, ev.seq, ev.kind, ev.node, ev.payload) == \
         (1.5, 7, EventKind.TX_START, 3, "payload")
+    # a plain tuple that orders by (fire_at, seq) on the heap
+    assert Event._fields == ("fire_at", "seq", "kind", "node", "payload")
+    assert isinstance(ev, tuple) and tuple(ev) == (1.5, 7, EventKind.TX_START, 3, "payload")
+    assert Event(1.5, 8, EventKind.TIMER, 0).payload is None
+
+
+class Unordered:
+    """A payload that fails the run if anything compares it."""
+    __hash__ = object.__hash__
+
+    def _compared(self, other):
+        raise AssertionError("a payload was compared")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _compared
+
+
+def test_events_at_one_instant_pop_in_seq_order_without_comparing_payloads():
+    sim = Simulator(seed=1)
+    popped = []
+    sim.handler = lambda s, ev: popped.append(ev)
+    # payloads that do not order (a Transmission, a dict) or refuse any
+    # comparison, under kinds that do not order either, pushed around
+    # earlier and later events so the heap sifts past them
+    payloads = [Transmission(0, (0.0, 0.0), 0.0, 1.0, 2.0, "pkt"), {"a": 1}, Unordered(),
+                Unordered(), {"a": 1}, Transmission(0, (0.0, 0.0), 0.0, 1.0, 2.0, "pkt")]
+    kinds = list(EventKind)
+    scheduled = []
+    for k, payload in enumerate(payloads):
+        sim.schedule(9.5 - k, EventKind.TIMER, 0, k)
+        scheduled.append(sim.schedule(5.0, kinds[k % len(kinds)], k, payload))
+    sim.run_until_idle()
+    at_five = [ev for ev in popped if ev.fire_at == 5.0]
+    assert [ev.seq for ev in at_five] == sorted(ev.seq for ev in scheduled)
+    assert all(a is b for a, b in zip(at_five, scheduled))
+    assert [ev.fire_at for ev in popped] == sorted(ev.fire_at for ev in popped)

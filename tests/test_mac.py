@@ -100,8 +100,8 @@ def test_zero_backoff_transmits_now():
     net = make_net([(10.0, 0.0), (20.0, 0.0)], backoff_min_ms=0.0, backoff_max_ms=0.0)
     net.sim.clock = 4.0
     assert transmit(net, net.nodes[0], "pkt")
-    ((fire, _, ev),) = net.sim._heap
-    assert fire == 4.0 and ev.kind is EventKind.TX_START
+    (ev,) = net.sim._heap
+    assert ev.fire_at == 4.0 and ev.kind is EventKind.TX_START
 
 
 def test_backoff_draws_are_reproducible_per_node():
@@ -110,7 +110,7 @@ def test_backoff_draws_are_reproducible_per_node():
         net = make_net([(10.0, 0.0), (20.0, 0.0)])
         for node in net.nodes[:2]:
             transmit(net, node, "pkt")
-        draws.append([fire for fire, _, _ in sorted(net.sim._heap)])
+        draws.append([ev.fire_at for ev in sorted(net.sim._heap)])
     assert draws[0] == draws[1]
     lo, hi = net.mac.backoff_min_ms, net.mac.backoff_max_ms
     assert all(lo <= u <= hi for u in draws[0])

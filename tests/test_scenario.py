@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcast import costfield, engine, phys, policies, scenario
-from gradcast.config import apply_overrides, default_config, validate
+from gradcast.config import ConfigError, apply_overrides, default_config, validate
 from gradcast.engine import Cursor, Simulator, Tape, make_stream
 from gradcast.metrics import RunRecorder, run_row
 from gradcast.policies import Battery
@@ -603,26 +603,29 @@ def test_require_connected_builds_the_link_table_once(monkeypatch):
     assert built == [61]
 
 
-def test_receiver_drained_mid_run_hears_nothing_more():
+def test_receiver_drained_mid_run_hears_nothing_more(monkeypatch):
     # five mutually audible nodes; node 2 hears the sink's advertisement and
     # is drained to exactly zero as that advertisement ends
     cfg, _, _ = line_cfg()
     cfg.metrics.energy_audit = True
     positions = [(10.0, 0.0), (20.0, 0.0), (30.0, 0.0), (40.0, 0.0)]
-    sim, net = build_network(cfg, 0, positions=positions, sink_pos=(0.0, 0.0), traffic=[])
-    node = net.nodes[2]
-    tx_end = net._tx_end
+    tx_end = scenario.Network._tx_end
     frozen = []
 
-    def drain_after_first_end(ev):
-        tx_end(ev)
+    def drain_after_first_end(net, ev):
+        tx_end(net, ev)
         if not frozen:
             assert ev.node == net.sink_id
+            node = net.nodes[2]
             net.energy_log.append((2, node.battery.drain(node.battery.capacity_j)))
             frozen.append((len(net.energy_log), dict(node.neighbor_pathloss), node.cost.q))
 
-    net._tx_end = drain_after_first_end
+    # the network reads its handlers from the class when it is made
+    monkeypatch.setattr(scenario.Network, "_tx_end", drain_after_first_end)
+    sim, net = build_network(cfg, 0, positions=positions, sink_pos=(0.0, 0.0), traffic=[])
+    node = net.nodes[2]
     sim.run_until_idle(cfg.scenario.max_sim_time_ms)
+    assert frozen
     net.release()
     metrics = net.finish()   # re-checks the ledger against the batteries
     at, pathloss, q = frozen[0]
@@ -651,11 +654,14 @@ TINY = 5e-324
 @example(2 * TINY, 2 * TINY)
 @example(2.2250738585072014e-308, 2.225073858507201e-308)
 def test_consumed_below_capacity_is_exactly_alive(capacity, consumed):
-    """The end of a transmission drops dead ids from the decoded list, and
-    counts an advertisement's alive hearers, by comparing consumed with
-    capacity instead of asking Battery.dead; the two must never disagree."""
+    """The end of a transmission skips dead receivers, and counts an
+    advertisement's alive hearers, by comparing consumed with capacity
+    instead of asking Battery.dead, and so does Node.dead; the comparison
+    and Battery.dead must never disagree."""
     battery = Battery(capacity, consumed)
     assert (consumed < capacity) == (not battery.dead)
+    node = scenario.Node(0, (0.0, 0.0), False, battery)
+    assert node.dead == battery.dead
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +840,9 @@ OVERLAPS = {
     # as given and must not play past the end to reach the data start
     "ends-before-data": [(p, dict(max_sim_time_ms=4500.0)) for p in ("P-GRAB", "UP-GRAB")],
 }
+# cases validate rejects, which play must still take as given: a count stage
+# that runs into the data phase, a run that ends before its data start
+UNVALIDATED = {"count-stage", "ends-before-data"}
 
 
 @pytest.mark.parametrize("case", sorted(OVERLAPS))
@@ -843,13 +852,113 @@ def test_setup_overlapping_the_data_phase_is_not_shared(monkeypatch, setups_of, 
         cfg, param = _cell(protocol, "metrics.energy_audit=True")
         for key, value in timing.items():
             setattr(cfg.scenario, key, value)
-        if case != "ends-before-data":
+        if case in UNVALIDATED:
+            with pytest.raises(ConfigError):
+                validate(cfg)
+        else:
             validate(cfg)
         cells.append((cfg, param))
     _keep_ledgers(monkeypatch)
     alone = setups_of(cells[:1]) + setups_of(cells[1:])
     assert setups_of(cells) == alone
     _assert_plays_as_alone(cells)
+
+
+@pytest.mark.parametrize("protocol", ["P-GRAB", "UP-GRAB"])
+def test_cursor_lists_hold_the_simulators_cursors(protocol):
+    """The network's per-node cursor of each purpose is the simulator's own
+    cursor, in a run with a setup of its own and in one resumed from a
+    snapshot; no slot is filled before its node's first draw, and a resumed
+    network snapshots back to the snapshot it resumed from."""
+    cfg = small_cfg(protocol=protocol, replications=1, p_f=0.4, failure_side="rx")
+    validate(cfg)
+    snap = _setup_snapshot(cfg)
+    rows = []
+    for snapshot in (None, snap):
+        sim, net = build_network(cfg, 0, snapshot=snapshot)
+        assert set(net.cursors) == {"failure", "mac", "policy"}
+        assert all(len(slots) == len(net.nodes) for slots in net.cursors.values())
+        if snapshot is None:
+            # the setup's first draws are the count stage's timers
+            assert net.cursors["failure"] == net.cursors["policy"] == [None] * len(net.nodes)
+        else:
+            assert all(cur is None for slots in net.cursors.values() for cur in slots)
+            assert net.snapshot() == snap
+        sim.run_until_idle(cfg.scenario.max_sim_time_ms)
+        net.release()
+        assert net.counters["relay_failures"] > 0
+        filled = 0
+        for purpose, slots in net.cursors.items():
+            for i, cur in enumerate(slots):
+                if cur is not None:
+                    assert cur is sim.stream(i, purpose)
+                    filled += 1
+        assert any(net.cursors["failure"]) and any(net.cursors["policy"])
+        made = sum(1 for _, purpose in sim.positions() if purpose in net.cursors)
+        # every draw goes through the lists; a resumed network also holds the
+        # cursors ``seek`` made for the setup's draws, until its node draws
+        assert filled == made if snapshot is None else filled <= made
+        rows.append(_outcome(net.finish()))
+    assert rows[0] == rows[1]
+
+
+def _reference_receive_data(net, tr, decoded):
+    """``Network._receive_data`` through its helpers: the liveness filter
+    first, then ``Cursor.random`` on ``Simulator.stream``, ``Battery.drain``,
+    ``costfield.link_cost`` and ``policies.eligible`` per receiver."""
+    nodes = net.nodes
+    pkt = tr.packet
+    sc = net.cfg.scenario
+    joules = policies.rx_joules(tr.n_bytes, net.policies, net.radio)
+    alive = [j for j in decoded if not nodes[j].dead]
+    losses = net.links.pathloss_db[tr.sender].take(alive).tolist()
+    for rx_id, pl in zip(alive, losses):
+        rx = nodes[rx_id]
+        if (sc.p_f > 0.0 and sc.failure_side == "rx" and rx_id != net.sink_id
+                and net.sim.stream(rx_id, "failure").random() < sc.p_f):
+            net.counters["relay_failures"] += 1
+            continue
+        drawn = rx.battery.drain(joules)
+        if net.energy_log is not None:
+            net.energy_log.append((rx_id, drawn))
+        if rx_id == net.sink_id:
+            net.recorder.on_delivery(pkt.msg_id, net.sim.clock)
+            continue
+        hop_cost = costfield.link_cost(tr.tx_power_dbm, tr.tx_power_dbm - pl)
+        rx.neighbor_pathloss[tr.sender] = hop_cost
+        if rx.ugrab is not None:
+            policies.note_overheard(rx, pkt.q_p, net.policies)
+        if not policies.eligible(rx, pkt):
+            if net.decision_trace is not None:
+                net._trace_decision(rx, eligible=False, dec=None)
+            continue
+        rx.seen.add(pkt.msg_id)
+        net._decide_and_forward(rx, pkt, hop_cost)
+
+
+@pytest.mark.parametrize("protocol", sorted(policies.PROTOCOLS))
+@pytest.mark.parametrize("side", ["rx", "tx"])
+def test_flat_receive_loop_equals_its_helpers(monkeypatch, protocol, side):
+    """The inlined receive loop plays every replication as the loop through
+    the helpers it inlines: rows, counters, the energy ledger and every
+    decision, with batteries that run dry mid-run."""
+    cfg = small_cfg(protocol=protocol, replications=1, p_f=0.4, failure_side=side)
+    cfg.policies.initial_energy_j = 0.005
+    cfg.metrics.energy_audit = True
+    validate(cfg)
+    _keep_ledgers(monkeypatch)
+    plays = []
+    for receive in (None, _reference_receive_data):
+        if receive is not None:
+            monkeypatch.setattr(scenario.Network, "_receive_data", receive)
+        decisions = []
+        m = run_replication(cfg, 0, decision_trace=decisions.append)
+        plays.append((_outcome(m), decisions, m.dead_nodes))
+    assert plays[0] == plays[1]
+    outcome, decisions, dead = plays[0]
+    assert dead > 0
+    assert side == "tx" or outcome[1][COUNTERS.index("relay_failures")] > 0
+    assert any(row[3] == 0 for row in decisions) and any(row[3] == 1 for row in decisions)
 
 
 def _head(ev) -> tuple:
