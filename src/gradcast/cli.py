@@ -88,7 +88,9 @@ def _write_results(out: str, runs, cells) -> int:
 def _trace_row(ev) -> list[str]:
     detail = ""
     payload = ev.payload
-    if isinstance(payload, tuple) and payload:
+    if hasattr(payload, "packet"):   # a transmission leaving the air
+        detail = type(payload.packet).__name__
+    elif isinstance(payload, tuple) and payload:
         head = payload[0]
         if hasattr(head, "msg_id"):
             detail = f"msg {head.msg_id}"
@@ -96,8 +98,6 @@ def _trace_row(ev) -> list[str]:
             detail = f"adv q_p={head.q_p:.6g}"
         elif isinstance(head, str):
             detail = head
-        elif len(payload) == 2 and hasattr(payload[1], "packet"):
-            detail = type(payload[1].packet).__name__
     return [format(ev.fire_at, ".6f"), str(ev.seq), ev.kind.value, str(ev.node), detail]
 
 
@@ -108,15 +108,12 @@ def _fmt_row(row) -> list[str]:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    axes: dict[str, list[str]] = {}
+    axes = []
     for spec in args.axis:
         if "=" not in spec:
             raise ConfigError(f"axis must look like key=v1,v2,...: {spec!r}")
         key, raw = spec.split("=", 1)
-        values = [v for v in raw.split(",") if v != ""]
-        if not values:
-            raise ConfigError(f"sweep axis {key} has no values")
-        axes[key.strip()] = values
+        axes.append((key.strip(), [v for v in raw.split(",") if v != ""]))
     runs, cells = scenario.sweep(cfg, axes, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     return _write_results(args.out, runs, cells)

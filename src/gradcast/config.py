@@ -23,7 +23,7 @@ from .phys import RadioParams
 from .policies import PROTOCOLS, PolicyParams
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -108,25 +108,29 @@ def _field_types(cls) -> dict[str, type]:
     return out
 
 
-def set_value(cfg: SimConfig, dotted: str, raw: str) -> None:
-    """Apply one ``section.key`` (or unique bare ``key``) assignment in place."""
+def resolve_key(dotted: str) -> tuple[str, str]:
+    """The (section, key) that ``section.key``, or a bare ``key`` unique
+    across sections, names."""
     if "." in dotted:
         section, key = dotted.split(".", 1)
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section: {section}")
-        types = _field_types(_SECTIONS[section])
-        if key not in types:
+        if key not in _field_types(_SECTIONS[section]):
             raise ConfigError(f"unknown config key: {section}.{key}")
-    else:
-        key = dotted
-        hits = [name for name, cls in _SECTIONS.items() if key in _field_types(cls)]
-        if not hits:
-            raise ConfigError(f"unknown config key: {key}")
-        if len(hits) > 1:
-            raise ConfigError(f"ambiguous config key {key}: sections {', '.join(hits)}")
-        section = hits[0]
-        types = _field_types(_SECTIONS[section])
-    setattr(getattr(cfg, section), key, _coerce(section, key, types[key], raw))
+        return section, key
+    hits = [name for name, cls in _SECTIONS.items() if dotted in _field_types(cls)]
+    if not hits:
+        raise ConfigError(f"unknown config key: {dotted}")
+    if len(hits) > 1:
+        raise ConfigError(f"ambiguous config key {dotted}: sections {', '.join(hits)}")
+    return hits[0], dotted
+
+
+def set_value(cfg: SimConfig, dotted: str, raw: str) -> None:
+    """Apply one ``section.key`` (or unique bare ``key``) assignment in place."""
+    section, key = resolve_key(dotted)
+    ftype = _field_types(_SECTIONS[section])[key]
+    setattr(getattr(cfg, section), key, _coerce(section, key, ftype, raw))
 
 
 def apply_overrides(cfg: SimConfig, pairs) -> SimConfig:

@@ -15,6 +15,9 @@ import numpy as np
 
 
 class EventKind(Enum):
+    # members are singletons compared by identity: hash them in C, not Python
+    __hash__ = object.__hash__
+
     TX_START = "tx_start"
     TX_END = "tx_end"
     TIMER = "timer"
@@ -100,48 +103,15 @@ class Cursor:
 
 
 class Simulator:
-    """Single-threaded event loop owning the state of one replication.
+    """Single-threaded event loop of one replication: the clock and the
+    event queue."""
 
-    ``tapes`` maps (seed, run, node, purpose) to a ``Tape``; cells that share
-    one dict replay the same draws without seeding them again."""
-
-    def __init__(self, seed: int, run_index: int = 0,
-                 trace: Optional[Callable[[Event], None]] = None,
-                 tapes: dict | None = None):
-        self.seed = seed
-        self.run_index = run_index
+    def __init__(self, trace: Optional[Callable[[Event], None]] = None):
         self.clock = 0.0
         self.trace = trace
         self.handler: Optional[Callable[[Simulator, Event], None]] = None
         self._heap: list[Event] = []
         self.seq = 0   # the next event's sequence number
-        self.tapes = {} if tapes is None else tapes
-        self._cursors: dict[tuple[int, str], Cursor] = {}
-
-    def stream(self, node: int, purpose: str) -> Cursor:
-        """This replication's cursor on the node's stream for ``purpose``."""
-        key = (node, purpose)
-        cursor = self._cursors.get(key)
-        if cursor is None:
-            tape_key = (self.seed, self.run_index, node, purpose)
-            tape = self.tapes.get(tape_key)
-            if tape is None:
-                tape = self.tapes[tape_key] = Tape(*tape_key)
-            cursor = self._cursors[key] = Cursor(tape)
-        return cursor
-
-    def positions(self) -> dict[tuple[int, str], int]:
-        """Each cursor's read position, keyed by (node, purpose)."""
-        return {key: cursor.pos for key, cursor in self._cursors.items()}
-
-    def seek(self, positions: dict[tuple[int, str], int]) -> None:
-        """Move the cursors to ``positions`` (as ``positions`` returns them),
-        growing a tape that holds fewer draws than its cursor's position."""
-        for (node, purpose), pos in positions.items():
-            cursor = self.stream(node, purpose)
-            while len(cursor.tape.draws) < pos:
-                cursor.tape.grow()
-            cursor.pos = pos
 
     def schedule(self, fire_at: float, kind: EventKind, node: int = -1,
                  payload: Any = None) -> Event:

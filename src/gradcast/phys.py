@@ -8,8 +8,8 @@ also gives a node's own transmissions an effectively infinite self-interference
 (the radio is half-duplex for free).
 
 A replication's geometry never changes, so ``link_table`` computes every
-pair's pathloss and default-power received mW once, and keeps each
-sender's hearers per power as they are first asked for; ``decode_batch``
+pair's pathloss and default-power received mW and the neighbor lists once,
+and keeps each sender's hearers per power as first asked for; ``decode_batch``
 decodes one transmission for all its hearers from those rows. The scalar
 ``decode`` is the reference the batched path must equal bit for bit.
 """
@@ -96,37 +96,26 @@ class LinkTable:
     pathloss_db: np.ndarray   # (n, n), symmetric
     rx_mw: np.ndarray         # (n, n), row = sender at params.tx_power_dbm
     tx_power_dbm: float
+    sensitivity_dbm: float
+    # per node, the ids receiving it at the default power strictly above
+    # sensitivity, ascending, self excluded (``is_neighbor`` for every pair)
+    neighbors: list[list[int]]
     # (sender, power) -> row at a non-default power, built on first use
     rows: dict = field(default_factory=dict, repr=False)
-    # sensitivity -> neighbor lists, built on first use; callers only read them
-    neighbor_lists: dict = field(default_factory=dict, repr=False)
-    # (sender, power, sensitivity) -> read-only hearer ids, built on first use
+    # (sender, power) -> read-only hearer ids, built on first use
     hearer_arrays: dict = field(default_factory=dict, repr=False)
 
-    def neighbors(self, sensitivity_dbm: float) -> list[list[int]]:
-        """Ids whose default-power reception lies strictly above sensitivity,
-        ascending, self excluded (``is_neighbor`` for every pair). Every call
-        with the same sensitivity returns the same lists."""
-        nbrs = self.neighbor_lists.get(sensitivity_dbm)
-        if nbrs is None:
-            audible = self.tx_power_dbm - self.pathloss_db > sensitivity_dbm
-            np.fill_diagonal(audible, False)
-            nbrs = self.neighbor_lists[sensitivity_dbm] = [
-                np.flatnonzero(row).tolist() for row in audible]
-        return nbrs
-
-    def hearers(self, sender: int, tx_power_dbm: float,
-                sensitivity_dbm: float) -> np.ndarray:
+    def hearers(self, sender: int, tx_power_dbm: float) -> np.ndarray:
         """Ids other than ``sender`` that receive it at the given power
         strictly above sensitivity, ascending, as a read-only ``intp``
         array; every call with the same arguments returns the same array.
-        At or below the default power this is ``neighbors(sensitivity_dbm)
-        [sender]`` cut by the same test at the lower power: subtraction
-        rounds monotonically, so no id outside the neighbor list passes."""
-        key = (sender, tx_power_dbm, sensitivity_dbm)
+        At or below the default power this is ``neighbors[sender]`` cut by
+        the same test at the lower power: subtraction rounds monotonically,
+        so no id outside the neighbor list passes."""
+        key = (sender, tx_power_dbm)
         ids = self.hearer_arrays.get(key)
         if ids is None:
-            audible = tx_power_dbm - self.pathloss_db[sender] > sensitivity_dbm
+            audible = tx_power_dbm - self.pathloss_db[sender] > self.sensitivity_dbm
             audible[sender] = False
             ids = self.hearer_arrays[key] = np.flatnonzero(audible)
             ids.flags.writeable = False
@@ -148,7 +137,8 @@ class LinkTable:
 
 
 def link_table(points: list, params: RadioParams) -> LinkTable:
-    """Fill the i <= j half pair by pair in Python floats, then mirror it."""
+    """Fill the i <= j half pair by pair in Python floats, mirror it, and
+    list each node's neighbors at ``params``' power and sensitivity."""
     n = len(points)
     scale = 10.0 * params.alpha_exp
     d_min = params.d_min_m
@@ -166,7 +156,10 @@ def link_table(points: list, params: RadioParams) -> LinkTable:
     lower = np.tri(n, k=-1, dtype=bool)
     pl[lower] = pl.T[lower]
     mw[lower] = mw.T[lower]
-    return LinkTable(pl, mw, p0)
+    audible = p0 - pl > params.sensitivity_dbm
+    np.fill_diagonal(audible, False)
+    return LinkTable(pl, mw, p0, params.sensitivity_dbm,
+                     [np.flatnonzero(row).tolist() for row in audible])
 
 
 def decode(rx_pos: tuple[float, float], wanted: Transmission,

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import costfield, engine, mac, phys, policies
-from .config import SimConfig
+from .config import ConfigError, SimConfig, resolve_key
 from .costfield import AdvPacket, CostState, NeighborCountPacket
 from .engine import Event, EventKind, Simulator
 from .metrics import RunMetrics, RunRecorder, aggregate
@@ -74,15 +74,14 @@ def generate_topology(cfg: SimConfig, rng) -> tuple[list, tuple[float, float],
         ys = rng.uniform(0.0, h, sc.node_count)
         positions = [(float(x), float(y)) for x, y in zip(xs, ys)]
         links = phys.link_table(positions + [sink_pos], cfg.phys)
-        if not sc.require_connected or all(
-                _reaches(links.neighbors(cfg.phys.sensitivity_dbm), sc.node_count)):
+        if not sc.require_connected or all(_reaches(links.neighbors, sc.node_count)):
             return positions, sink_pos, links
     raise RuntimeError("could not sample a fully connected topology")
 
 
 def neighbor_lists(positions: list, params: phys.RadioParams) -> list[list[int]]:
     """Ground-truth neighbor ids per node (default power), ids ascending."""
-    return phys.link_table(positions, params).neighbors(params.sensitivity_dbm)
+    return phys.link_table(positions, params).neighbors
 
 
 def connectivity(positions: list, sink_pos, params: phys.RadioParams) -> list[bool]:
@@ -134,7 +133,7 @@ class Network:
     """Owns one replication: nodes, the active-transmission set, dispatch."""
 
     def __init__(self, cfg: SimConfig, sim: Simulator, recorder: RunRecorder,
-                 decision_trace: Optional[Callable] = None):
+                 decision_trace: Optional[Callable] = None, tapes: dict | None = None):
         self.cfg = cfg
         self.radio = cfg.phys
         self.mac = cfg.mac
@@ -147,18 +146,19 @@ class Network:
         self.decision_trace = decision_trace
         self.nodes: list[Node] = []
         self.sink_id = -1
-        self.neighbors: list[list[int]] = []
         self.links: phys.LinkTable | None = None
         self.sensor_xy: np.ndarray | None = None   # (sensors, 2), for the source search
-        self.active: dict[int, phys.Transmission] = {}
-        self._tx_serial = 0
+        self.active: dict[int, phys.Transmission] = {}   # by its TX_END event's seq
         self.flood_epoch = 0.0
-        self.delta_bounds: tuple[float, float] | None = None
         self.energy_log: list | None = [] if cfg.metrics.energy_audit else None
         self._setup_seqs = 0    # events the setup phase schedules at the start
         self._data_events = 0   # events the data phase schedules at the start
+        # (seed, run, node, purpose) -> engine.Tape, the run being the
+        # recorder's; the cells of a topology group share one dict
+        self.tapes = {} if tapes is None else tapes
+        self._seed_run = (cfg.scenario.base_seed, recorder.run_index)
         # purpose -> one cursor slot per node id, filled at the node's first
-        # draw from that stream (see ``cursor``)
+        # draw from that stream (see ``cursor``) or by ``resume``
         self.cursors: dict[str, list[engine.Cursor | None]] = {}
         # the class's functions, read when the network is made: a handler
         # patched on the class beforehand is seen, and the table holds no
@@ -187,19 +187,20 @@ class Network:
         if links is None:
             links = phys.link_table([n.pos for n in self.nodes], self.radio)
         self.links = links
-        self.neighbors = self.links.neighbors(self.radio.sensitivity_dbm)
         self.sensor_xy = np.array(positions, dtype=float).reshape(-1, 2)
         self.cursors = {purpose: [None] * len(self.nodes) for purpose in CURSOR_PURPOSES}
 
     def cursor(self, node_id: int, purpose: str) -> engine.Cursor:
-        """The node's cursor on its ``purpose`` stream: the simulator's own
-        (``Simulator.stream``), taken at the node's first draw so that
-        ``Simulator.positions`` keeps its order and a cursor moved by
-        ``Simulator.seek`` is the one read."""
+        """The node's cursor on its ``purpose`` stream, made at the node's
+        first draw on the tape of key (seed, run, node, purpose)."""
         slots = self.cursors[purpose]
         cur = slots[node_id]
         if cur is None:
-            cur = slots[node_id] = self.sim.stream(node_id, purpose)
+            key = self._seed_run + (node_id, purpose)
+            tape = self.tapes.get(key)
+            if tape is None:
+                tape = self.tapes[key] = engine.Tape(*key)
+            cur = slots[node_id] = engine.Cursor(tape)
         return cur
 
     def _discrepancy_bounds(self) -> tuple[float, float]:
@@ -208,12 +209,13 @@ class Network:
             return (cf.fixed_bounds_lo, cf.fixed_bounds_hi)
         # exact bounds over the true geometry, computed centrally and shipped
         # in the sink's advertisement
-        true_counts = [len(self.neighbors[n.id]) for n in self.nodes]
+        nbrs = self.links.neighbors
+        true_counts = [len(nbrs[n.id]) for n in self.nodes]
         deltas = []
         for node in self.nodes:
             if node.is_sink:
                 continue
-            counts = [true_counts[j] for j in self.neighbors[node.id]]
+            counts = [true_counts[j] for j in nbrs[node.id]]
             deltas.append(costfield.neighborhood_discrepancy(true_counts[node.id], counts))
         lo, hi = min(deltas, default=0.0), max(deltas, default=0.0)
         if lo >= hi:
@@ -228,8 +230,7 @@ class Network:
         sim = self.sim
         sink = self.nodes[self.sink_id]
         if self.proto.counts:
-            self.delta_bounds = self._discrepancy_bounds()
-            sink.cost.bounds = self.delta_bounds
+            sink.cost.bounds = self._discrepancy_bounds()
         mac.transmit(self, sink, AdvPacket(sink.id, 0.0, self.radio.tx_power_dbm,
                                            sink.cost.bounds))
         if self.proto.counts:
@@ -262,10 +263,11 @@ class Network:
         if sim.pending() != self._data_events:
             return None
         played = sim.seq - self._setup_seqs - self._data_events
-        return SetupSnapshot(sim.clock, (self._setup_seqs, played), sim.positions(),
+        positions = {(i, purpose): cur.pos for purpose, slots in self.cursors.items()
+                     for i, cur in enumerate(slots) if cur is not None}
+        return SetupSnapshot(sim.clock, (self._setup_seqs, played), positions,
                              node_states(self.nodes), dict(self.counters),
-                             None if self.energy_log is None else list(self.energy_log),
-                             self.flood_epoch, self._tx_serial, self.delta_bounds)
+                             None if self.energy_log is None else list(self.energy_log))
 
     def resume(self, snap: SetupSnapshot, traffic: list[TrafficEvent]) -> None:
         """Start from ``snap`` in place of a setup phase of this network's
@@ -276,12 +278,13 @@ class Network:
         self.counters.update(snap.counters)
         if snap.energy_log is not None:
             self.energy_log = list(snap.energy_log)
-        self.flood_epoch = snap.flood_epoch
-        self._tx_serial = snap.tx_serial
-        self.delta_bounds = snap.delta_bounds
+        for (node_id, purpose), pos in snap.cursors.items():
+            cur = self.cursor(node_id, purpose)
+            while len(cur.tape.draws) < pos:
+                cur.tape.grow()
+            cur.pos = pos
         sim = self.sim
         sim.clock = snap.clock
-        sim.seek(snap.cursors)
         sim.seq, played = snap.seqs
         self._start_data(traffic)
         sim.seq += played
@@ -329,14 +332,12 @@ class Network:
         tr.interferers = list(self.active.values())
         for other in self.active.values():
             other.interferers.append(tr)
-        self._tx_serial += 1
-        self.active[self._tx_serial] = tr
-        self.sim.schedule(tr.end, EventKind.TX_END, node.id, (self._tx_serial, tr))
+        self.active[self.sim.schedule(tr.end, EventKind.TX_END, node.id, tr).seq] = tr
 
     def _tx_end(self, ev: Event) -> None:
-        serial, tr = ev.payload
-        del self.active[serial]
-        hearers = self.links.hearers(tr.sender, tr.tx_power_dbm, self.radio.sensitivity_dbm)
+        tr = ev.payload
+        del self.active[ev.seq]
+        hearers = self.links.hearers(tr.sender, tr.tx_power_dbm)
         decoded = phys.decode_batch(tr, hearers, self.radio)
         # the transmissions still on the air keep theirs; dropping this list
         # breaks the reference cycles between finished transmissions
@@ -567,7 +568,7 @@ def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=No
     may be supplied together for scripted topologies, and traffic too;
     otherwise they come from the run's topology and traffic streams.
     ``links``, given with explicit positions, is their link table
-    (``generate_topology``'s third item). ``tapes`` is the ``Simulator``'s
+    (``generate_topology``'s third item). ``tapes`` is the ``Network``'s
     tape dict, shared by the cells of one topology group. With ``snapshot``,
     taken on the same topology and tapes by a cell of the same setup key,
     the replication starts from it and plays only its data phase."""
@@ -579,9 +580,9 @@ def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=No
             cfg, engine.make_stream(seed, run_index, None, "topology"))
     if traffic is None:
         traffic = generate_traffic(cfg, engine.make_stream(seed, run_index, None, "traffic"))
-    sim = Simulator(seed, run_index, trace=event_trace, tapes=tapes)
+    sim = Simulator(trace=event_trace)
     recorder = RunRecorder(run_index, cfg.scenario.protocol, cfg.scenario.p_f, param)
-    net = Network(cfg, sim, recorder, decision_trace=decision_trace)
+    net = Network(cfg, sim, recorder, decision_trace=decision_trace, tapes=tapes)
     net.build(positions, sink_pos, links)
     if snapshot is None:
         net.start(traffic)
@@ -659,19 +660,24 @@ def _run_group(tasks: list) -> list[RunMetrics]:
     return runs
 
 
-def sweep(base_cfg: SimConfig, axes: dict[str, list[str]], *, jobs: int = 1):
-    """Cross product of override axes; returns (runs, cell aggregates) with
-    cells ordered by axis combination."""
+def sweep(base_cfg: SimConfig, axes, *, jobs: int = 1):
+    """Cross product of override axes, a dict or a list of (key, values)
+    pairs; returns (runs, cell aggregates) with cells ordered by axis
+    combination. An axis without values, or two that name one config key
+    (bare or dotted), is a ``ConfigError`` naming the key."""
     from .config import apply_overrides
-    for key, values in axes.items():
+    pairs = list(axes.items() if isinstance(axes, dict) else axes)
+    keys = [resolve_key(dotted) for dotted, _ in pairs]
+    for (dotted, values), key in zip(pairs, keys):
         if not values:
-            raise ValueError(f"sweep axis {key} has no values")
-    keys = list(axes)
+            raise ConfigError(f"sweep axis {dotted} has no values")
+        if keys.count(key) > 1:
+            raise ConfigError(f"two sweep axes set {'.'.join(key)}")
     cells = []
-    for combo in itertools.product(*(axes[k] for k in keys)):
-        overrides = [f"{k}={v}" for k, v in zip(keys, combo)]
-        param = ",".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, combo)
-                         if k.split(".")[-1] not in ("protocol", "p_f"))
+    for combo in itertools.product(*(values for _, values in pairs)):
+        overrides = [f"{dotted}={v}" for (dotted, _), v in zip(pairs, combo)]
+        param = ",".join(f"{key}={v}" for (_, key), v in zip(keys, combo)
+                         if key not in ("protocol", "p_f"))
         cells.append((apply_overrides(base_cfg, overrides), param))
     return play(cells, jobs=jobs)
 

@@ -46,16 +46,15 @@ def setup_key(cfg) -> tuple:
 class SetupSnapshot:
     """A replication's state after its setup phase, taken before the data
     start once no setup event is left to fire. It holds plain values only,
-    no network, simulator or tape, so it keeps no played replication alive."""
+    no network, simulator or tape, so it keeps no played replication alive.
+    The flood's epoch is left out: with no setup event left, no
+    advertisement is received after it."""
     clock: float              # the last setup event's time
     seqs: tuple[int, int]     # numbers the setup took at the start, then in play
     cursors: dict             # (node, purpose) -> read position
     nodes: list[tuple]        # per node, as node_states lists it
     counters: dict
     energy_log: list | None
-    flood_epoch: float
-    tx_serial: int
-    delta_bounds: tuple[float, float] | None
 
 
 def node_states(nodes) -> list[tuple]:

@@ -159,6 +159,10 @@ def test_seeds_must_be_positive(tmp_path):
     (["dump-topology", "--run-index", "-3"], "--run-index"),
     (["run", "--jobs", "0"], "--jobs"),
     (["sweep", "--jobs", "-2", "--axis", "scenario.protocol=BGB"], "--jobs"),
+    # each played one value of two and exited 0
+    (["sweep", "--axis", "scenario.p_f=0", "--axis", "scenario.p_f=0.4"], "scenario.p_f"),
+    (["sweep", "--axis", "p_f=0,0.8", "--axis", "scenario.p_f=0.4"], "scenario.p_f"),
+    (["sweep", "--axis", "scenario.p_f="], "scenario.p_f"),
 ])
 def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"

@@ -125,14 +125,15 @@ def test_bounds_center():
 def test_bounds_travel_in_advertisements():
     cfg = small_cfg(require_connected=True, protocol="P-GRAB")
     sim, net = run_setup(cfg)
-    assert net.delta_bounds is not None
+    bounds = net.nodes[net.sink_id].cost.bounds
+    assert bounds is not None and bounds == net._discrepancy_bounds()
     for node in net.nodes:
-        assert node.cost.bounds == net.delta_bounds
+        assert node.cost.bounds == bounds
 
 
 def test_fixed_bounds_mode():
     cfg = small_cfg(require_connected=True, protocol="P-GRAB")
     cfg.costfield.bounds_mode = "fixed"
     sim, net = run_setup(cfg)
-    assert net.delta_bounds == (-60.0, 40.0)
+    assert net.nodes[net.sink_id].cost.bounds == (-60.0, 40.0)
 

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcast import engine
-from gradcast.engine import (Event, EventKind, SchedulingInPastError, Simulator, Tape,
-                             make_stream)
+from gradcast.config import default_config
+from gradcast.engine import (Cursor, Event, EventKind, SchedulingInPastError, Simulator,
+                             Tape, make_stream)
+from gradcast.metrics import RunRecorder
 from gradcast.phys import Transmission
+from gradcast.scenario import Network
 
 
 def test_schedule_keeps_clock():
-    sim = Simulator(seed=1)
+    sim = Simulator()
     sim.clock = 3.0
     sim.schedule(5.0, EventKind.TIMER, 0, "x")
     assert sim.pending() == 1
@@ -20,7 +23,7 @@ def test_schedule_keeps_clock():
 
 
 def test_equal_fire_times_dequeue_in_insertion_order():
-    sim = Simulator(seed=1)
+    sim = Simulator()
     order = []
     sim.handler = lambda s, ev: order.append(ev.payload)
     sim.schedule(5.0, EventKind.TIMER, 0, "first")
@@ -30,19 +33,19 @@ def test_equal_fire_times_dequeue_in_insertion_order():
 
 
 def test_scheduling_in_the_past_is_a_fault():
-    sim = Simulator(seed=1)
+    sim = Simulator()
     sim.clock = 3.0
     with pytest.raises(SchedulingInPastError):
         sim.schedule(2.0, EventKind.TIMER, 0, None)
 
 
 def test_run_until_idle_on_empty_queue_returns_clock():
-    sim = Simulator(seed=1)
+    sim = Simulator()
     assert sim.run_until_idle(100.0) == 0.0
 
 
 def test_max_time_leaves_later_events_queued():
-    sim = Simulator(seed=1)
+    sim = Simulator()
     fired = []
     sim.handler = lambda s, ev: fired.append(ev.fire_at)
     for t in (1.0, 2.0, 3.0):
@@ -54,7 +57,7 @@ def test_max_time_leaves_later_events_queued():
 
 
 def test_handler_can_schedule_followups():
-    sim = Simulator(seed=1)
+    sim = Simulator()
     seen = []
 
     def handler(s, ev):
@@ -70,7 +73,7 @@ def test_handler_can_schedule_followups():
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
 def test_clock_is_monotone_over_any_schedule(times):
-    sim = Simulator(seed=1)
+    sim = Simulator()
     dequeued = []
     sim.handler = lambda s, ev: dequeued.append(ev.fire_at)
     for t in times:
@@ -90,40 +93,52 @@ def test_streams_are_deterministic_and_distinct():
     assert a != c and a != d and a != e
 
 
-def test_simulator_stream_cursor_keeps_its_place():
-    sim = Simulator(seed=5, run_index=2)
-    c1 = sim.stream(4, "policy")
+def _network(seed: int, run_index: int, tapes: dict | None = None) -> Network:
+    """A built network of eight sensors and a sink, drawing from the tapes
+    of (seed, run_index)."""
+    cfg = default_config()
+    cfg.scenario.base_seed = seed
+    net = Network(cfg, Simulator(), RunRecorder(run_index, "BGB", 0.0), tapes=tapes)
+    net.build([(10.0 * i, 0.0) for i in range(1, 9)], (0.0, 0.0))
+    return net
+
+
+def test_network_cursor_keeps_its_place():
+    net = _network(seed=5, run_index=2)
+    c1 = net.cursor(4, "policy")
     first = c1.random()
-    assert sim.stream(4, "policy") is c1
+    assert net.cursor(4, "policy") is c1
     second = c1.random()
     fresh = make_stream(5, 2, 4, "policy")
     assert [first, second] == [fresh.random(), fresh.random()]
 
 
-def test_seek_resumes_every_cursor_on_fresh_tapes():
-    played = Simulator(seed=3, run_index=1)
-    mac = played.stream(7, "mac")
+def test_resume_moves_every_cursor_on_fresh_tapes():
+    played = _network(seed=3, run_index=1)
+    mac = played.cursor(7, "mac")
     for _ in range(Tape.BLOCK + 5):   # two blocks in
         mac.random()
-    played.stream(2, "policy").random()
-    fresh = Simulator(seed=3, run_index=1)
-    fresh.seek(played.positions())
-    assert fresh.positions() == {(7, "mac"): Tape.BLOCK + 5, (2, "policy"): 1}
-    assert [fresh.stream(7, "mac").random() for _ in range(80)] == \
+    played.cursor(2, "policy").random()
+    snap = played.snapshot()
+    assert snap.cursors == {(7, "mac"): Tape.BLOCK + 5, (2, "policy"): 1}
+    fresh = _network(seed=3, run_index=1)
+    fresh.resume(snap, [])
+    assert fresh.snapshot() == snap
+    assert [fresh.cursor(7, "mac").random() for _ in range(80)] == \
         [mac.random() for _ in range(80)]
-    assert fresh.stream(2, "policy").random() == played.stream(2, "policy").random()
+    assert fresh.cursor(2, "policy").random() == played.cursor(2, "policy").random()
 
 
 def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):
-    """Two simulators on one tape dict read the same draws, each from its own
+    """Two networks on one tape dict read the same draws, each from its own
     position, and the stream is seeded once, through the module attribute."""
     seeded = []
     real = engine.make_stream
     monkeypatch.setattr(engine, "make_stream",
                         lambda *key: seeded.append(key) or real(*key))
     tapes = {}
-    a = Simulator(seed=9, run_index=1, tapes=tapes).stream(3, "mac")
-    b = Simulator(seed=9, run_index=1, tapes=tapes).stream(3, "mac")
+    a = _network(seed=9, run_index=1, tapes=tapes).cursor(3, "mac")
+    b = _network(seed=9, run_index=1, tapes=tapes).cursor(3, "mac")
     n = 3 * Tape.BLOCK + 5
     first = [a.random() for _ in range(n)]
     assert [b.random() for _ in range(n)] == first
@@ -141,7 +156,7 @@ def test_block_draws_equal_scalar_draws(seed, node, k, offset):
     tape's block refills."""
     blocks = make_stream(seed, 0, node, "failure")
     scalars = make_stream(seed, 0, node, "failure")
-    cursor = Simulator(seed, 0).stream(node, "failure")
+    cursor = Cursor(Tape(seed, 0, node, "failure"))
     for _ in range(offset):
         scalars.random()
         cursor.random()
@@ -166,7 +181,7 @@ def test_uniform_is_affine_in_one_double(seed, lo, hi, same):
         hi = lo
     numpy_draws = make_stream(seed, 0, 1, "mac")
     doubles = make_stream(seed, 0, 1, "mac")
-    cursor = Simulator(seed, 0).stream(1, "mac")
+    cursor = Cursor(Tape(seed, 0, 1, "mac"))
     for _ in range(3):
         want = struct.pack("<d", lo + (hi - lo) * doubles.random())
         assert struct.pack("<d", cursor.uniform(lo, hi)) == want
@@ -198,7 +213,7 @@ class Unordered:
 
 
 def test_events_at_one_instant_pop_in_seq_order_without_comparing_payloads():
-    sim = Simulator(seed=1)
+    sim = Simulator()
     popped = []
     sim.handler = lambda s, ev: popped.append(ev)
     # payloads that do not order (a Transmission, a dict) or refuse any

@@ -16,7 +16,7 @@ def make_net(positions, protocol="BGB", sink_pos=(0.0, 0.0), **mac_overrides):
     cfg.scenario.node_count = len(positions)
     for key, value in mac_overrides.items():
         setattr(cfg.mac, key, value)
-    sim = Simulator(cfg.scenario.base_seed, 0)
+    sim = Simulator()
     net = Network(cfg, sim, RunRecorder(0, protocol, 0.0))
     net.build(positions, sink_pos)
     return net

@@ -224,32 +224,22 @@ def test_reduced_power_rows_are_exact_and_kept(sender, power):
     assert list(links.rows) == [(sender, power)]
 
 
-def test_neighbor_lists_are_kept_per_sensitivity():
-    links = link_table(ARENA_61, PARAMS)
-    lists = {}
-    for sensitivity in (PARAMS.sensitivity_dbm, PARAMS.sensitivity_dbm + 10.0):
-        nbrs = lists[sensitivity] = links.neighbors(sensitivity)
-        assert links.neighbors(sensitivity) is nbrs
-        assert nbrs == link_table(ARENA_61, PARAMS).neighbors(sensitivity)
-    assert lists[PARAMS.sensitivity_dbm] != lists[PARAMS.sensitivity_dbm + 10.0]
-
-
 @settings(max_examples=200, deadline=None)
 @given(sender=st.integers(0, 60),
        power=st.sampled_from([0.0, -3.0, -12.5, -84.5]) | st.floats(-90.0, 0.0))
 def test_hearers_cut_the_neighbor_lists_at_the_power(sender, power):
     links = link_table(ARENA_61, PARAMS)
-    ids = links.hearers(sender, power, PARAMS.sensitivity_dbm)
+    ids = links.hearers(sender, power)
     assert ids.dtype == np.intp and not ids.flags.writeable
     # at or below the default power: the neighbor list, filtered by power
     row = links.pathloss_db[sender].tolist()
-    assert ids.tolist() == [j for j in links.neighbors(PARAMS.sensitivity_dbm)[sender]
+    assert ids.tolist() == [j for j in links.neighbors[sender]
                             if power - row[j] > PARAMS.sensitivity_dbm]
     # the sender's own entry is the d_min_m clamp, audible above -84.5 dBm,
     # and still left out
     assert row[sender] == pathloss_db(0.0, PARAMS.alpha_exp, PARAMS.d_min_m)
     assert sender not in ids.tolist()
-    assert links.hearers(sender, power, PARAMS.sensitivity_dbm) is ids
+    assert links.hearers(sender, power) is ids
 
 
 def _oracle_ids(wanted, receivers, points, params):
@@ -262,13 +252,13 @@ def _on_air(links, sender, points, power, start, end):
                         rx_mw=row, rx_mw_neg=-row)
 
 
-def _hearers(links, wanted, params):
-    return links.hearers(wanted.sender, wanted.tx_power_dbm, params.sensitivity_dbm)
+def _hearers(links, wanted):
+    return links.hearers(wanted.sender, wanted.tx_power_dbm)
 
 
-def _heard(links, wanted, params, *ids):
+def _heard(links, wanted, *ids):
     """``ids`` as the array decode_batch takes; each must hear ``wanted``."""
-    assert set(ids) <= set(_hearers(links, wanted, params).tolist())
+    assert set(ids) <= set(_hearers(links, wanted).tolist())
     return np.array(ids, dtype=np.intp)
 
 
@@ -295,7 +285,7 @@ def test_decode_batch_equals_decode(points, wanted_power, others, perfect):
     # every other node, above the default power too: hearers is the plain
     # sensitivity rule
     rest = list(range(1, len(points)))
-    assert decode_batch(wanted, _hearers(links, wanted, params), params) == \
+    assert decode_batch(wanted, _hearers(links, wanted), params) == \
         _oracle_ids(wanted, rest, points, params)
 
 
@@ -314,7 +304,7 @@ def test_decode_batch_boundary_cases():
         _on_air(links, 3, points, 0.0, 17.5, 20.0),    # starts exactly at the end
     ]
     receivers = [1, 2, 3, 4, 5]
-    hearers = _hearers(links, wanted, PARAMS)
+    hearers = _hearers(links, wanted)
     assert decode_batch(wanted, hearers, PARAMS) == \
         _oracle_ids(wanted, receivers, points, PARAMS) == [1]
     wanted.interferers[0].start = 13.25   # now the two overlap
@@ -354,7 +344,7 @@ def test_decode_batch_at_exact_sinr_threshold():
         for thr_db, expected in ((at, [1]), (above, [])):
             params = RadioParams(sinr_threshold_db=thr_db)
             assert _oracle_ids(wanted, [1], points, params) == expected
-            assert decode_batch(wanted, _heard(links, wanted, params, 1), params) == expected
+            assert decode_batch(wanted, _heard(links, wanted, 1), params) == expected
     assert hits >= 10
 
 
@@ -374,7 +364,7 @@ def _agrees_near_ratio(wanted, receiver, links, points, ratio):
     for _ in range(97):
         params = RadioParams(sinr_threshold_db=x)
         expected = _oracle_ids(wanted, [receiver], points, params)
-        assert decode_batch(wanted, _heard(links, wanted, params, receiver), params) == expected
+        assert decode_batch(wanted, _heard(links, wanted, receiver), params) == expected
         outcomes.add(bool(expected))
         x = math.nextafter(x, math.inf)
     return outcomes == {True, False}
@@ -413,7 +403,7 @@ def test_decode_tie_of_an_addition_and_a_removal():
     wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
     wanted.interferers = [_on_air(links, 2, points, 0.0, 13.5, 15.0),
                           _on_air(links, 3, points, 0.0, 8.0, 13.5)]
-    assert decode_batch(wanted, _heard(links, wanted, PARAMS, 1), PARAMS) == \
+    assert decode_batch(wanted, _heard(links, wanted, 1), PARAMS) == \
         _oracle_ids(wanted, [1], points, PARAMS) == [1]
 
 
@@ -463,7 +453,7 @@ def test_decode_mixed_airtimes():
                           _on_air(links, 4, points, 0.0, 10.0 - 3.0, 10.0 - 3.0 + data),
                           _on_air(links, 5, points, 0.0, 15.0, 15.0 + data)]
     receivers = [1, 2, 3, 4, 5]
-    decoded = decode_batch(wanted, _hearers(links, wanted, PARAMS), PARAMS)
+    decoded = decode_batch(wanted, _hearers(links, wanted), PARAMS)
     assert decoded == _oracle_ids(wanted, receivers, points, PARAMS)
     assert 1 in decoded
 
@@ -485,7 +475,7 @@ def test_decode_batch_equals_decode_on_a_grid_of_instants(points, others):
     wanted.interferers = [_on_air(links, k % len(points), points, p, s, s + dur)
                           for k, p, s, dur in others]
     rest = list(range(1, len(points)))
-    hearers = _hearers(links, wanted, PARAMS)
+    hearers = _hearers(links, wanted)
     # a mis-ordered tie moves a peak by up to 3 dB: thresholds every 0.5 dB
     # turn most such moves into a different decision
     for half_db in range(-12, 29):

@@ -196,9 +196,9 @@ def test_sweep_shapes():
         [("BGB", 0.0), ("BGB", 0.4), ("GRAB", 0.0), ("GRAB", 0.4)]
 
 
-def _seeded(sim, purpose: str) -> list[int]:
+def _seeded(net, purpose: str) -> list[int]:
     """Node ids whose ``purpose`` tape has seeded its generator."""
-    return sorted(node for (_, _, node, p), tape in sim.tapes.items()
+    return sorted(node for (_, _, node, p), tape in net.tapes.items()
                   if p == purpose and tape.gen is not None)
 
 
@@ -214,7 +214,7 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
         sim.run_until_idle(cfg.scenario.max_sim_time_ms)
         net.release()
         assert net.counters["forwarded_total"] > 0
-        built[protocol] = _seeded(sim, "policy")
+        built[protocol] = _seeded(net, "policy")
     assert built["BGB"] == [] and built["GRAB"] == []
     assert built["P-GRAB"]
 
@@ -240,7 +240,7 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
         sim.run_until_idle(cfg.scenario.max_sim_time_ms)
         net.release()
         assert net.counters["forwarded_total"] > 0
-        streams = _seeded(sim, "policy")
+        streams = _seeded(net, "policy")
         assert streams == sorted(set(draws))
         if forced_tie:
             assert len(draws) > 10
@@ -378,6 +378,16 @@ def test_sweep_rejects_empty_axis():
         sweep(small_cfg(), {"scenario.p_f": []})
 
 
+@pytest.mark.parametrize("axes", [
+    [("scenario.p_f", ["0"]), ("scenario.p_f", ["0.4"])],
+    {"p_f": ["0", "0.8"], "scenario.p_f": ["0.4"]},
+    [("scenario.p_f", ["0"]), ("scenario.p_f", [])],
+], ids=["twice", "bare-and-dotted", "twice-one-empty"])
+def test_sweep_rejects_two_axes_on_one_key(axes):
+    with pytest.raises(ConfigError, match="scenario.p_f"):
+        sweep(small_cfg(), axes)
+
+
 def test_dead_source_is_skipped():
     cfg, positions, sink = line_cfg(2, spacing_m=40.0)
     traffic = [TrafficEvent(positions[0], cfg.scenario.data_start_ms)]
@@ -439,10 +449,10 @@ def test_neighbors_from_the_link_table_equal_the_pair_loop():
         pts = positions + [sink]
         reference = _pair_loop_neighbor_lists(pts, cfg.phys)
         assert neighbor_lists(pts, cfg.phys) == reference
-        net = scenario.Network(cfg, Simulator(1, run), RunRecorder(run, "BGB", 0.0))
+        net = scenario.Network(cfg, Simulator(), RunRecorder(run, "BGB", 0.0))
         net.build(positions, sink)
-        assert net.neighbors == reference
-        assert scenario._reaches(net.neighbors, net.sink_id)[:-1] == \
+        assert net.links.neighbors == reference
+        assert scenario._reaches(net.links.neighbors, net.sink_id)[:-1] == \
             connectivity(positions, sink, cfg.phys)
 
 
@@ -477,7 +487,7 @@ NEAR = st.sampled_from([0.0, 10.0, math.nextafter(10.0, 11.0), 30.0, 75.0]) | st
 @example(points=[(36.32520752167883, 24.672297793085797),
                  (36.325207521678834, 24.672297793085786)], dead=[False] * 40, pos=(0.0, 0.0))
 def test_nearest_alive_sensor_equals_the_loop(points, dead, pos):
-    net = scenario.Network(default_config(), Simulator(1, 0), RunRecorder(0, "BGB", 0.0))
+    net = scenario.Network(default_config(), Simulator(), RunRecorder(0, "BGB", 0.0))
     net.build(points, (75.0, 75.0))
     for node, off in zip(net.nodes[:-1], dead):
         if off:
@@ -486,7 +496,7 @@ def test_nearest_alive_sensor_equals_the_loop(points, dead, pos):
 
 
 def test_nearest_alive_sensor_ties_and_all_dead():
-    net = scenario.Network(default_config(), Simulator(1, 0), RunRecorder(0, "BGB", 0.0))
+    net = scenario.Network(default_config(), Simulator(), RunRecorder(0, "BGB", 0.0))
     net.build([(10.0, 0.0), (0.0, 10.0), (10.0, 0.0), (3.0, 4.0)], (75.0, 75.0))
     assert net._nearest_alive_sensor((0.0, 0.0)).id == 3
     net.nodes[3].battery.consumed_j = net.nodes[3].battery.capacity_j
@@ -866,14 +876,20 @@ def test_setup_overlapping_the_data_phase_is_not_shared(monkeypatch, setups_of, 
 
 @pytest.mark.parametrize("protocol", ["P-GRAB", "UP-GRAB"])
 def test_cursor_lists_hold_the_simulators_cursors(protocol):
-    """The network's per-node cursor of each purpose is the simulator's own
-    cursor, in a run with a setup of its own and in one resumed from a
-    snapshot; no slot is filled before its node's first draw, and a resumed
-    network snapshots back to the snapshot it resumed from."""
+    """The network's per-node cursor of each purpose, in a run with a setup
+    of its own and in one resumed from a snapshot: no slot is filled before
+    its node's first draw or, after a resume, beyond the setup's draws;
+    every slot reads the tape of its own key, every tape has its slot, and
+    a resumed network snapshots back to the snapshot it resumed from."""
     cfg = small_cfg(protocol=protocol, replications=1, p_f=0.4, failure_side="rx")
     validate(cfg)
     snap = _setup_snapshot(cfg)
     rows = []
+
+    def filled(net):
+        return {(i, purpose): cur for purpose, slots in net.cursors.items()
+                for i, cur in enumerate(slots) if cur is not None}
+
     for snapshot in (None, snap):
         sim, net = build_network(cfg, 0, snapshot=snapshot)
         assert set(net.cursors) == {"failure", "mac", "policy"}
@@ -882,29 +898,24 @@ def test_cursor_lists_hold_the_simulators_cursors(protocol):
             # the setup's first draws are the count stage's timers
             assert net.cursors["failure"] == net.cursors["policy"] == [None] * len(net.nodes)
         else:
-            assert all(cur is None for slots in net.cursors.values() for cur in slots)
+            assert set(filled(net)) == set(snap.cursors)
             assert net.snapshot() == snap
         sim.run_until_idle(cfg.scenario.max_sim_time_ms)
         net.release()
         assert net.counters["relay_failures"] > 0
-        filled = 0
-        for purpose, slots in net.cursors.items():
-            for i, cur in enumerate(slots):
-                if cur is not None:
-                    assert cur is sim.stream(i, purpose)
-                    filled += 1
+        cursors = filled(net)
+        for (i, purpose), cur in cursors.items():
+            assert cur.tape is net.tapes[cfg.scenario.base_seed, 0, i, purpose]
         assert any(net.cursors["failure"]) and any(net.cursors["policy"])
-        made = sum(1 for _, purpose in sim.positions() if purpose in net.cursors)
-        # every draw goes through the lists; a resumed network also holds the
-        # cursors ``seek`` made for the setup's draws, until its node draws
-        assert filled == made if snapshot is None else filled <= made
+        # every draw went through the lists: no tape lacks its slot
+        assert len(net.tapes) == len(cursors)
         rows.append(_outcome(net.finish()))
     assert rows[0] == rows[1]
 
 
 def _reference_receive_data(net, tr, decoded):
     """``Network._receive_data`` through its helpers: the liveness filter
-    first, then ``Cursor.random`` on ``Simulator.stream``, ``Battery.drain``,
+    first, then ``Cursor.random`` on ``Network.cursor``, ``Battery.drain``,
     ``costfield.link_cost`` and ``policies.eligible`` per receiver."""
     nodes = net.nodes
     pkt = tr.packet
@@ -915,7 +926,7 @@ def _reference_receive_data(net, tr, decoded):
     for rx_id, pl in zip(alive, losses):
         rx = nodes[rx_id]
         if (sc.p_f > 0.0 and sc.failure_side == "rx" and rx_id != net.sink_id
-                and net.sim.stream(rx_id, "failure").random() < sc.p_f):
+                and net.cursor(rx_id, "failure").random() < sc.p_f):
             net.counters["relay_failures"] += 1
             continue
         drawn = rx.battery.drain(joules)
