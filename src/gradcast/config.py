@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 from .costfield import CostfieldParams
 from .mac import MacParams
-from .phys import RadioParams
+from .phys import RadioParams, received_power_dbm
 from .policies import PROTOCOLS, PolicyParams
 
 
@@ -195,6 +195,15 @@ def _require(ok: bool, key: str, rule: str) -> None:
         raise ConfigError(f"{key} {rule}")
 
 
+def _linear(db: float) -> float:
+    """``10.0 ** (db / 10.0)``, the run's dB to linear conversion, with inf
+    where Python's power overflows (it raises instead)."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def validate(cfg: SimConfig) -> None:
     """Reject every value the simulator cannot run meaningfully, naming the
     key: non-finite floats first, then each key's range."""
@@ -212,6 +221,17 @@ def validate(cfg: SimConfig) -> None:
     _require(p.d_min_m > 0, "phys.d_min_m", "must be positive")
     for key in ("adv_bytes", "ncnt_bytes", "data_bytes"):
         _require(getattr(p, key) >= 1, f"phys.{key}", "must be >= 1")
+    # the run works in mW: each conversion it makes must come out finite
+    for key in ("noise_floor_dbm", "tx_power_dbm"):
+        _require(math.isfinite(_linear(getattr(p, key))), f"phys.{key}",
+                 "must convert to a finite mW, 10 ** (dBm / 10)")
+    _require(0.0 < _linear(p.sinr_threshold_db) < math.inf, "phys.sinr_threshold_db",
+             "must convert to a positive, finite ratio, 10 ** (dB / 10)")
+    peak_dbm = received_power_dbm(p.tx_power_dbm, 0.0, p.alpha_exp, p.d_min_m)
+    _require(math.isfinite(_linear(peak_dbm)),
+             "phys.tx_power_dbm - 10 * phys.alpha_exp * log10(phys.d_min_m)",
+             f"(the received power at phys.d_min_m) must convert to a finite mW, "
+             f"got {peak_dbm} dBm")
     _require(m.backoff_min_ms >= 0, "mac.backoff_min_ms", "must be >= 0")
     _require(m.backoff_max_ms >= m.backoff_min_ms, "mac.backoff_max_ms",
              "must be >= mac.backoff_min_ms")

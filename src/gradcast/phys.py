@@ -8,18 +8,34 @@ also gives a node's own transmissions an effectively infinite self-interference
 (the radio is half-duplex for free).
 
 A replication's geometry never changes, so ``link_table`` computes every
-pair's pathloss and default-power received mW and the neighbor lists once,
-and keeps each sender's hearers per power as first asked for; ``decode_batch``
-decodes one transmission for all its hearers from those rows. The scalar
-``decode`` is the reference the batched path must equal bit for bit.
+pair's pathloss and default-power received mW and the neighbor lists once.
+The table keeps what decoding a (sender, power) needs besides its
+interferers, and ``decode_batch`` decodes one transmission for all its
+hearers from it, doing per call only the work that depends on the
+interferers. The scalar ``decode`` is the reference the batched path must
+equal bit for bit, and two facts make it exact:
+
+* The monotone limit. ``decode`` tests ``signal / (noise + peak) >=
+  threshold``. The add and the divide each round monotonically, so the
+  quotient never rises as the peak grows, and the test holds for every peak
+  up to one float ``lim`` and fails above it. The table finds each
+  default-power hearer's ``lim`` once (``sinr_limits``); a decode then
+  compares ``peak <= lim``.
+* The commuting two-row group. The interferers already on the air when the
+  wanted packet starts are clamped to that one instant, and ``decode`` adds
+  them smallest first at each receiver. Every addition raises the level, so
+  the group's highest partial sum is its last, and with two rows that sum is
+  a + b = b + a in either order. Only groups of three or more are sorted.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -69,41 +85,148 @@ def is_neighbor(pos_i: tuple[float, float], pos_j: tuple[float, float],
 @dataclass
 class Transmission:
     sender: int
-    sender_pos: tuple[float, float]
     tx_power_dbm: float
     start: float
     end: float               # start + airtime
     packet: object
     # every other transmission overlapping [start, end]; maintained by the network
     interferers: list = field(default_factory=list)
-    # received mW at every node id (LinkTable.rx_mw_row) and its negation, the
-    # row of the removal marks; read by decode_batch
-    rx_mw: np.ndarray | None = None
-    rx_mw_neg: np.ndarray | None = None
+    row: int = -1            # its received mW at every node id: LinkTable.bank[row]
     n_bytes: int = 0         # the packet's size, which sets airtime and energy
+
+
+_INF_BITS = 0x7FF0000000000000   # the bit pattern of +inf
+_BELOW_MAX = math.nextafter(sys.float_info.max, 0.0)
+
+
+def _largest_passing(passes, estimate: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per entry, the largest float >= 0 that ``passes``, a test that holds
+    at 0, fails at inf and changes once in between; and the number of
+    halvings taken. Non-negative floats order as their bit patterns, so this
+    bisects integers. The bracket is the two floats on either side of the
+    (non-negative) ``estimate``, or the rest of the range where the estimate
+    is further off, so a good estimate costs two halvings and none costs
+    more than 64."""
+    est = estimate.view(np.int64)
+    below = np.maximum(est - 2, 0)
+    above = np.minimum(est + 2, _INF_BITS)
+    below_ok = passes(below.view(np.float64))
+    above_ok = passes(above.view(np.float64))
+    lo = np.where(above_ok, above, np.where(below_ok, below, 0))
+    hi = np.where(above_ok, _INF_BITS, np.where(below_ok, above, below))
+    halvings = 0
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        ok = passes(mid.view(np.float64))
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+        halvings += 1
+    return lo.view(np.float64), halvings
+
+
+def sinr_limits(signal: np.ndarray, noise_mw: float,
+                threshold: float) -> tuple[np.ndarray, int]:
+    """Per received power in ``signal``, the largest float ``lim >= 0`` with
+    ``signal / (noise_mw + lim) >= threshold`` in float arithmetic, or -1.0
+    where no interference passes; and the number of halvings the searches
+    took. The threshold must be positive and finite: at 0 the test would
+    fail at a zero signal and noise yet pass any interference above them.
+
+    Two searches find each limit. The first finds the largest denominator d
+    that passes, near signal / threshold: the division and the rounding
+    boundary below a normal threshold each lie within an ulp of it. The
+    second finds the largest interference whose sum with the noise rounds to
+    at most d, near (d - noise_mw) plus half an ulp of d, the midpoint above
+    which the sum rounds past d. Both answers lie within two ulps of their
+    estimates, so each search takes two halvings unless the threshold is
+    subnormal. A single search near signal / threshold - noise_mw would miss
+    by up to ~2**62 ulps: where the clean SINR sits at the threshold the
+    limit is tiny beside the noise, yet up to half an ulp of the noise away
+    from that estimate.
+    """
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"SINR threshold {threshold} is not positive and finite")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        clean = signal / noise_mw >= threshold
+        s = signal[clean]
+        d, first = _largest_passing(lambda d: s / d >= threshold, s / threshold)
+        # the largest double's spacing is its binade's, which np.spacing
+        # reports as inf
+        half_ulp = np.spacing(np.minimum(d, _BELOW_MAX)) / 2.0
+        i, second = _largest_passing(lambda i: s / (noise_mw + i) >= threshold,
+                                     (d - noise_mw) + half_ulp)
+    lim = np.full(len(signal), -1.0)
+    lim[clean] = i
+    return lim, first + second
+
+
+class Reception(NamedTuple):
+    """What decoding one (sender, power) needs besides its interferers: at
+    the default power each hearer's limit, at another power its signal."""
+    ids: np.ndarray            # hearers: ascending, read-only intp (LinkTable.hearers)
+    lim: np.ndarray | None     # per hearer, the largest peak it decodes under, or -1.0
+    signal: np.ndarray | None  # per hearer, the received mW
+    clean: tuple               # the ids that decode with no interferer
 
 
 @dataclass
 class LinkTable:
-    """Pathloss and default-power received power of every ordered node pair.
+    """Pathloss and received power of every ordered node pair, and what
+    decoding each (sender, power) needs.
 
     Entries come from the same scalar ``math`` arithmetic as
     ``pathloss_db(distance(a, b))`` and ``10.0 ** (received_power_dbm / 10.0)``:
     numpy's hypot, log10 and power ufuncs differ from ``math`` in the last
     bit on a few percent of inputs, and one ulp in a link cost moves the
     cost field and every backoff time derived from it.
+
+    ``bank`` holds every received-mW row a decode reads, so that one gather
+    by row id serves all interferers: its first n rows are ``rx_mw``, the
+    default-power rows, and each other power's row follows as first asked
+    for (``row``). Rows never change once written; growing the bank moves
+    them to a larger array, so ``bank`` is read after ``row``, never before.
     """
     pathloss_db: np.ndarray   # (n, n), symmetric
-    rx_mw: np.ndarray         # (n, n), row = sender at params.tx_power_dbm
+    bank: np.ndarray          # (capacity, n); the first n + len(rows) rows are written
     tx_power_dbm: float
     sensitivity_dbm: float
+    noise_mw: float
+    threshold: float          # the SINR threshold, linear
+    perfect_decode: bool      # every hearer decodes: each limit is inf
     # per node, the ids receiving it at the default power strictly above
     # sensitivity, ascending, self excluded (``is_neighbor`` for every pair)
     neighbors: list[list[int]]
-    # (sender, power) -> row at a non-default power, built on first use
+    # (sender, power) -> bank row at a non-default power
     rows: dict = field(default_factory=dict, repr=False)
-    # (sender, power) -> read-only hearer ids, built on first use
-    hearer_arrays: dict = field(default_factory=dict, repr=False)
+    # (sender, power) -> Reception
+    receptions: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def rx_mw(self) -> np.ndarray:
+        """(n, n) received mW, row = sender at the default power."""
+        return self.bank[:len(self.neighbors)]
+
+    def row(self, sender: int, tx_power_dbm: float) -> int:
+        """The bank row of ``sender``'s received mW at every node id at the
+        given power: the sender's own id at the default power, otherwise a
+        row appended at first use and kept per (sender, power). numpy's
+        subtraction and division round like Python floats; only the power
+        goes through ``math.pow``, the same libm call as ``10.0 ** x``."""
+        if tx_power_dbm == self.tx_power_dbm:
+            return sender
+        r = self.rows.get((sender, tx_power_dbm))
+        if r is None:
+            r = len(self.neighbors) + len(self.rows)
+            if r == len(self.bank):
+                # room for two more rows per node: a desk GRAB-family
+                # replication writes about one (206 to 213 for 201 nodes)
+                grown = np.empty((r + 2 * len(self.neighbors), self.bank.shape[1]))
+                grown[:r] = self.bank
+                self.bank = grown
+            exps = ((tx_power_dbm - self.pathloss_db[sender]) / 10.0).tolist()
+            self.bank[r] = [math.pow(10.0, x) for x in exps]
+            self.rows[sender, tx_power_dbm] = r
+        return r
 
     def hearers(self, sender: int, tx_power_dbm: float) -> np.ndarray:
         """Ids other than ``sender`` that receive it at the given power
@@ -112,33 +235,66 @@ class LinkTable:
         At or below the default power this is ``neighbors[sender]`` cut by
         the same test at the lower power: subtraction rounds monotonically,
         so no id outside the neighbor list passes."""
-        key = (sender, tx_power_dbm)
-        ids = self.hearer_arrays.get(key)
-        if ids is None:
-            audible = tx_power_dbm - self.pathloss_db[sender] > self.sensitivity_dbm
-            audible[sender] = False
-            ids = self.hearer_arrays[key] = np.flatnonzero(audible)
-            ids.flags.writeable = False
-        return ids
+        return self.reception(sender, tx_power_dbm).ids
 
-    def rx_mw_row(self, sender: int, tx_power_dbm: float) -> np.ndarray:
-        """Received mW at every node from ``sender`` transmitting at the given
-        power: the shared table row at the default power, otherwise a row
-        kept per (sender, power) for every later call. numpy's subtraction
-        and division round like Python floats; only the power goes through
-        ``math.pow``, the same libm call as ``10.0 ** x``."""
-        if tx_power_dbm == self.tx_power_dbm:
-            return self.rx_mw[sender]
-        row = self.rows.get((sender, tx_power_dbm))
-        if row is None:
-            exps = ((tx_power_dbm - self.pathloss_db[sender]) / 10.0).tolist()
-            row = self.rows[sender, tx_power_dbm] = np.array([math.pow(10.0, x) for x in exps])
-        return row
+    def reception(self, sender: int, tx_power_dbm: float) -> Reception:
+        """The hearers of ``sender`` at the given power, kept per (sender,
+        power). The first default-power call builds every sender's
+        default-power reception, limits included, in one pass from the
+        neighbor lists. Another power's is built at its first call with its
+        hearers' signal in place of limits: a limit costs a search of a
+        dozen numpy calls, and a reduced-power key is decoded about five
+        times (desk GRAB family), too few to repay it."""
+        rec = self.receptions.get((sender, tx_power_dbm))
+        if rec is None:
+            if tx_power_dbm == self.tx_power_dbm:
+                self._receive_default()
+            else:
+                audible = tx_power_dbm - self.pathloss_db[sender] > self.sensitivity_dbm
+                audible[sender] = False
+                ids = np.flatnonzero(audible)
+                ids.flags.writeable = False
+                row = self.row(sender, tx_power_dbm)   # may grow the bank
+                signal = self.bank[row].take(ids)
+                with np.errstate(divide="ignore"):
+                    clean = ids.compress(self.perfect_decode
+                                         | (signal / self.noise_mw >= self.threshold))
+                self.receptions[sender, tx_power_dbm] = Reception(
+                    ids, None, signal, tuple(clean.tolist()))
+            rec = self.receptions[sender, tx_power_dbm]
+        return rec
+
+    def _receive_default(self) -> None:
+        """Build and keep every sender's default-power reception, with one
+        limit pass over each block of senders' (sender, hearer) pairs: blocks
+        keep the pass's temporaries small beside the table."""
+        nbrs = self.neighbors
+        for first in range(0, len(nbrs), 32):
+            senders = range(first, min(first + 32, len(nbrs)))
+            counts = [len(nbrs[i]) for i in senders]
+            flat = np.fromiter(chain.from_iterable(nbrs[i] for i in senders), dtype=np.intp,
+                               count=sum(counts))
+            flat.flags.writeable = False
+            if self.perfect_decode:
+                lim = np.full(len(flat), np.inf)
+            else:
+                signal = self.bank[np.repeat(senders, counts), flat]
+                lim, _ = sinr_limits(signal, self.noise_mw, self.threshold)
+            lim.flags.writeable = False
+            ok = (lim >= 0.0).tolist()
+            b = 0
+            for sender, count in zip(senders, counts):
+                a, b = b, b + count
+                clean = tuple(j for j, good in zip(nbrs[sender], ok[a:b]) if good)
+                self.receptions[sender, self.tx_power_dbm] = Reception(
+                    flat[a:b], lim[a:b], None, clean)
 
 
 def link_table(points: list, params: RadioParams) -> LinkTable:
     """Fill the i <= j half pair by pair in Python floats, mirror it, and
-    list each node's neighbors at ``params``' power and sensitivity."""
+    list each node's neighbors at ``params``' power and sensitivity. The
+    bank starts as the default-power rows alone: a replication that sends
+    at no other power never grows it."""
     n = len(points)
     scale = 10.0 * params.alpha_exp
     d_min = params.d_min_m
@@ -159,12 +315,16 @@ def link_table(points: list, params: RadioParams) -> LinkTable:
     audible = p0 - pl > params.sensitivity_dbm
     np.fill_diagonal(audible, False)
     return LinkTable(pl, mw, p0, params.sensitivity_dbm,
+                     10.0 ** (params.noise_floor_dbm / 10.0),
+                     10.0 ** (params.sinr_threshold_db / 10.0), params.perfect_decode,
                      [np.flatnonzero(row).tolist() for row in audible])
 
 
 def decode(rx_pos: tuple[float, float], wanted: Transmission,
-           concurrent: Iterable[Transmission], params: RadioParams) -> bool:
-    """Whether a receiver at rx_pos demodulates ``wanted`` among ``concurrent``.
+           concurrent: Iterable[Transmission], params: RadioParams,
+           positions) -> bool:
+    """Whether a receiver at rx_pos demodulates ``wanted`` among ``concurrent``;
+    ``positions[i]`` is the position of node id i, the senders' included.
 
     Decoding needs the received power above sensitivity and the
     signal-to-interference-plus-noise ratio at or above threshold at every
@@ -172,7 +332,7 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
     between interferer boundaries, so the worst instant is found exactly by
     sweeping those boundaries; nothing is sampled.
     """
-    pr = received_power_dbm(wanted.tx_power_dbm, distance(rx_pos, wanted.sender_pos),
+    pr = received_power_dbm(wanted.tx_power_dbm, distance(rx_pos, positions[wanted.sender]),
                             params.alpha_exp, params.d_min_m)
     if pr <= params.sensitivity_dbm:
         return False
@@ -188,7 +348,7 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
         if e <= s:
             continue
         p_mw = 10.0 ** (received_power_dbm(other.tx_power_dbm,
-                                           distance(rx_pos, other.sender_pos),
+                                           distance(rx_pos, positions[other.sender]),
                                            params.alpha_exp, params.d_min_m) / 10.0)
         marks.append((s, p_mw))
         marks.append((e, -p_mw))
@@ -211,56 +371,86 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
     return signal_mw / (noise_mw + peak) >= threshold
 
 
-def decode_batch(wanted: Transmission, hearers: np.ndarray,
-                 params: RadioParams) -> list[int]:
-    """The ``hearers`` (node ids, an ``intp`` array of ids that receive
-    ``wanted`` above sensitivity, such as ``LinkTable.hearers``) that
-    demodulate ``wanted`` among ``wanted.interferers``; ``decode`` for each
-    of them, bit for bit.
+def decode_batch(wanted: Transmission, links: LinkTable) -> list[int]:
+    """The hearers of ``wanted`` (``links.hearers`` of its sender and power)
+    that demodulate it among ``wanted.interferers``, ascending; ``decode``
+    for each of them, bit for bit.
 
-    One signed mark list serves every receiver: (clamped start, row) per
-    overlapping interferer and (end, negated row) where it ends inside the
-    window. Sorting it by instant fixes the order everywhere except inside
-    groups of marks at one instant, which ``decode`` orders by signed mW;
-    each receiver's column of such a group is sorted on its own. A
-    cumulative sum then adds the marks in ``decode``'s order, so every
-    partial sum equals its loop's.
+    A hearer decodes when the peak interference over the window is at most
+    its limit, or at a non-default power when ``decode``'s own test passes
+    on its signal (``LinkTable.reception``). With no interferer overlapping
+    the window the peak is zero, and the decoded ids are the reception's
+    clean list.
 
-    Removals at ``wanted.end`` are left out. No addition falls on that
-    instant (an overlap must have ``end > start``), so they come after every
-    addition, and each one turns a level L into fl(L - x) <= L: no level
-    after them can raise the peak.
+    Otherwise one signed mark list gives the peak. It holds the rows of the
+    clamped group (the interferers on the air at ``wanted.start``), then an
+    (instant, row) per later start and an (end, row) per end inside the
+    window, sorted by instant. The rows are gathered from the table's bank,
+    then at the hearers, into one marks x hearers matrix, the removals' rows
+    are negated (exactly), and a cumulative sum down each column adds them
+    in ``decode``'s order, so every partial sum equals its loop's. Sorting
+    by instant fixes that order everywhere except among marks of one
+    instant, which ``decode`` orders by signed mW at each receiver: such a
+    group is sorted column by column. The clamped group needs it only from
+    three rows up (see the module docstring), and later marks only when two
+    share an instant.
+
+    Removals after the last addition are left out, those at ``wanted.end``
+    among them (an overlap must have ``end > start``, so no addition falls
+    on that instant). Each one turns a level L into fl(L - x) <= L, so no
+    level after the last addition can raise the peak.
     """
-    if params.perfect_decode or not hearers.size:
-        return hearers.tolist()
+    ids, lim, signal, clean = links.reception(wanted.sender, wanted.tx_power_dbm)
 
-    marks = []
+    group = []   # rows of the interferers on the air at the start
+    later = []   # (instant, row, sign) of the marks after it
     ws, we = wanted.start, wanted.end
+    last = ws    # the last addition's instant
     for other in wanted.interferers:
-        s = other.start if other.start > ws else ws
-        e = other.end if other.end < we else we
-        if e <= s:
+        s, e = other.start, other.end
+        end = e if e < we else we
+        if s > ws:
+            if end <= s:
+                continue
+            later.append((s, other.row, 1.0))
+            if s > last:
+                last = s
+        elif end > ws:
+            group.append(other.row)
+        else:
             continue
-        marks.append((s, other.rx_mw))
         if e < we:
-            marks.append((e, other.rx_mw_neg))
+            later.append((e, other.row, -1.0))
+    if not group and not later:
+        return list(clean)
+    later.sort(key=itemgetter(0))
+    while later and later[-1][0] > last:
+        later.pop()
+    if later:
+        at, after, signs = zip(*later)
+        rows = group + list(after)
+    else:
+        rows = group
 
-    noise_mw = 10.0 ** (params.noise_floor_dbm / 10.0)
-    threshold = 10.0 ** (params.sinr_threshold_db / 10.0)
-    signal_mw = wanted.rx_mw.take(hearers)
-    if not marks:
-        return hearers.compress(signal_mw / noise_mw >= threshold).tolist()
-
-    marks.sort(key=itemgetter(0))
-    at, rows = zip(*marks)
-    level = np.array(rows).take(hearers, axis=1)
-    first = 0
-    for i in range(1, len(at) + 1):
-        if i == len(at) or at[i] != at[first]:
-            if i - first > 1:
-                level[first:i].sort(axis=0)
-            first = i
+    level = links.bank.take(rows, axis=0).take(ids, axis=1)
+    g = len(group)
+    if later and -1.0 in signs:
+        # negation is exact, and decode orders a tie by the signed value
+        level[g:] *= np.array(signs)[:, None]
+    if g > 2:
+        level[:g].sort(axis=0)
+    if later and len(set(at)) < len(at):
+        first = 0
+        for i in range(1, len(at) + 1):
+            if i == len(at) or at[i] != at[first]:
+                if i - first > 1:
+                    level[g + first:g + i].sort(axis=0)
+                first = i
     # the first mark is an addition of a non-negative power, so the peak is
     # never below decode's starting level of zero
-    peak = level.cumsum(axis=0).max(axis=0)
-    return hearers.compress(signal_mw / (noise_mw + peak) >= threshold).tolist()
+    peak = np.maximum.reduce(np.add.accumulate(level, axis=0), axis=0)
+    if lim is None:
+        # another power's reception keeps decode's own test
+        return ids.compress(links.perfect_decode
+                            | (signal / (links.noise_mw + peak) >= links.threshold)).tolist()
+    return ids.compress(peak <= lim).tolist()

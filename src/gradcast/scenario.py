@@ -325,10 +325,8 @@ class Network:
         if self.energy_log is not None:
             self.energy_log.append((node.id, joules))
         now = self.sim.clock
-        row = self.links.rx_mw_row(node.id, power)
-        tr = phys.Transmission(node.id, node.pos, power, now,
-                               now + self.radio.airtime_ms(n_bytes), packet,
-                               rx_mw=row, rx_mw_neg=-row, n_bytes=n_bytes)
+        tr = phys.Transmission(node.id, power, now, now + self.radio.airtime_ms(n_bytes),
+                               packet, row=self.links.row(node.id, power), n_bytes=n_bytes)
         tr.interferers = list(self.active.values())
         for other in self.active.values():
             other.interferers.append(tr)
@@ -337,8 +335,7 @@ class Network:
     def _tx_end(self, ev: Event) -> None:
         tr = ev.payload
         del self.active[ev.seq]
-        hearers = self.links.hearers(tr.sender, tr.tx_power_dbm)
-        decoded = phys.decode_batch(tr, hearers, self.radio)
+        decoded = phys.decode_batch(tr, self.links)
         # the transmissions still on the air keep theirs; dropping this list
         # breaks the reference cycles between finished transmissions
         tr.interferers = []
@@ -355,7 +352,8 @@ class Network:
         nodes = self.nodes
         alive = [j for j in decoded if (b := nodes[j].battery).consumed_j < b.capacity_j]
         if kind == "adv":
-            heard = sum(1 for j in hearers.tolist()
+            hearers = self.links.hearers(tr.sender, tr.tx_power_dbm).tolist()
+            heard = sum(1 for j in hearers
                         if (b := nodes[j].battery).consumed_j < b.capacity_j)
             self.counters["adv_decode_failures"] += heard - len(alive)
         self._receive_setup(tr, alive)

@@ -181,6 +181,11 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     "scenario.data_window_ms=30000",  # most injections fell after the end of the run
     # nodes fixed their discrepancy from a count stage still under way
     "scenario.protocol=P-GRAB costfield.ncnt_start_ms=5400",
+    # each crashed mid-run on an OverflowError in a mW conversion
+    "phys.sinr_threshold_db=4000",
+    "phys.tx_power_dbm=4000",
+    "phys.d_min_m=1e-300",
+    "phys.alpha_exp=1000",
 ])
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, override):
     """``override`` is one or more overrides; the last one's key is named."""

@@ -100,6 +100,10 @@ def test_every_float_key_must_be_finite(key, value):
     "scenario.data_window_ms=21001",
     # the count stage runs to 6,522.5 ms, past the 5,500 ms data start
     "scenario.protocol=P-GRAB costfield.ncnt_start_ms=5400",
+    # mW conversions that overflow, and a threshold that underflows to 0
+    "phys.sinr_threshold_db=4000", "phys.sinr_threshold_db=-4000",
+    "phys.tx_power_dbm=4000", "phys.d_min_m=1e-300", "phys.alpha_exp=1000",
+    "phys.sensitivity_dbm=5000 phys.noise_floor_dbm=4000",
 ])
 def test_out_of_range_value_names_its_key(pair):
     """``pair`` is one or more overrides; the last one's key is named."""

@@ -219,8 +219,8 @@ def test_events_at_one_instant_pop_in_seq_order_without_comparing_payloads():
     # payloads that do not order (a Transmission, a dict) or refuse any
     # comparison, under kinds that do not order either, pushed around
     # earlier and later events so the heap sifts past them
-    payloads = [Transmission(0, (0.0, 0.0), 0.0, 1.0, 2.0, "pkt"), {"a": 1}, Unordered(),
-                Unordered(), {"a": 1}, Transmission(0, (0.0, 0.0), 0.0, 1.0, 2.0, "pkt")]
+    payloads = [Transmission(0, 0.0, 1.0, 2.0, "pkt"), {"a": 1}, Unordered(),
+                Unordered(), {"a": 1}, Transmission(0, 0.0, 1.0, 2.0, "pkt")]
     kinds = list(EventKind)
     scheduled = []
     for k, payload in enumerate(payloads):

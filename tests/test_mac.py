@@ -25,7 +25,7 @@ def make_net(positions, protocol="BGB", sink_pos=(0.0, 0.0), **mac_overrides):
 def on_air(net, sender, packet, power=0.0, start=0.0):
     """Put a transmission on the air from where its sender stands."""
     end = start + net.radio.airtime_ms(net.radio.data_bytes)
-    tr = Transmission(sender, net.nodes[sender].pos, power, start, end, packet)
+    tr = Transmission(sender, power, start, end, packet)
     net.active[len(net.active) + 1] = tr
     return tr
 
@@ -37,7 +37,8 @@ def geometric_sense(net, node):
     floor = radio.sensitivity_dbm - net.mac.carrier_sense_offset_db
     return sum(1 for tr in net.active.values()
                if tr.sender != node.id
-               and received_power_dbm(tr.tx_power_dbm, distance(node.pos, tr.sender_pos),
+               and received_power_dbm(tr.tx_power_dbm,
+                                      distance(node.pos, net.nodes[tr.sender].pos),
                                       radio.alpha_exp, radio.d_min_m) > floor)
 
 

@@ -1,14 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcast.config import default_config
 from gradcast.engine import make_stream
 from gradcast.phys import (RadioParams, Transmission, decode, decode_batch, distance,
-                           is_neighbor, link_table, pathloss_db, received_power_dbm)
+                           is_neighbor, link_table, pathloss_db, received_power_dbm,
+                           sinr_limits)
 from gradcast.scenario import generate_topology
 
 PARAMS = RadioParams()
@@ -65,53 +67,54 @@ def test_neighbor_relation_symmetric(a, b):
     assert is_neighbor(a, b, PARAMS) == is_neighbor(b, a, PARAMS)
 
 
-def _tx(sender, pos, power, start, end, ident="p"):
-    return Transmission(sender, pos, power, start, end, ident)
+def _tx(sender, power, start, end, ident="p"):
+    return Transmission(sender, power, start, end, ident)
 
 
 def test_decode_clean_reception():
-    wanted = _tx(0, (0.0, 0.0), 0.0, 10.0, 17.5)
-    assert decode((30.0, 0.0), wanted, [], PARAMS)
+    wanted = _tx(0, 0.0, 10.0, 17.5)
+    assert decode((30.0, 0.0), wanted, [], PARAMS, {0: (0.0, 0.0)})
 
 
 def test_decode_below_sensitivity_fails():
-    wanted = _tx(0, (0.0, 0.0), 0.0, 10.0, 17.5)
+    wanted = _tx(0, 0.0, 10.0, 17.5)
     far = (10.0 ** (54.5 / 30.0) + 1.0, 0.0)
-    assert not decode(far, wanted, [], PARAMS)
+    assert not decode(far, wanted, [], PARAMS, {0: (0.0, 0.0)})
 
 
 def test_equal_power_full_overlap_interferer_fails():
     # both senders 30 m away on opposite sides: SINR ~ 0 dB, below any
     # threshold of 3 dB or more
-    wanted = _tx(0, (-30.0, 0.0), 0.0, 10.0, 17.5)
-    interf = _tx(1, (30.0, 0.0), 0.0, 10.0, 17.5)
-    assert not decode((0.0, 0.0), wanted, [interf], PARAMS)
+    wanted = _tx(0, 0.0, 10.0, 17.5)
+    interf = _tx(1, 0.0, 10.0, 17.5)
+    assert not decode((0.0, 0.0), wanted, [interf], PARAMS, {0: (-30.0, 0.0), 1: (30.0, 0.0)})
 
 
 def test_interferer_ending_before_start_is_ignored():
-    wanted = _tx(0, (-30.0, 0.0), 0.0, 10.0, 17.5)
-    early = _tx(1, (30.0, 0.0), 0.0, 2.0, 10.0)   # ends exactly at start
-    assert decode((0.0, 0.0), wanted, [early], PARAMS) == \
-        decode((0.0, 0.0), wanted, [], PARAMS) is True
+    wanted = _tx(0, 0.0, 10.0, 17.5)
+    early = _tx(1, 0.0, 2.0, 10.0)   # ends exactly at start
+    positions = {0: (-30.0, 0.0), 1: (30.0, 0.0)}
+    assert decode((0.0, 0.0), wanted, [early], PARAMS, positions) == \
+        decode((0.0, 0.0), wanted, [], PARAMS, positions) is True
 
 
 def test_partial_overlap_still_fails_whole_duration_rule():
     # strong interferer covering only the first millisecond of the reception
-    wanted = _tx(0, (-30.0, 0.0), 0.0, 10.0, 17.5)
-    burst = _tx(1, (10.0, 0.0), 0.0, 9.0, 11.0)
-    assert not decode((0.0, 0.0), wanted, [burst], PARAMS)
+    wanted = _tx(0, 0.0, 10.0, 17.5)
+    burst = _tx(1, 0.0, 9.0, 11.0)
+    assert not decode((0.0, 0.0), wanted, [burst], PARAMS, {0: (-30.0, 0.0), 1: (10.0, 0.0)})
 
 
 def test_own_transmission_blocks_reception():
     # a receiver transmitting anything during the window cannot decode
-    wanted = _tx(0, (-30.0, 0.0), 0.0, 10.0, 17.5)
-    own = _tx(2, (0.0, 0.0), -20.0, 12.0, 13.0)
-    assert not decode((0.0, 0.0), wanted, [own], PARAMS)
+    wanted = _tx(0, 0.0, 10.0, 17.5)
+    own = _tx(2, -20.0, 12.0, 13.0)
+    assert not decode((0.0, 0.0), wanted, [own], PARAMS, {0: (-30.0, 0.0), 2: (0.0, 0.0)})
 
 
-def _sampled_decode(rx_pos, wanted, concurrent, params, steps=2000):
+def _sampled_decode(rx_pos, wanted, concurrent, params, positions, steps=2000):
     """Independent check: sample the SINR densely over the reception."""
-    pr = received_power_dbm(wanted.tx_power_dbm, distance(rx_pos, wanted.sender_pos),
+    pr = received_power_dbm(wanted.tx_power_dbm, distance(rx_pos, positions[wanted.sender]),
                             params.alpha_exp, params.d_min_m)
     if pr <= params.sensitivity_dbm:
         return False
@@ -126,7 +129,7 @@ def _sampled_decode(rx_pos, wanted, concurrent, params, steps=2000):
             if o is wanted or not (o.start < t < o.end):
                 continue
             interference += 10.0 ** (received_power_dbm(
-                o.tx_power_dbm, distance(rx_pos, o.sender_pos),
+                o.tx_power_dbm, distance(rx_pos, positions[o.sender]),
                 params.alpha_exp, params.d_min_m) / 10.0)
         if sig / (noise + interference) < thr:
             return False
@@ -139,39 +142,43 @@ def _sampled_decode(rx_pos, wanted, concurrent, params, steps=2000):
        st.floats(10, 60))
 def test_decode_matches_dense_sampling(interferers, rx_x):
     params = RadioParams()
-    wanted = _tx(0, (0.0, 0.0), 0.0, 10.0, 17.5)
+    wanted = _tx(0, 0.0, 10.0, 17.5)
+    positions = [(0.0, 0.0)] + [(x, y) for x, y, _, _ in interferers]
     concurrent = []
     for i, (x, y, start, dur) in enumerate(interferers):
-        concurrent.append(_tx(i + 1, (x, y), 0.0, start, start + dur))
-    got = decode((rx_x, 0.0), wanted, concurrent, params)
+        concurrent.append(_tx(i + 1, 0.0, start, start + dur))
+    got = decode((rx_x, 0.0), wanted, concurrent, params, positions)
     # the boundary sweep is exact, so it is at least as strict as sampling at
     # any finite set of instants: a sampled failure forces an exact failure
-    assert not got or _sampled_decode((rx_x, 0.0), wanted, concurrent, params)
-    assert _sampled_decode((rx_x, 0.0), wanted, concurrent, params, steps=997) or not got
+    assert not got or _sampled_decode((rx_x, 0.0), wanted, concurrent, params, positions)
+    assert _sampled_decode((rx_x, 0.0), wanted, concurrent, params, positions,
+                           steps=997) or not got
 
 
 @given(st.lists(st.tuples(st.floats(0, 120), st.floats(0, 120),
                           st.floats(5, 25), st.floats(1, 8)),
                 min_size=1, max_size=5))
 def test_adding_interferers_never_helps(interferers):
-    wanted = _tx(0, (0.0, 0.0), 0.0, 10.0, 17.5)
+    wanted = _tx(0, 0.0, 10.0, 17.5)
     rx = (40.0, 0.0)
+    positions = [(0.0, 0.0)] + [(x, y) for x, y, _, _ in interferers]
     concurrent = []
-    previous = decode(rx, wanted, concurrent, PARAMS)
+    previous = decode(rx, wanted, concurrent, PARAMS, positions)
     for i, (x, y, start, dur) in enumerate(interferers):
-        concurrent.append(_tx(i + 1, (x, y), 0.0, start, start + dur))
-        now = decode(rx, wanted, concurrent, PARAMS)
+        concurrent.append(_tx(i + 1, 0.0, start, start + dur))
+        now = decode(rx, wanted, concurrent, PARAMS, positions)
         assert not (now and not previous)
         previous = now
 
 
 def test_perfect_decode_hook_skips_interference_not_sensitivity():
     params = RadioParams(perfect_decode=True)
-    wanted = _tx(0, (-30.0, 0.0), 0.0, 10.0, 17.5)
-    jam = _tx(1, (1.0, 0.0), 0.0, 10.0, 17.5)
-    assert decode((0.0, 0.0), wanted, [jam], params)
+    wanted = _tx(0, 0.0, 10.0, 17.5)
+    jam = _tx(1, 0.0, 10.0, 17.5)
+    positions = {0: (-30.0, 0.0), 1: (1.0, 0.0)}
+    assert decode((0.0, 0.0), wanted, [jam], params, positions)
     far = (10.0 ** (54.5 / 30.0) + 1.0, 0.0)
-    assert not decode(far, wanted, [], params)
+    assert not decode(far, wanted, [], params, positions)
 
 
 def test_airtime():
@@ -194,7 +201,8 @@ def test_link_table_entries_equal_scalar_formulas():
     for i, a in enumerate(pts):
         pl_row = links.pathloss_db[i].tolist()
         mw_row = links.rx_mw[i].tolist()
-        reduced = links.rx_mw_row(i, -7.25).tolist()
+        row = links.row(i, -7.25)   # before reading links.bank, which it may grow
+        reduced = links.bank[row].tolist()
         for j, b in enumerate(pts):
             d = distance(a, b)
             assert pl_row[j] == pathloss_db(d, PARAMS.alpha_exp, PARAMS.d_min_m)
@@ -202,8 +210,9 @@ def test_link_table_entries_equal_scalar_formulas():
                 PARAMS.tx_power_dbm, d, PARAMS.alpha_exp, PARAMS.d_min_m) / 10.0)
             assert reduced[j] == 10.0 ** (received_power_dbm(
                 -7.25, d, PARAMS.alpha_exp, PARAMS.d_min_m) / 10.0)
-    # the default power shares the table row instead of copying it
-    assert links.rx_mw_row(5, PARAMS.tx_power_dbm).base is links.rx_mw
+    # the default power reads the table's own row instead of a copy
+    assert links.row(5, PARAMS.tx_power_dbm) == 5
+    assert (5, PARAMS.tx_power_dbm) not in links.rows
 
 
 ARENA_61 = [(float(x), float(y))
@@ -214,14 +223,30 @@ ARENA_61 = [(float(x), float(y))
 @given(sender=st.integers(0, 60), power=st.floats(-40.0, 20.0))
 def test_reduced_power_rows_are_exact_and_kept(sender, power):
     links = link_table(ARENA_61, PARAMS)
-    row = links.rx_mw_row(sender, power)
+    row = links.row(sender, power)
     if power == PARAMS.tx_power_dbm:
-        assert row.base is links.rx_mw
+        assert row == sender   # rx_mw's own row
         return
     expected = [10.0 ** ((power - pl) / 10.0) for pl in links.pathloss_db[sender].tolist()]
-    assert row.tolist() == expected
-    assert links.rx_mw_row(sender, power) is row
-    assert list(links.rows) == [(sender, power)]
+    assert links.bank[row].tolist() == expected
+    assert links.row(sender, power) == row
+    # appended after the default-power rows
+    assert links.rows == {(sender, power): row} and row == len(ARENA_61)
+
+
+def test_bank_grows_keeping_every_row():
+    links = link_table(ARENA_61, PARAMS)
+    rx_mw = links.rx_mw.copy()
+    capacity = len(links.bank)
+    powers = [-0.25 * k for k in range(1, 2 * capacity)]
+    rows = [links.row(k % 61, p) for k, p in enumerate(powers)]
+    assert len(links.bank) > capacity
+    assert rows == list(range(61, 61 + len(powers)))
+    assert np.array_equal(links.rx_mw, rx_mw)
+    for k, (p, row) in enumerate(zip(powers, rows)):
+        assert links.row(k % 61, p) == row
+        assert links.bank[row].tolist() == [
+            10.0 ** ((p - pl) / 10.0) for pl in links.pathloss_db[k % 61].tolist()]
 
 
 @settings(max_examples=200, deadline=None)
@@ -242,24 +267,95 @@ def test_hearers_cut_the_neighbor_lists_at_the_power(sender, power):
     assert links.hearers(sender, power) is ids
 
 
+# ---------------------------------------------------------------------------
+# SINR limits: decode's threshold test as one comparison per hearer
+
+def _passes(signal, noise, peak, threshold):
+    """decode's test in numpy arithmetic, where x / 0 is inf rather than an
+    error (a noise floor of -4000 dBm is 0.0 mW)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return bool(np.float64(signal) / (np.float64(noise) + peak) >= threshold)
+
+
+MW = (st.sampled_from([0.0, 5e-324, 1e-300, 10.0 ** -10.5, 1.0, 1e300, sys.float_info.max])
+      | st.floats(0.0, sys.float_info.max))
+THRESHOLD = (st.sampled_from([1.0, 10.0 ** 0.3, 0.5, 10.0 ** -0.3, sys.float_info.min, 1e-310])
+             | st.floats(5e-324, 1e300))
+# signals whose clean SINR sits within a few ulps of the threshold
+AT_THRESHOLD = st.sampled_from([0.0, 1.0, -1.0, 3.0, 2.0 ** 40]).map(
+    lambda k: 1.0 + k * 2.0 ** -52)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MW, min_size=1, max_size=6), MW, THRESHOLD, st.lists(MW, max_size=4),
+       st.lists(AT_THRESHOLD, max_size=4))
+@example([1.0], 1.0, 1.0, [], [])   # the limit is 2**-53, tiny beside the noise
+def test_sinr_limit_is_the_threshold_test(signals, noise, threshold, peaks, at_threshold):
+    signals += [x for k in at_threshold if math.isfinite(x := threshold * noise * k)]
+    lim, halvings = sinr_limits(np.array(signals), noise, threshold)
+    # each limit lies within two ulps of its estimate, two halvings per
+    # search; only a subnormal threshold sends them over the whole range
+    assert halvings <= (4 if threshold >= sys.float_info.min else 128)
+    for s, limit in zip(signals, lim.tolist()):
+        assert limit == -1.0 or limit >= 0.0
+        near = [limit, math.nextafter(limit, math.inf), math.nextafter(limit, -math.inf)]
+        for peak in [0.0, *peaks, *(near if limit >= 0.0 else [])]:
+            if peak >= 0.0:
+                assert (peak <= limit) == _passes(s, noise, peak, threshold)
+
+
+def test_sinr_limits_need_a_positive_finite_threshold():
+    for threshold in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            sinr_limits(np.array([1.0]), 1.0, threshold)
+
+
+@pytest.mark.parametrize("noise_dbm", [-105.0, -4000.0])
+def test_receptions_hold_limits_at_the_default_power_and_signals_at_others(noise_dbm):
+    params = RadioParams(noise_floor_dbm=noise_dbm, sinr_threshold_db=-2.5)
+    links = link_table(ARENA_61, params)
+    assert (links.noise_mw == 0.0) == (noise_dbm == -4000.0)
+    for sender in (0, 7, 60):
+        ids, lim, signal, clean = links.reception(sender, 0.0)
+        assert signal is None and not lim.flags.writeable
+        mw = links.rx_mw[sender].take(ids)
+        assert lim.tolist() == sinr_limits(mw, links.noise_mw, links.threshold)[0].tolist()
+        assert clean == tuple(ids.compress(lim >= 0.0).tolist())
+        ids, lim, signal, clean = links.reception(sender, -9.5)
+        assert lim is None
+        assert signal.tolist() == links.bank[links.rows[sender, -9.5]].take(ids).tolist()
+        with np.errstate(divide="ignore"):
+            assert clean == tuple(ids.compress(signal / links.noise_mw >= links.threshold)
+                                  .tolist())
+        assert links.reception(sender, -9.5) is links.reception(sender, -9.5)
+
+
 def _oracle_ids(wanted, receivers, points, params):
-    return [r for r in receivers if decode(points[r], wanted, wanted.interferers, params)]
+    return [r for r in receivers
+            if decode(points[r], wanted, wanted.interferers, params, points)]
 
 
-def _on_air(links, sender, points, power, start, end):
-    row = links.rx_mw_row(sender, power)
-    return Transmission(sender, points[sender], power, start, end, "p",
-                        rx_mw=row, rx_mw_neg=-row)
+def _on_air(links, sender, power, start, end):
+    return Transmission(sender, power, start, end, "p", row=links.row(sender, power))
 
 
-def _hearers(links, wanted):
-    return links.hearers(wanted.sender, wanted.tx_power_dbm)
+def _at(params, points, wanted):
+    """The link table of ``points`` at ``params``, which fix the SINR
+    threshold, with ``wanted`` and its interferers on the air in it."""
+    links = link_table(points, params)
+
+    def moved(tr):
+        return _on_air(links, tr.sender, tr.tx_power_dbm, tr.start, tr.end)
+    wanted_there = moved(wanted)
+    wanted_there.interferers = [moved(tr) for tr in wanted.interferers]
+    return links, wanted_there
 
 
-def _heard(links, wanted, *ids):
-    """``ids`` as the array decode_batch takes; each must hear ``wanted``."""
-    assert set(ids) <= set(_hearers(links, wanted).tolist())
-    return np.array(ids, dtype=np.intp)
+def _decoded(links, wanted, *ids):
+    """The ids among ``ids`` that decode_batch decodes; each must hear
+    ``wanted``."""
+    assert set(ids) <= set(links.hearers(wanted.sender, wanted.tx_power_dbm).tolist())
+    return [j for j in decode_batch(wanted, links) if j in ids]
 
 
 # grid values make coincident nodes, clamped starts and shared boundaries common
@@ -278,37 +374,46 @@ SPAN = st.sampled_from([1.5, 2.0, 4.0, 7.5]) | st.floats(0.01, 10.0)
 def test_decode_batch_equals_decode(points, wanted_power, others, perfect):
     params = RadioParams(perfect_decode=perfect)
     links = link_table(points, params)
-    wanted = _on_air(links, 0, points, wanted_power, 10.0, 17.5)
+    wanted = _on_air(links, 0, wanted_power, 10.0, 17.5)
     # interferers may be sent by a receiver itself (distance 0, below d_min_m)
-    wanted.interferers = [_on_air(links, k % len(points), points, p, s, s + dur)
+    wanted.interferers = [_on_air(links, k % len(points), p, s, s + dur)
                           for k, p, s, dur in others]
     # every other node, above the default power too: hearers is the plain
     # sensitivity rule
     rest = list(range(1, len(points)))
-    assert decode_batch(wanted, _hearers(links, wanted), params) == \
+    assert decode_batch(wanted, links) == \
         _oracle_ids(wanted, rest, points, params)
+
+
+def test_decode_batch_without_interferers_hands_out_a_fresh_list():
+    links = link_table(ARENA_61, PARAMS)
+    wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
+    first = decode_batch(wanted, links)
+    assert first == _oracle_ids(wanted, range(1, 61), ARENA_61, PARAMS) != []
+    first.clear()
+    assert decode_batch(wanted, links) == \
+        _oracle_ids(wanted, range(1, 61), ARENA_61, PARAMS)
 
 
 def test_decode_batch_boundary_cases():
     # receiver 1 survives either of the two interferers 42 m away, not both
     points = [(0.0, 0.0), (30.0, 0.0), (72.0, 0.0), (30.0, 42.0), (20.0, 20.0), (120.0, 0.0)]
     links = link_table(points, PARAMS)
-    wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
+    wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
     wanted.interferers = [
-        _on_air(links, 2, points, 0.0, 13.5, 15.0),    # starts where the next one ends,
-        _on_air(links, 3, points, 0.0, 8.0, 13.5),     # listed first: order by instant, then mW
-        _on_air(links, 5, points, 0.0, 2.0, 10.0),     # ends exactly at the start
-        _on_air(links, 5, points, -6.0, 4.0, 12.0),    # clamped to the start together
-        _on_air(links, 5, points, -9.0, 9.0, 11.0),    # with this one
-        _on_air(links, 4, points, -30.0, 16.0, 16.5),  # sent by receiver 4 itself
-        _on_air(links, 3, points, 0.0, 17.5, 20.0),    # starts exactly at the end
+        _on_air(links, 2, 0.0, 13.5, 15.0),    # starts where the next one ends,
+        _on_air(links, 3, 0.0, 8.0, 13.5),     # listed first: order by instant, then mW
+        _on_air(links, 5, 0.0, 2.0, 10.0),     # ends exactly at the start
+        _on_air(links, 5, -6.0, 4.0, 12.0),    # clamped to the start together
+        _on_air(links, 5, -9.0, 9.0, 11.0),    # with this one
+        _on_air(links, 4, -30.0, 16.0, 16.5),  # sent by receiver 4 itself
+        _on_air(links, 3, 0.0, 17.5, 20.0),    # starts exactly at the end
     ]
     receivers = [1, 2, 3, 4, 5]
-    hearers = _hearers(links, wanted)
-    assert decode_batch(wanted, hearers, PARAMS) == \
+    assert decode_batch(wanted, links) == \
         _oracle_ids(wanted, receivers, points, PARAMS) == [1]
     wanted.interferers[0].start = 13.25   # now the two overlap
-    assert decode_batch(wanted, hearers, PARAMS) == \
+    assert decode_batch(wanted, links) == \
         _oracle_ids(wanted, receivers, points, PARAMS) == []
 
 
@@ -332,8 +437,8 @@ def test_decode_batch_at_exact_sinr_threshold():
         # SINR near 2.6 dB at receiver 1; scan the interferer for an exact tie
         points = [(0.0, 0.0), (20.0, 0.0), (44.0 + 0.01 * k, 0.0)]
         links = link_table(points, PARAMS)
-        wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
-        wanted.interferers = [_on_air(links, 2, points, 0.0, 9.0, 20.0)]
+        wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
+        wanted.interferers = [_on_air(links, 2, 0.0, 9.0, 20.0)]
         at = _threshold_db_hitting(float(links.rx_mw[0, 1]) / (noise + float(links.rx_mw[2, 1])))
         if at is None:
             continue
@@ -343,15 +448,16 @@ def test_decode_batch_at_exact_sinr_threshold():
             above = math.nextafter(above, math.inf)
         for thr_db, expected in ((at, [1]), (above, [])):
             params = RadioParams(sinr_threshold_db=thr_db)
+            links, wanted = _at(params, points, wanted)
             assert _oracle_ids(wanted, [1], points, params) == expected
-            assert decode_batch(wanted, _heard(links, wanted, 1), params) == expected
+            assert _decoded(links, wanted, 1) == expected
     assert hits >= 10
 
 
 # ---------------------------------------------------------------------------
 # ties: marks at one instant, which decode orders by signed mW per receiver
 
-def _agrees_near_ratio(wanted, receiver, links, points, ratio):
+def _agrees_near_ratio(wanted, receiver, points, ratio):
     """Compare decode_batch with decode at every SINR threshold within 48
     ulps of ``ratio`` (in dB) for one receiver; True when the scan crosses the
     decision, so that a one-ulp change of the peak would have shown. Below 4
@@ -363,8 +469,9 @@ def _agrees_near_ratio(wanted, receiver, links, points, ratio):
     outcomes = set()
     for _ in range(97):
         params = RadioParams(sinr_threshold_db=x)
+        links, wanted = _at(params, points, wanted)
         expected = _oracle_ids(wanted, [receiver], points, params)
-        assert decode_batch(wanted, _heard(links, wanted, receiver), params) == expected
+        assert _decoded(links, wanted, receiver) == expected
         outcomes.add(bool(expected))
         x = math.nextafter(x, math.inf)
     return outcomes == {True, False}
@@ -372,8 +479,8 @@ def _agrees_near_ratio(wanted, receiver, links, points, ratio):
 
 def _sinr(links, wanted, receiver, interferers):
     noise = 10.0 ** (PARAMS.noise_floor_dbm / 10.0)
-    peak = sum(float(tr.rx_mw[receiver]) for tr in interferers)
-    return float(wanted.rx_mw[receiver]) / (noise + peak)
+    peak = sum(float(links.bank[tr.row, receiver]) for tr in interferers)
+    return float(links.bank[wanted.row, receiver]) / (noise + peak)
 
 
 def test_decode_tie_of_two_interior_additions_ordered_per_receiver():
@@ -384,13 +491,13 @@ def test_decode_tie_of_two_interior_additions_ordered_per_receiver():
         points = [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0),
                   (-38.0 - 0.37 * k, -38.0), (62.0, -22.0), (-22.0, 62.0)]
         links = link_table(points, PARAMS)
-        wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
-        wanted.interferers = [_on_air(links, 3, points, 0.0, 9.0, 20.0),
-                              _on_air(links, 4, points, 0.0, 13.0, 20.5),
-                              _on_air(links, 5, points, 0.0, 13.0, 20.5)]
+        wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
+        wanted.interferers = [_on_air(links, 3, 0.0, 9.0, 20.0),
+                              _on_air(links, 4, 0.0, 13.0, 20.5),
+                              _on_air(links, 5, 0.0, 13.0, 20.5)]
         assert links.rx_mw[4, 1] > links.rx_mw[5, 1] and links.rx_mw[5, 2] > links.rx_mw[4, 2]
         for r in (1, 2):
-            crossed += _agrees_near_ratio(wanted, r, links, points,
+            crossed += _agrees_near_ratio(wanted, r, points,
                                           _sinr(links, wanted, r, wanted.interferers))
     assert crossed >= 60
 
@@ -400,10 +507,10 @@ def test_decode_tie_of_an_addition_and_a_removal():
     # 13.5 must come first although the addition is listed first
     points = [(0.0, 0.0), (30.0, 0.0), (72.0, 0.0), (30.0, 42.0)]
     links = link_table(points, PARAMS)
-    wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
-    wanted.interferers = [_on_air(links, 2, points, 0.0, 13.5, 15.0),
-                          _on_air(links, 3, points, 0.0, 8.0, 13.5)]
-    assert decode_batch(wanted, _heard(links, wanted, 1), PARAMS) == \
+    wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
+    wanted.interferers = [_on_air(links, 2, 0.0, 13.5, 15.0),
+                          _on_air(links, 3, 0.0, 8.0, 13.5)]
+    assert _decoded(links, wanted, 1) == \
         _oracle_ids(wanted, [1], points, PARAMS) == [1]
 
 
@@ -415,13 +522,34 @@ def test_decode_tie_of_clamped_starts_only():
         points = [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0), (-50.0 - 0.41 * k, -10.0),
                   (60.0, -30.0), (-30.0, 60.0), (20.0, -65.0)]
         links = link_table(points, PARAMS)
-        wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
-        wanted.interferers = [_on_air(links, j, points, 0.0, s, s + 7.5)
+        wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
+        wanted.interferers = [_on_air(links, j, 0.0, s, s + 7.5)
                               for j, s in ((3, 4.0), (4, 9.5), (5, 6.0), (6, 10.0))]
         for r in (1, 2):
-            crossed += _agrees_near_ratio(wanted, r, links, points,
+            crossed += _agrees_near_ratio(wanted, r, points,
                                           _sinr(links, wanted, r, wanted.interferers))
     assert crossed >= 40
+
+
+def test_decode_tie_of_three_clamped_starts_adds_smallest_first():
+    # three interferers on the air at the start, listed loudest first at
+    # receiver 1, where adding them loudest first rounds differently from
+    # decode's smallest first: a group of three is sorted
+    crossed = 0
+    for k in range(60):
+        points = [(0.0, 0.0), (30.0, 0.0), (-18.0 - 0.13 * k, 8.0), (78.0, 14.0 + 0.07 * k),
+                  (30.0, -48.0 - 0.05 * k)]
+        links = link_table(points, PARAMS)
+        loudest = sorted((2, 3, 4), key=lambda j: -links.rx_mw[j, 1])
+        mw = [float(links.rx_mw[j, 1]) for j in loudest]
+        if (mw[0] + mw[1]) + mw[2] == (mw[2] + mw[1]) + mw[0]:
+            continue
+        wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
+        wanted.interferers = [_on_air(links, j, 0.0, s, 20.0)
+                              for j, s in zip(loudest, (9.0, 8.0, 7.0))]
+        crossed += _agrees_near_ratio(wanted, 1, points,
+                                      _sinr(links, wanted, 1, wanted.interferers))
+    assert crossed >= 5
 
 
 def test_decode_tie_of_removals_only_at_the_end():
@@ -431,11 +559,11 @@ def test_decode_tie_of_removals_only_at_the_end():
         points = [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0), (-50.0 - 0.41 * k, -10.0),
                   (60.0, -25.0), (-25.0, 60.0)]
         links = link_table(points, PARAMS)
-        wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
-        wanted.interferers = [_on_air(links, j, points, 0.0, s, 20.0)
+        wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
+        wanted.interferers = [_on_air(links, j, 0.0, s, 20.0)
                               for j, s in ((3, 11.0), (4, 12.5), (5, 14.0))]
         for r in (1, 2):
-            crossed += _agrees_near_ratio(wanted, r, links, points,
+            crossed += _agrees_near_ratio(wanted, r, points,
                                           _sinr(links, wanted, r, wanted.interferers))
     assert crossed >= 40
 
@@ -447,13 +575,13 @@ def test_decode_mixed_airtimes():
                                                      PARAMS.data_bytes))
     points = [(0.0, 0.0), (30.0, 0.0), (72.0, 0.0), (30.0, 42.0), (140.0, 0.0), (0.0, 150.0)]
     links = link_table(points, PARAMS)
-    wanted = _on_air(links, 0, points, 0.0, 10.0, 10.0 + data)
-    wanted.interferers = [_on_air(links, 2, points, 0.0, 10.5, 10.5 + ncnt),
-                          _on_air(links, 3, points, 0.0, 13.5, 13.5 + adv),
-                          _on_air(links, 4, points, 0.0, 10.0 - 3.0, 10.0 - 3.0 + data),
-                          _on_air(links, 5, points, 0.0, 15.0, 15.0 + data)]
+    wanted = _on_air(links, 0, 0.0, 10.0, 10.0 + data)
+    wanted.interferers = [_on_air(links, 2, 0.0, 10.5, 10.5 + ncnt),
+                          _on_air(links, 3, 0.0, 13.5, 13.5 + adv),
+                          _on_air(links, 4, 0.0, 10.0 - 3.0, 10.0 - 3.0 + data),
+                          _on_air(links, 5, 0.0, 15.0, 15.0 + data)]
     receivers = [1, 2, 3, 4, 5]
-    decoded = decode_batch(wanted, _hearers(links, wanted), PARAMS)
+    decoded = decode_batch(wanted, links)
     assert decoded == _oracle_ids(wanted, receivers, points, PARAMS)
     assert 1 in decoded
 
@@ -471,14 +599,14 @@ NEAR = st.sampled_from([0.0, 20.0, 35.0, 50.0, 60.0]) | st.floats(0.0, 80.0)
                           GRID_INSTANT, GRID_SPAN), max_size=10))
 def test_decode_batch_equals_decode_on_a_grid_of_instants(points, others):
     links = link_table(points, PARAMS)
-    wanted = _on_air(links, 0, points, 0.0, 10.0, 17.5)
-    wanted.interferers = [_on_air(links, k % len(points), points, p, s, s + dur)
+    wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
+    wanted.interferers = [_on_air(links, k % len(points), p, s, s + dur)
                           for k, p, s, dur in others]
     rest = list(range(1, len(points)))
-    hearers = _hearers(links, wanted)
     # a mis-ordered tie moves a peak by up to 3 dB: thresholds every 0.5 dB
     # turn most such moves into a different decision
     for half_db in range(-12, 29):
         params = RadioParams(sinr_threshold_db=0.5 * half_db)
-        assert decode_batch(wanted, hearers, params) == \
+        links, wanted = _at(params, points, wanted)
+        assert decode_batch(wanted, links) == \
             _oracle_ids(wanted, rest, points, params)

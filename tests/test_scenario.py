@@ -521,7 +521,8 @@ def test_finished_replication_is_freed_without_the_collector(monkeypatch, protoc
 
     def spy(*args, **kwargs):
         sim, net = build_network(*args, **kwargs)
-        built.append((weakref.ref(net), weakref.ref(sim), weakref.ref(net.links.rx_mw)))
+        built.append((weakref.ref(net), weakref.ref(sim), weakref.ref(net.links),
+                      weakref.ref(net.links.bank)))
         return sim, net
 
     def release(net, release=scenario.Network.release):
@@ -533,7 +534,7 @@ def test_finished_replication_is_freed_without_the_collector(monkeypatch, protoc
     gc.disable()
     try:
         run_replication(cfg, 0)
-        assert [ref() is None for ref in built[0]] == [True, True, True]
+        assert [ref() is None for ref in built[0]] == [True] * 4
     finally:
         gc.enable()
     assert (on_air[0] >= 2) == cut
@@ -554,7 +555,7 @@ def _referenced(root) -> list:
 
 def test_shared_setup_is_freed_with_its_group(monkeypatch):
     """Four cells of one replication hold two setup keys: with the collector
-    off, no network, simulator, link table row or snapshot outlives the
+    off, no network, simulator, link table, row bank or snapshot outlives the
     play, and a snapshot reaches no network, node, simulator or tape."""
     cells = [(small_cfg(protocol=p, replications=1), "")
              for p in ("GRAB", "P-GRAB", "U-GRAB", "UP-GRAB")]
@@ -562,7 +563,8 @@ def test_shared_setup_is_freed_with_its_group(monkeypatch):
 
     def spy(*args, **kwargs):
         sim, net = build_network(*args, **kwargs)
-        built.append((weakref.ref(net), weakref.ref(sim), weakref.ref(net.links.rx_mw)))
+        built.append((weakref.ref(net), weakref.ref(sim), weakref.ref(net.links),
+                      weakref.ref(net.links.bank)))
         return sim, net
 
     def snapshot(net, snapshot=scenario.Network.snapshot):
@@ -579,7 +581,7 @@ def test_shared_setup_is_freed_with_its_group(monkeypatch):
     try:
         play(cells)
         assert len(built) == 4 and len(snapshots) == 2
-        assert [ref() is None for refs in built for ref in refs] == [True] * 12
+        assert [ref() is None for refs in built for ref in refs] == [True] * 16
         assert [ref() is None for ref in snapshots] == [True, True]
     finally:
         gc.enable()
