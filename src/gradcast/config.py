@@ -204,6 +204,15 @@ def _linear(db: float) -> float:
         return math.inf
 
 
+def _airtime_ms(p: RadioParams, n_bytes: int) -> float:
+    """``p.airtime_ms(n_bytes)``, with inf where the byte count is too large
+    to convert to a float (Python raises instead)."""
+    try:
+        return p.airtime_ms(n_bytes)
+    except OverflowError:
+        return math.inf
+
+
 def validate(cfg: SimConfig) -> None:
     """Reject every value the simulator cannot run meaningfully, naming the
     key: non-finite floats first, then each key's range."""
@@ -221,6 +230,9 @@ def validate(cfg: SimConfig) -> None:
     _require(p.d_min_m > 0, "phys.d_min_m", "must be positive")
     for key in ("adv_bytes", "ncnt_bytes", "data_bytes"):
         _require(getattr(p, key) >= 1, f"phys.{key}", "must be >= 1")
+        airtime = _airtime_ms(p, getattr(p, key))
+        _require(math.isfinite(airtime), f"phys.{key} * 8 / phys.bitrate_bps * 1000",
+                 f"(the airtime in ms) must be finite, got {airtime}")
     # the run works in mW: each conversion it makes must come out finite
     for key in ("noise_floor_dbm", "tx_power_dbm"):
         _require(math.isfinite(_linear(getattr(p, key))), f"phys.{key}",

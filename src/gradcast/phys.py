@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -223,8 +223,7 @@ class LinkTable:
                 grown = np.empty((r + 2 * len(self.neighbors), self.bank.shape[1]))
                 grown[:r] = self.bank
                 self.bank = grown
-            exps = ((tx_power_dbm - self.pathloss_db[sender]) / 10.0).tolist()
-            self.bank[r] = [math.pow(10.0, x) for x in exps]
+            self.bank[r] = _pow10((tx_power_dbm - self.pathloss_db[sender]) / 10.0)
             self.rows[sender, tx_power_dbm] = r
         return r
 
@@ -290,34 +289,52 @@ class LinkTable:
                     flat[a:b], lim[a:b], None, clean)
 
 
+def _pow10(exps: np.ndarray) -> np.ndarray:
+    """``10.0 ** x`` per entry through ``math.pow``, the same libm call."""
+    return np.fromiter(map(math.pow, repeat(10.0), exps.tolist()), float, len(exps))
+
+
+# rows of the i <= j half filled per pass of link_table: the pass's
+# temporaries stay a few rows long beside the two n x n arrays
+_BLOCK_ROWS = 16
+
+
 def link_table(points: list, params: RadioParams) -> LinkTable:
-    """Fill the i <= j half pair by pair in Python floats, mirror it, and
-    list each node's neighbors at ``params``' power and sensitivity. The
-    bank starts as the default-power rows alone: a replication that sends
-    at no other power never grows it."""
+    """Fill the i <= j half in blocks of rows, mirror it, and list each
+    node's neighbors at ``params``' power and sensitivity. The bank starts
+    as the default-power rows alone: a replication that sends at no other
+    power never grows it.
+
+    A block's pairs take a few C-level passes and no Python bytecode per
+    pair. numpy does the steps IEEE rounds as Python floats do: the
+    coordinate differences, the ``d_min_m`` clamp, ``* scale``,
+    ``p0 - v`` and ``/ 10.0``. Only ``math.hypot``, ``math.log10`` and
+    ``math.pow`` run per pair, mapped over the block's values."""
     n = len(points)
     scale = 10.0 * params.alpha_exp
-    d_min = params.d_min_m
     p0 = params.tx_power_dbm
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    xs, ys = np.array(points, dtype=float).reshape(n, 2).T
     pl = np.empty((n, n))
     mw = np.empty((n, n))
-    for i in range(n):
-        xi, yi = xs[i], ys[i]
-        dists = map(math.hypot, [xi - x for x in xs[i:]], [yi - y for y in ys[i:]])
-        row = [scale * math.log10(d if d > d_min else d_min) for d in dists]
-        pl[i, i:] = row
-        mw[i, i:] = [10.0 ** ((p0 - v) / 10.0) for v in row]
-    lower = np.tri(n, k=-1, dtype=bool)
-    pl[lower] = pl.T[lower]
-    mw[lower] = mw.T[lower]
+    for a in range(0, n, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, n)
+        upper = np.arange(a, n) >= np.arange(a, b)[:, None]   # j >= i
+        dx = (xs[a:b, None] - xs[a:])[upper]
+        dy = (ys[a:b, None] - ys[a:])[upper]
+        d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+        d = np.maximum(d, params.d_min_m)
+        v = scale * np.fromiter(map(math.log10, d.tolist()), float, len(d))
+        for table, half in ((pl, v), (mw, _pow10((p0 - v) / 10.0))):
+            table[a:b, a:][upper] = half
+            table[a:, a:b].T[upper] = half
     audible = p0 - pl > params.sensitivity_dbm
     np.fill_diagonal(audible, False)
+    ids = iter(np.nonzero(audible)[1].tolist())
+    neighbors = [list(islice(ids, k)) for k in np.count_nonzero(audible, axis=1).tolist()]
     return LinkTable(pl, mw, p0, params.sensitivity_dbm,
                      10.0 ** (params.noise_floor_dbm / 10.0),
                      10.0 ** (params.sinr_threshold_db / 10.0), params.perfect_decode,
-                     [np.flatnonzero(row).tolist() for row in audible])
+                     neighbors)
 
 
 def decode(rx_pos: tuple[float, float], wanted: Transmission,
@@ -353,12 +370,6 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
         marks.append((s, p_mw))
         marks.append((e, -p_mw))
 
-    noise_mw = 10.0 ** (params.noise_floor_dbm / 10.0)
-    signal_mw = 10.0 ** (pr / 10.0)
-    threshold = 10.0 ** (params.sinr_threshold_db / 10.0)
-    if not marks:
-        return signal_mw / noise_mw >= threshold
-
     # Removals sort before additions at equal instants: back-to-back packets
     # never count as overlapping.
     marks.sort(key=lambda m: (m[0], m[1]))
@@ -368,7 +379,13 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
         level += delta
         if level > peak:
             peak = level
-    return signal_mw / (noise_mw + peak) >= threshold
+    signal_mw = 10.0 ** (pr / 10.0)
+    denominator = 10.0 ** (params.noise_floor_dbm / 10.0) + peak
+    if denominator == 0.0:
+        # IEEE division, as numpy's: a positive signal over zero is inf,
+        # which passes, and a zero one is nan, which fails
+        return signal_mw > 0.0
+    return signal_mw / denominator >= 10.0 ** (params.sinr_threshold_db / 10.0)
 
 
 def decode_batch(wanted: Transmission, links: LinkTable) -> list[int]:

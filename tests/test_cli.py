@@ -186,6 +186,11 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     "phys.tx_power_dbm=4000",
     "phys.d_min_m=1e-300",
     "phys.alpha_exp=1000",
+    # each passed validation, then exited 3 on an OverflowError in an airtime
+    f"phys.data_bytes={'9' * 400}",
+    f"phys.adv_bytes={'9' * 400}",
+    # ran with every airtime inf: nothing left the air and nothing arrived
+    "phys.bitrate_bps=1e-310",
 ])
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, override):
     """``override`` is one or more overrides; the last one's key is named."""

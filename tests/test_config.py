@@ -104,6 +104,9 @@ def test_every_float_key_must_be_finite(key, value):
     "phys.sinr_threshold_db=4000", "phys.sinr_threshold_db=-4000",
     "phys.tx_power_dbm=4000", "phys.d_min_m=1e-300", "phys.alpha_exp=1000",
     "phys.sensitivity_dbm=5000 phys.noise_floor_dbm=4000",
+    # airtimes that overflow: a byte count too large for a float, and a
+    # bitrate that makes every airtime inf
+    f"phys.data_bytes={'9' * 400}", f"phys.adv_bytes={'9' * 400}", "phys.bitrate_bps=1e-310",
 ])
 def test_out_of_range_value_names_its_key(pair):
     """``pair`` is one or more overrides; the last one's key is named."""

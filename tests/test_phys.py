@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gradcast import phys
 from gradcast.config import default_config
 from gradcast.engine import make_stream
 from gradcast.phys import (RadioParams, Transmission, decode, decode_batch, distance,
@@ -215,6 +216,50 @@ def test_link_table_entries_equal_scalar_formulas():
     assert (5, PARAMS.tx_power_dbm) not in links.rows
 
 
+@st.composite
+def _point_sets(draw):
+    """Point sets whose sizes fall below, at and across link_table's row
+    blocks, and the radio parameters to tabulate them at. Coordinates come
+    from a grid of 0, d_min_m and its fractions as well as from an
+    interval, and a point may copy another or share one of its coordinates:
+    duplicates, pairs exactly d_min_m apart and closer, and axis-aligned
+    pairs come up often."""
+    block = phys._BLOCK_ROWS
+    n = draw(st.sampled_from([1, 2, block - 1, block, block + 1, 2 * block, 2 * block + 3])
+             | st.integers(1, 3 * block + 2))
+    d_min = draw(st.sampled_from([0.1, 0.5, 2.0]) | st.floats(0.01, 5.0))
+    coord = st.sampled_from([0.0, d_min, d_min / 2.0, 2.0 * d_min]) | st.floats(0.0, 120.0)
+    points = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["free", "copy", "same x", "same y"]))
+        x, y = draw(st.sampled_from(points)) if points else (0.0, 0.0)
+        if kind != "copy" or not points:
+            x = x if kind == "same x" else draw(coord)
+            y = y if kind == "same y" else draw(coord)
+        points.append((x, y))
+    params = RadioParams(alpha_exp=draw(st.floats(2.0, 6.0)), d_min_m=d_min,
+                         tx_power_dbm=draw(st.floats(-20.0, 10.0)),
+                         sensitivity_dbm=draw(st.floats(-90.0, -30.0)))
+    return points, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point_sets())
+def test_link_table_is_the_scalar_formulas_bit_for_bit(case):
+    points, params = case
+    links = link_table(points, params)
+    pl = links.pathloss_db.tolist()
+    mw = links.rx_mw.tolist()
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            d = distance(a, b)
+            assert pl[i][j] == pathloss_db(d, params.alpha_exp, params.d_min_m)
+            assert mw[i][j] == 10.0 ** (received_power_dbm(
+                params.tx_power_dbm, d, params.alpha_exp, params.d_min_m) / 10.0)
+        assert links.neighbors[i] == [j for j, b in enumerate(points)
+                                      if j != i and is_neighbor(a, b, params)]
+
+
 ARENA_61 = [(float(x), float(y))
             for x, y in np.random.default_rng(7).uniform(0.0, 150.0, (61, 2))]
 
@@ -383,6 +428,28 @@ def test_decode_batch_equals_decode(points, wanted_power, others, perfect):
     rest = list(range(1, len(points)))
     assert decode_batch(wanted, links) == \
         _oracle_ids(wanted, rest, points, params)
+
+
+@pytest.mark.parametrize("power", [0.0, -6.0])
+@pytest.mark.parametrize("interferer_dbm, expected", [
+    (None, [1, 2, 3]),
+    (0.0, [3]),
+    # a transmission whose received mW underflows to 0.0 everywhere
+    (-4000.0, [1, 2, 3]),
+])
+def test_decode_equals_decode_batch_at_a_zero_noise_floor(power, interferer_dbm, expected):
+    # -4000 dBm is 0.0 mW: with nothing overlapping, or only a transmission
+    # received at 0.0 mW, decode's denominator is zero, and a positive signal
+    # over it passes as in numpy's division
+    params = RadioParams(noise_floor_dbm=-4000.0)
+    points = [(0.0, 0.0), (30.0, 0.0), (40.0, 0.0), (0.0, 0.05)]
+    links = link_table(points, params)
+    assert links.noise_mw == 0.0
+    wanted = _on_air(links, 0, power, 10.0, 17.5)
+    if interferer_dbm is not None:
+        wanted.interferers = [_on_air(links, 2, interferer_dbm, 12.0, 14.0)]
+    assert decode_batch(wanted, links) == \
+        _oracle_ids(wanted, [1, 2, 3], points, params) == expected
 
 
 def test_decode_batch_without_interferers_hands_out_a_fresh_list():
