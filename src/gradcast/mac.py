@@ -39,7 +39,7 @@ def sense(net, node) -> int:
 def transmit(net, node, packet, tx_power_dbm: float | None = None) -> bool:
     """Queue a broadcast after a uniform random backoff draw from the node's
     mac stream. Dead nodes drop the packet silently (tallied as suppressed)."""
-    if node.dead:
+    if node.battery.dead:
         net.counters["suppressed_tx"] += 1
         return False
     power = net.radio.tx_power_dbm if tx_power_dbm is None else tx_power_dbm

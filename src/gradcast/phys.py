@@ -9,11 +9,12 @@ also gives a node's own transmissions an effectively infinite self-interference
 
 A replication's geometry never changes, so ``link_table`` computes every
 pair's pathloss and default-power received mW and the neighbor lists once.
-The table keeps what decoding a (sender, power) needs besides its
-interferers, and ``decode_batch`` decodes one transmission for all its
-hearers from it, doing per call only the work that depends on the
-interferers. The scalar ``decode`` is the reference the batched path must
-equal bit for bit, and two facts make it exact:
+The table keeps one ``Reception`` per (sender, power): its received-mW row
+and what decoding it needs besides its interferers. A transmission carries
+its reception, and ``decode_batch`` decodes it for all its hearers from
+that, doing per call only the work that depends on the interferers. The
+scalar ``decode`` is the reference the batched path must equal bit for bit,
+and two facts make it exact:
 
 * The monotone limit. ``decode`` tests ``signal / (noise + peak) >=
   threshold``. The add and the divide each round monotonically, so the
@@ -91,7 +92,7 @@ class Transmission:
     packet: object
     # every other transmission overlapping [start, end]; maintained by the network
     interferers: list = field(default_factory=list)
-    row: int = -1            # its received mW at every node id: LinkTable.bank[row]
+    reception: Reception | None = None   # LinkTable.reception(sender, tx_power_dbm)
     n_bytes: int = 0         # the packet's size, which sets airtime and energy
 
 
@@ -161,9 +162,11 @@ def sinr_limits(signal: np.ndarray, noise_mw: float,
 
 
 class Reception(NamedTuple):
-    """What decoding one (sender, power) needs besides its interferers: at
+    """Everything the table keeps for one (sender, power): the bank row of
+    its received mW and what decoding it needs besides its interferers, at
     the default power each hearer's limit, at another power its signal."""
-    ids: np.ndarray            # hearers: ascending, read-only intp (LinkTable.hearers)
+    row: int                   # LinkTable.bank[row]: the received mW at every node id
+    ids: np.ndarray            # hearers: ascending, read-only intp
     lim: np.ndarray | None     # per hearer, the largest peak it decodes under, or -1.0
     signal: np.ndarray | None  # per hearer, the received mW
     clean: tuple               # the ids that decode with no interferer
@@ -171,8 +174,8 @@ class Reception(NamedTuple):
 
 @dataclass
 class LinkTable:
-    """Pathloss and received power of every ordered node pair, and what
-    decoding each (sender, power) needs.
+    """Pathloss and received power of every ordered node pair, and one
+    ``Reception`` per (sender, power) sent at.
 
     Entries come from the same scalar ``math`` arithmetic as
     ``pathloss_db(distance(a, b))`` and ``10.0 ** (received_power_dbm / 10.0)``:
@@ -181,13 +184,13 @@ class LinkTable:
     cost field and every backoff time derived from it.
 
     ``bank`` holds every received-mW row a decode reads, so that one gather
-    by row id serves all interferers: its first n rows are ``rx_mw``, the
-    default-power rows, and each other power's row follows as first asked
-    for (``row``). Rows never change once written; growing the bank moves
-    them to a larger array, so ``bank`` is read after ``row``, never before.
+    by row id serves all interferers: its first n rows are the default-power
+    rows, row = sender, and each other power's row follows as first asked
+    for. Rows never change once written; growing the bank moves them to a
+    larger array, so ``bank`` is read after ``reception``, never before.
     """
     pathloss_db: np.ndarray   # (n, n), symmetric
-    bank: np.ndarray          # (capacity, n); the first n + len(rows) rows are written
+    bank: np.ndarray          # (capacity, n); the first ``filled`` rows are written
     tx_power_dbm: float
     sensitivity_dbm: float
     noise_mw: float
@@ -196,70 +199,49 @@ class LinkTable:
     # per node, the ids receiving it at the default power strictly above
     # sensitivity, ascending, self excluded (``is_neighbor`` for every pair)
     neighbors: list[list[int]]
-    # (sender, power) -> bank row at a non-default power
-    rows: dict = field(default_factory=dict, repr=False)
+    filled: int               # bank rows written: n, then one per other power's key
     # (sender, power) -> Reception
     receptions: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def rx_mw(self) -> np.ndarray:
-        """(n, n) received mW, row = sender at the default power."""
-        return self.bank[:len(self.neighbors)]
-
-    def row(self, sender: int, tx_power_dbm: float) -> int:
-        """The bank row of ``sender``'s received mW at every node id at the
-        given power: the sender's own id at the default power, otherwise a
-        row appended at first use and kept per (sender, power). numpy's
-        subtraction and division round like Python floats; only the power
-        goes through ``math.pow``, the same libm call as ``10.0 ** x``."""
-        if tx_power_dbm == self.tx_power_dbm:
-            return sender
-        r = self.rows.get((sender, tx_power_dbm))
-        if r is None:
-            r = len(self.neighbors) + len(self.rows)
-            if r == len(self.bank):
-                # room for two more rows per node: a desk GRAB-family
-                # replication writes about one (206 to 213 for 201 nodes)
-                grown = np.empty((r + 2 * len(self.neighbors), self.bank.shape[1]))
-                grown[:r] = self.bank
-                self.bank = grown
-            self.bank[r] = _pow10((tx_power_dbm - self.pathloss_db[sender]) / 10.0)
-            self.rows[sender, tx_power_dbm] = r
-        return r
-
-    def hearers(self, sender: int, tx_power_dbm: float) -> np.ndarray:
-        """Ids other than ``sender`` that receive it at the given power
-        strictly above sensitivity, ascending, as a read-only ``intp``
-        array; every call with the same arguments returns the same array.
-        At or below the default power this is ``neighbors[sender]`` cut by
-        the same test at the lower power: subtraction rounds monotonically,
-        so no id outside the neighbor list passes."""
-        return self.reception(sender, tx_power_dbm).ids
-
     def reception(self, sender: int, tx_power_dbm: float) -> Reception:
-        """The hearers of ``sender`` at the given power, kept per (sender,
-        power). The first default-power call builds every sender's
-        default-power reception, limits included, in one pass from the
-        neighbor lists. Another power's is built at its first call with its
-        hearers' signal in place of limits: a limit costs a search of a
-        dozen numpy calls, and a reduced-power key is decoded about five
-        times (desk GRAB family), too few to repay it."""
+        """The reception of ``sender`` at the given power, built at the first
+        call and the same object at every later one. Its hearers are the ids
+        other than ``sender`` receiving it strictly above sensitivity: at or
+        below the default power, ``neighbors[sender]`` cut at the lower power.
+
+        The first default-power call builds every sender's default-power
+        reception, limits included, in one pass from the neighbor lists.
+        Another power's appends its row to the bank and keeps its hearers'
+        signal in place of limits: a limit costs a search of a dozen numpy
+        calls, and such a key is decoded about five times (desk GRAB family),
+        too few to repay it. Only the power goes through ``math.pow``, the
+        same libm call as ``10.0 ** x``; numpy's subtraction and division
+        round like Python floats."""
         rec = self.receptions.get((sender, tx_power_dbm))
         if rec is None:
             if tx_power_dbm == self.tx_power_dbm:
                 self._receive_default()
             else:
-                audible = tx_power_dbm - self.pathloss_db[sender] > self.sensitivity_dbm
+                r = self.filled
+                if r == len(self.bank):
+                    # room for two more rows per node: a desk GRAB-family
+                    # replication writes about one (206 to 213 for 201 nodes)
+                    grown = np.empty((r + 2 * len(self.neighbors), self.bank.shape[1]))
+                    grown[:r] = self.bank
+                    self.bank = grown
+                received = tx_power_dbm - self.pathloss_db[sender]
+                self.bank[r] = _pow10(received / 10.0)
+                self.filled = r + 1
+                audible = received > self.sensitivity_dbm
                 audible[sender] = False
                 ids = np.flatnonzero(audible)
                 ids.flags.writeable = False
-                row = self.row(sender, tx_power_dbm)   # may grow the bank
-                signal = self.bank[row].take(ids)
-                with np.errstate(divide="ignore"):
+                signal = self.bank[r].take(ids)
+                with np.errstate(divide="ignore", invalid="ignore"):
                     clean = ids.compress(self.perfect_decode
                                          | (signal / self.noise_mw >= self.threshold))
                 self.receptions[sender, tx_power_dbm] = Reception(
-                    ids, None, signal, tuple(clean.tolist()))
+                    r, ids, None, signal, tuple(clean.tolist()))
             rec = self.receptions[sender, tx_power_dbm]
         return rec
 
@@ -286,7 +268,7 @@ class LinkTable:
                 a, b = b, b + count
                 clean = tuple(j for j, good in zip(nbrs[sender], ok[a:b]) if good)
                 self.receptions[sender, self.tx_power_dbm] = Reception(
-                    flat[a:b], lim[a:b], None, clean)
+                    sender, flat[a:b], lim[a:b], None, clean)
 
 
 def _pow10(exps: np.ndarray) -> np.ndarray:
@@ -334,7 +316,7 @@ def link_table(points: list, params: RadioParams) -> LinkTable:
     return LinkTable(pl, mw, p0, params.sensitivity_dbm,
                      10.0 ** (params.noise_floor_dbm / 10.0),
                      10.0 ** (params.sinr_threshold_db / 10.0), params.perfect_decode,
-                     neighbors)
+                     neighbors, n)
 
 
 def decode(rx_pos: tuple[float, float], wanted: Transmission,
@@ -389,9 +371,9 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
 
 
 def decode_batch(wanted: Transmission, links: LinkTable) -> list[int]:
-    """The hearers of ``wanted`` (``links.hearers`` of its sender and power)
-    that demodulate it among ``wanted.interferers``, ascending; ``decode``
-    for each of them, bit for bit.
+    """The hearers of ``wanted`` (the ids of ``wanted.reception``, which
+    ``links`` made) that demodulate it among ``wanted.interferers``,
+    ascending; ``decode`` for each of them, bit for bit.
 
     A hearer decodes when the peak interference over the window is at most
     its limit, or at a non-default power when ``decode``'s own test passes
@@ -402,9 +384,10 @@ def decode_batch(wanted: Transmission, links: LinkTable) -> list[int]:
     Otherwise one signed mark list gives the peak. It holds the rows of the
     clamped group (the interferers on the air at ``wanted.start``), then an
     (instant, row) per later start and an (end, row) per end inside the
-    window, sorted by instant. The rows are gathered from the table's bank,
-    then at the hearers, into one marks x hearers matrix, the removals' rows
-    are negated (exactly), and a cumulative sum down each column adds them
+    window, sorted by instant. The rows (each interferer's
+    ``reception.row``) are gathered from the table's bank, then at the
+    hearers, into one marks x hearers matrix, the removals' rows are
+    negated (exactly), and a cumulative sum down each column adds them
     in ``decode``'s order, so every partial sum equals its loop's. Sorting
     by instant fixes that order everywhere except among marks of one
     instant, which ``decode`` orders by signed mW at each receiver: such a
@@ -417,7 +400,7 @@ def decode_batch(wanted: Transmission, links: LinkTable) -> list[int]:
     on that instant). Each one turns a level L into fl(L - x) <= L, so no
     level after the last addition can raise the peak.
     """
-    ids, lim, signal, clean = links.reception(wanted.sender, wanted.tx_power_dbm)
+    _, ids, lim, signal, clean = wanted.reception
 
     group = []   # rows of the interferers on the air at the start
     later = []   # (instant, row, sign) of the marks after it
@@ -429,15 +412,15 @@ def decode_batch(wanted: Transmission, links: LinkTable) -> list[int]:
         if s > ws:
             if end <= s:
                 continue
-            later.append((s, other.row, 1.0))
+            later.append((s, other.reception.row, 1.0))
             if s > last:
                 last = s
         elif end > ws:
-            group.append(other.row)
+            group.append(other.reception.row)
         else:
             continue
         if e < we:
-            later.append((e, other.row, -1.0))
+            later.append((e, other.reception.row, -1.0))
     if not group and not later:
         return list(clean)
     later.sort(key=itemgetter(0))
@@ -468,6 +451,13 @@ def decode_batch(wanted: Transmission, links: LinkTable) -> list[int]:
     peak = np.maximum.reduce(np.add.accumulate(level, axis=0), axis=0)
     if lim is None:
         # another power's reception keeps decode's own test
-        return ids.compress(links.perfect_decode
-                            | (signal / (links.noise_mw + peak) >= links.threshold)).tolist()
+        noise = links.noise_mw
+        if noise > 0.0:
+            sinr = signal / (noise + peak)
+        else:
+            # a zero noise floor: as in decode, x / 0 = inf passes and
+            # 0 / 0 = nan fails
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sinr = signal / (noise + peak)
+        return ids.compress(links.perfect_decode | (sinr >= links.threshold)).tolist()
     return ids.compress(peak <= lim).tolist()

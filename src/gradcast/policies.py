@@ -22,7 +22,7 @@ gradient broadcast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
 
 from . import mac
@@ -59,7 +59,9 @@ class Battery:
 
     @property
     def dead(self) -> bool:
-        return self.remaining_j <= 0.0
+        """``remaining_j <= 0.0``: for finite floats the rounded difference
+        keeps the sign of the exact one."""
+        return self.consumed_j >= self.capacity_j
 
     def drain(self, joules: float) -> float:
         """Debit up to ``joules``; returns the amount actually drawn.
@@ -209,22 +211,24 @@ def pgrab_decide(node, rng) -> Decision:
     return Decision(bool(rng.random() < p), p_fw=p)
 
 
-def ugrab_decide(node, c_n: int, limit: int, rng) -> Decision:
-    """Utility comparison with the single-channel shortcut: a busy channel
-    drops outright, otherwise forward iff the ladder reward beats the energy
+def _utility_game(node, c_n: int, limit: int, rng) -> Decision:
+    """The forwarding game both utility policies play: a busy channel drops
+    outright, otherwise forward iff the ladder reward beats the energy
     reward, flipping a fair coin on a tie."""
-    st = node.ugrab
-    a = st.forward_reward
+    a = node.ugrab.forward_reward
     r = energy_reward(node.battery)
-    if c_n >= limit:
-        return Decision(False, c_n=c_n, forward_reward=a, energy_reward=r)
-    if a > r:
-        fwd = True
-    elif a < r:
+    if c_n >= limit or a < r:
         fwd = False
+    elif a > r:
+        fwd = True
     else:
         fwd = bool(rng.random() < 0.5)
     return Decision(fwd, c_n=c_n, forward_reward=a, energy_reward=r)
+
+
+def ugrab_decide(node, c_n: int, limit: int, rng) -> Decision:
+    """The utility game with the single-channel shortcut (``_utility_game``)."""
+    return _utility_game(node, c_n, limit, rng)
 
 
 def upgrab_decide(node, c_n: int, limit: int, params: PolicyParams, rng) -> Decision:
@@ -244,21 +248,11 @@ def upgrab_decide(node, c_n: int, limit: int, params: PolicyParams, rng) -> Deci
     step = -1.0 if delta < center else (1.0 if delta > center else 0.0)
     st.spread = min(params.spread_factor_max, max(1.0, st.spread + step))
 
-    a = st.forward_reward
-    r = energy_reward(node.battery)
-    if c_n >= limit:
-        return Decision(False, c_n=c_n, forward_reward=a, energy_reward=r)
-    if a > r:
-        act_forward = True
-    elif a < r:
-        act_forward = False
-    else:
-        act_forward = bool(rng.random() < 0.5)
-    if not act_forward:
-        return Decision(False, c_n=c_n, forward_reward=a, energy_reward=r)
+    game = _utility_game(node, c_n, limit, rng)
+    if not game.forward:
+        return game
     p_ia = erfc_forward_probability(delta, st.spread, node.delta_bounds)
-    return Decision(bool(rng.random() < p_ia), p_fw=p_ia, c_n=c_n,
-                    forward_reward=a, energy_reward=r)
+    return replace(game, forward=bool(rng.random() < p_ia), p_fw=p_ia)
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,6 @@ class Node:
     p_ia: float | None = None   # erfc conversion of delta at policies.spread_factor
     seen: set = field(default_factory=set)
 
-    @property
-    def dead(self) -> bool:
-        """``Battery.dead`` without its property chain (see ``_tx_end``)."""
-        battery = self.battery
-        return battery.consumed_j >= battery.capacity_j
-
 
 @dataclass
 class TrafficEvent:
@@ -302,7 +296,7 @@ class Network:
     def _tx_start(self, ev: Event) -> None:
         node = self.nodes[ev.node]
         packet, power = ev.payload
-        if node.dead:
+        if node.battery.dead:
             self.counters["suppressed_tx"] += 1
             return
         # packet contents freeze at the moment the transmission begins
@@ -325,8 +319,8 @@ class Network:
         if self.energy_log is not None:
             self.energy_log.append((node.id, joules))
         now = self.sim.clock
-        tr = phys.Transmission(node.id, power, now, now + self.radio.airtime_ms(n_bytes),
-                               packet, row=self.links.row(node.id, power), n_bytes=n_bytes)
+        tr = phys.Transmission(node.id, power, now, now + self.radio.airtime_ms(n_bytes), packet,
+                               reception=self.links.reception(node.id, power), n_bytes=n_bytes)
         tr.interferers = list(self.active.values())
         for other in self.active.values():
             other.interferers.append(tr)
@@ -342,9 +336,6 @@ class Network:
         # Dead receivers drop out after the decode (a data packet's in its
         # receive loop), which equals leaving them out of it: each column
         # decodes on its own, and the decode changes no battery.
-        # Battery.dead without its property chain: for finite floats,
-        # capacity - consumed <= 0 exactly when consumed >= capacity, the
-        # rounded difference keeping the sign of the exact one.
         kind = tr.packet.kind
         if kind == "data":
             self._receive_data(tr, decoded)
@@ -352,8 +343,7 @@ class Network:
         nodes = self.nodes
         alive = [j for j in decoded if (b := nodes[j].battery).consumed_j < b.capacity_j]
         if kind == "adv":
-            hearers = self.links.hearers(tr.sender, tr.tx_power_dbm).tolist()
-            heard = sum(1 for j in hearers
+            heard = sum(1 for j in tr.reception.ids.tolist()
                         if (b := nodes[j].battery).consumed_j < b.capacity_j)
             self.counters["adv_decode_failures"] += heard - len(alive)
         self._receive_setup(tr, alive)
@@ -488,17 +478,17 @@ class Network:
         node = self.nodes[ev.node]
         if tag == "adv":
             st = node.cost
-            if gen != st.adv_timer_gen or st.adv_sent or node.dead:
+            if gen != st.adv_timer_gen or st.adv_sent or node.battery.dead:
                 return
             st.adv_sent = True
             mac.transmit(self, node, AdvPacket(node.id, st.q, self.radio.tx_power_dbm,
                                                st.bounds))
         elif tag == "ncnt":
-            if not node.dead:
+            if not node.battery.dead:
                 mac.transmit(self, node, NeighborCountPacket(
                     node.id, len(node.neighbor_pathloss)))
         elif tag == "stall":
-            if not node.dead and node.ugrab is not None:
+            if not node.battery.dead and node.ugrab is not None:
                 policies.stall_check(node, self.policies)
             nxt = self.sim.clock + self._stall_period()
             if nxt <= self.cfg.scenario.max_sim_time_ms:
@@ -531,7 +521,7 @@ class Network:
             if d > limit:
                 break
             node = self.nodes[i]
-            if node.dead:
+            if node.battery.dead:
                 continue
             if best is None:
                 limit = d * (1.0 + 1e-9)

@@ -70,6 +70,7 @@ def _play_checked(monkeypatch, cells):
     def decode_batch(wanted, links, decode_batch=phys.decode_batch):
         decoded = decode_batch(wanted, links)
         net, positions = playing
+        assert wanted.reception is links.receptions[wanted.sender, wanted.tx_power_dbm]
         # every node but the sender, not only the cached hearers
         assert decoded == [n.id for n in net.nodes if n.id != wanted.sender and phys.decode(
             n.pos, wanted, wanted.interferers, net.radio, positions)]

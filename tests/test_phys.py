@@ -201,8 +201,8 @@ def test_link_table_entries_equal_scalar_formulas():
     links = link_table(pts, PARAMS)
     for i, a in enumerate(pts):
         pl_row = links.pathloss_db[i].tolist()
-        mw_row = links.rx_mw[i].tolist()
-        row = links.row(i, -7.25)   # before reading links.bank, which it may grow
+        mw_row = links.bank[i].tolist()
+        row = links.reception(i, -7.25).row   # before reading links.bank, which it may grow
         reduced = links.bank[row].tolist()
         for j, b in enumerate(pts):
             d = distance(a, b)
@@ -212,8 +212,8 @@ def test_link_table_entries_equal_scalar_formulas():
             assert reduced[j] == 10.0 ** (received_power_dbm(
                 -7.25, d, PARAMS.alpha_exp, PARAMS.d_min_m) / 10.0)
     # the default power reads the table's own row instead of a copy
-    assert links.row(5, PARAMS.tx_power_dbm) == 5
-    assert (5, PARAMS.tx_power_dbm) not in links.rows
+    assert links.reception(5, PARAMS.tx_power_dbm).row == 5
+    assert links.filled == 2 * len(pts)
 
 
 @st.composite
@@ -249,7 +249,7 @@ def test_link_table_is_the_scalar_formulas_bit_for_bit(case):
     points, params = case
     links = link_table(points, params)
     pl = links.pathloss_db.tolist()
-    mw = links.rx_mw.tolist()
+    mw = links.bank[:len(points)].tolist()
     for i, a in enumerate(points):
         for j, b in enumerate(points):
             d = distance(a, b)
@@ -268,28 +268,44 @@ ARENA_61 = [(float(x), float(y))
 @given(sender=st.integers(0, 60), power=st.floats(-40.0, 20.0))
 def test_reduced_power_rows_are_exact_and_kept(sender, power):
     links = link_table(ARENA_61, PARAMS)
-    row = links.row(sender, power)
+    rec = links.reception(sender, power)
+    assert links.reception(sender, power) is rec
     if power == PARAMS.tx_power_dbm:
-        assert row == sender   # rx_mw's own row
+        assert rec.row == sender   # the default-power row
         return
     expected = [10.0 ** ((power - pl) / 10.0) for pl in links.pathloss_db[sender].tolist()]
-    assert links.bank[row].tolist() == expected
-    assert links.row(sender, power) == row
-    # appended after the default-power rows
-    assert links.rows == {(sender, power): row} and row == len(ARENA_61)
+    assert links.bank[rec.row].tolist() == expected
+    # a fresh table's first key is appended after the default-power rows
+    assert list(links.receptions) == [(sender, power)]
+    assert rec.row == len(ARENA_61) and links.filled == len(ARENA_61) + 1
+
+
+def test_a_first_reduced_power_key_overwrites_no_default_row():
+    links = link_table(ARENA_61, PARAMS)
+    default = links.bank[:61].copy()
+    rec = links.reception(7, -6.0)
+    assert rec.row == 61
+    assert np.array_equal(links.bank[:61], default)
+    # the default-power pass built after it keeps every row in its place
+    for sender in range(61):
+        assert links.reception(sender, PARAMS.tx_power_dbm).row == sender
+    assert links.reception(9, -6.0).row == 62 and links.reception(7, -6.0) is rec
+    assert np.array_equal(links.bank[:61], default)
+    assert links.bank[61].tolist() == [
+        10.0 ** ((-6.0 - pl) / 10.0) for pl in links.pathloss_db[7].tolist()]
 
 
 def test_bank_grows_keeping_every_row():
     links = link_table(ARENA_61, PARAMS)
-    rx_mw = links.rx_mw.copy()
+    default = links.bank[:61].copy()
     capacity = len(links.bank)
     powers = [-0.25 * k for k in range(1, 2 * capacity)]
-    rows = [links.row(k % 61, p) for k, p in enumerate(powers)]
+    rows = [links.reception(k % 61, p).row for k, p in enumerate(powers)]
     assert len(links.bank) > capacity
     assert rows == list(range(61, 61 + len(powers)))
-    assert np.array_equal(links.rx_mw, rx_mw)
+    assert np.array_equal(links.bank[:61], default)
     for k, (p, row) in enumerate(zip(powers, rows)):
-        assert links.row(k % 61, p) == row
+        assert links.reception(k % 61, p).row == row
         assert links.bank[row].tolist() == [
             10.0 ** ((p - pl) / 10.0) for pl in links.pathloss_db[k % 61].tolist()]
 
@@ -299,7 +315,7 @@ def test_bank_grows_keeping_every_row():
        power=st.sampled_from([0.0, -3.0, -12.5, -84.5]) | st.floats(-90.0, 0.0))
 def test_hearers_cut_the_neighbor_lists_at_the_power(sender, power):
     links = link_table(ARENA_61, PARAMS)
-    ids = links.hearers(sender, power)
+    ids = links.reception(sender, power).ids
     assert ids.dtype == np.intp and not ids.flags.writeable
     # at or below the default power: the neighbor list, filtered by power
     row = links.pathloss_db[sender].tolist()
@@ -309,7 +325,7 @@ def test_hearers_cut_the_neighbor_lists_at_the_power(sender, power):
     # and still left out
     assert row[sender] == pathloss_db(0.0, PARAMS.alpha_exp, PARAMS.d_min_m)
     assert sender not in ids.tolist()
-    assert links.hearers(sender, power) is ids
+    assert links.reception(sender, power).ids is ids
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +377,14 @@ def test_receptions_hold_limits_at_the_default_power_and_signals_at_others(noise
     links = link_table(ARENA_61, params)
     assert (links.noise_mw == 0.0) == (noise_dbm == -4000.0)
     for sender in (0, 7, 60):
-        ids, lim, signal, clean = links.reception(sender, 0.0)
-        assert signal is None and not lim.flags.writeable
-        mw = links.rx_mw[sender].take(ids)
+        row, ids, lim, signal, clean = links.reception(sender, 0.0)
+        assert row == sender and signal is None and not lim.flags.writeable
+        mw = links.bank[sender].take(ids)
         assert lim.tolist() == sinr_limits(mw, links.noise_mw, links.threshold)[0].tolist()
         assert clean == tuple(ids.compress(lim >= 0.0).tolist())
-        ids, lim, signal, clean = links.reception(sender, -9.5)
-        assert lim is None
-        assert signal.tolist() == links.bank[links.rows[sender, -9.5]].take(ids).tolist()
+        row, ids, lim, signal, clean = links.reception(sender, -9.5)
+        assert lim is None and row >= len(ARENA_61)
+        assert signal.tolist() == links.bank[row].take(ids).tolist()
         with np.errstate(divide="ignore"):
             assert clean == tuple(ids.compress(signal / links.noise_mw >= links.threshold)
                                   .tolist())
@@ -381,7 +397,8 @@ def _oracle_ids(wanted, receivers, points, params):
 
 
 def _on_air(links, sender, power, start, end):
-    return Transmission(sender, power, start, end, "p", row=links.row(sender, power))
+    return Transmission(sender, power, start, end, "p",
+                        reception=links.reception(sender, power))
 
 
 def _at(params, points, wanted):
@@ -399,7 +416,7 @@ def _at(params, points, wanted):
 def _decoded(links, wanted, *ids):
     """The ids among ``ids`` that decode_batch decodes; each must hear
     ``wanted``."""
-    assert set(ids) <= set(links.hearers(wanted.sender, wanted.tx_power_dbm).tolist())
+    assert set(ids) <= set(wanted.reception.ids.tolist())
     return [j for j in decode_batch(wanted, links) if j in ids]
 
 
@@ -506,7 +523,7 @@ def test_decode_batch_at_exact_sinr_threshold():
         links = link_table(points, PARAMS)
         wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
         wanted.interferers = [_on_air(links, 2, 0.0, 9.0, 20.0)]
-        at = _threshold_db_hitting(float(links.rx_mw[0, 1]) / (noise + float(links.rx_mw[2, 1])))
+        at = _threshold_db_hitting(float(links.bank[0, 1]) / (noise + float(links.bank[2, 1])))
         if at is None:
             continue
         hits += 1
@@ -546,8 +563,8 @@ def _agrees_near_ratio(wanted, receiver, points, ratio):
 
 def _sinr(links, wanted, receiver, interferers):
     noise = 10.0 ** (PARAMS.noise_floor_dbm / 10.0)
-    peak = sum(float(links.bank[tr.row, receiver]) for tr in interferers)
-    return float(links.bank[wanted.row, receiver]) / (noise + peak)
+    peak = sum(float(links.bank[tr.reception.row, receiver]) for tr in interferers)
+    return float(links.bank[wanted.reception.row, receiver]) / (noise + peak)
 
 
 def test_decode_tie_of_two_interior_additions_ordered_per_receiver():
@@ -562,7 +579,7 @@ def test_decode_tie_of_two_interior_additions_ordered_per_receiver():
         wanted.interferers = [_on_air(links, 3, 0.0, 9.0, 20.0),
                               _on_air(links, 4, 0.0, 13.0, 20.5),
                               _on_air(links, 5, 0.0, 13.0, 20.5)]
-        assert links.rx_mw[4, 1] > links.rx_mw[5, 1] and links.rx_mw[5, 2] > links.rx_mw[4, 2]
+        assert links.bank[4, 1] > links.bank[5, 1] and links.bank[5, 2] > links.bank[4, 2]
         for r in (1, 2):
             crossed += _agrees_near_ratio(wanted, r, points,
                                           _sinr(links, wanted, r, wanted.interferers))
@@ -607,8 +624,8 @@ def test_decode_tie_of_three_clamped_starts_adds_smallest_first():
         points = [(0.0, 0.0), (30.0, 0.0), (-18.0 - 0.13 * k, 8.0), (78.0, 14.0 + 0.07 * k),
                   (30.0, -48.0 - 0.05 * k)]
         links = link_table(points, PARAMS)
-        loudest = sorted((2, 3, 4), key=lambda j: -links.rx_mw[j, 1])
-        mw = [float(links.rx_mw[j, 1]) for j in loudest]
+        loudest = sorted((2, 3, 4), key=lambda j: -links.bank[j, 1])
+        mw = [float(links.bank[j, 1]) for j in loudest]
         if (mw[0] + mw[1]) + mw[2] == (mw[2] + mw[1]) + mw[0]:
             continue
         wanted = _on_air(links, 0, 0.0, 10.0, 17.5)

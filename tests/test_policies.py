@@ -35,10 +35,6 @@ class StubNode:
         self.p_ia = (erfc_forward_probability(self.delta, spread, bounds)
                      if self.delta is not None else None)
 
-    @property
-    def dead(self):
-        return self.battery.dead
-
 
 class SeqRng:
     def __init__(self, values):

@@ -461,7 +461,7 @@ def _loop_nearest_alive_sensor(net, pos):
     best = None
     best_key = None
     for node in net.nodes:
-        if node.is_sink or node.dead:
+        if node.is_sink or node.battery.dead:
             continue
         key = (phys.distance(node.pos, pos), node.id)
         if best_key is None or key < best_key:
@@ -600,7 +600,7 @@ def test_require_connected_builds_the_link_table_once(monkeypatch):
     positions, sink, links = generate_topology(cfg, make_stream(1, 0, None, "topology"))
     fresh = real(positions + [sink], cfg.phys)
     assert np.array_equal(links.pathloss_db, fresh.pathloss_db)
-    assert np.array_equal(links.rx_mw, fresh.rx_mw)
+    assert np.array_equal(links.bank, fresh.bank)
     built.clear()
     build_network(cfg, 0)
     assert built == [61]   # the accepted sample's table serves the network
@@ -613,6 +613,22 @@ def test_require_connected_builds_the_link_table_once(monkeypatch):
     built.clear()
     build_network(cfg, 0)
     assert built == [61]
+
+
+def test_a_played_transmission_carries_the_tables_reception(monkeypatch):
+    # GRAB sends at the default power and at reduced ones
+    decoded = Counter()
+
+    def checked(wanted, links, decode_batch=phys.decode_batch):
+        assert wanted.reception is links.reception(wanted.sender, wanted.tx_power_dbm)
+        for other in wanted.interferers:
+            assert other.reception is links.reception(other.sender, other.tx_power_dbm)
+        decoded[wanted.tx_power_dbm == links.tx_power_dbm] += 1
+        return decode_batch(wanted, links)
+
+    monkeypatch.setattr(phys, "decode_batch", checked)
+    run_replication(small_cfg(protocol="GRAB"), 0)
+    assert decoded[True] and decoded[False]
 
 
 def test_receiver_drained_mid_run_hears_nothing_more(monkeypatch):
@@ -641,7 +657,7 @@ def test_receiver_drained_mid_run_hears_nothing_more(monkeypatch):
     net.release()
     metrics = net.finish()   # re-checks the ledger against the batteries
     at, pathloss, q = frozen[0]
-    assert node.dead and list(pathloss) == [net.sink_id] and math.isfinite(q)
+    assert node.battery.dead and list(pathloss) == [net.sink_id] and math.isfinite(q)
     # the other nodes kept advertising, and none of it reached node 2
     assert metrics.adv_total == 4
     assert [j for j, _ in net.energy_log[at:]].count(2) == 0
@@ -666,14 +682,13 @@ TINY = 5e-324
 @example(2 * TINY, 2 * TINY)
 @example(2.2250738585072014e-308, 2.225073858507201e-308)
 def test_consumed_below_capacity_is_exactly_alive(capacity, consumed):
-    """The end of a transmission skips dead receivers, and counts an
-    advertisement's alive hearers, by comparing consumed with capacity
-    instead of asking Battery.dead, and so does Node.dead; the comparison
-    and Battery.dead must never disagree."""
+    """Battery.dead compares consumed with capacity, and the end of a
+    transmission inlines that comparison to skip dead receivers and count
+    an advertisement's alive hearers; it must never disagree with the
+    remaining energy's sign."""
     battery = Battery(capacity, consumed)
     assert (consumed < capacity) == (not battery.dead)
-    node = scenario.Node(0, (0.0, 0.0), False, battery)
-    assert node.dead == battery.dead
+    assert battery.dead == (battery.remaining_j <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +938,7 @@ def _reference_receive_data(net, tr, decoded):
     pkt = tr.packet
     sc = net.cfg.scenario
     joules = policies.rx_joules(tr.n_bytes, net.policies, net.radio)
-    alive = [j for j in decoded if not nodes[j].dead]
+    alive = [j for j in decoded if not nodes[j].battery.dead]
     losses = net.links.pathloss_db[tr.sender].take(alive).tolist()
     for rx_id, pl in zip(alive, losses):
         rx = nodes[rx_id]
