@@ -230,9 +230,11 @@ def validate(cfg: SimConfig) -> None:
     _require(p.d_min_m > 0, "phys.d_min_m", "must be positive")
     for key in ("adv_bytes", "ncnt_bytes", "data_bytes"):
         _require(getattr(p, key) >= 1, f"phys.{key}", "must be >= 1")
+        # at least the ulp of the run's end, so every transmission ends after it starts
         airtime = _airtime_ms(p, getattr(p, key))
-        _require(math.isfinite(airtime), f"phys.{key} * 8 / phys.bitrate_bps * 1000",
-                 f"(the airtime in ms) must be finite, got {airtime}")
+        _require(math.ulp(sc.max_sim_time_ms) <= airtime < math.inf,
+                 f"phys.{key} * 8 / phys.bitrate_bps * 1000", f"(the airtime in ms) must be "
+                 f"finite and at least the ulp of scenario.max_sim_time_ms, got {airtime}")
     # the run works in mW: each conversion it makes must come out finite
     for key in ("noise_floor_dbm", "tx_power_dbm"):
         _require(math.isfinite(_linear(getattr(p, key))), f"phys.{key}",
@@ -291,6 +293,16 @@ def validate(cfg: SimConfig) -> None:
         _require(count_end <= sc.data_start_ms, "costfield.ncnt_start_ms",
                  "plus costfield.ncnt_window_ms, mac.backoff_max_ms and the airtime of "
                  f"phys.ncnt_bytes must not exceed scenario.data_start_ms, got {count_end}")
+    # a ladder protocol's sensors re-arm a stall timer every period until the
+    # end (desk.cfg: 840 checks), and at a period below the end's ulp, forever
+    if PROTOCOLS[sc.protocol].ladder:
+        period = pol.stall_check_factor * (sc.data_window_ms / max(1, sc.event_count))
+        checks = (sc.node_count * (sc.max_sim_time_ms - sc.data_start_ms) / period
+                  if period >= math.ulp(sc.max_sim_time_ms) else math.inf)
+        _require(checks <= 1e6, "policies.stall_check_factor", "must give at most 1e6 stall "
+                 f"checks (node_count * data phase / period), got {checks:.3g}")
+    _require(not sc.require_connected or peak_dbm > p.sensitivity_dbm, "scenario.require_connected",
+             f"needs nodes phys.d_min_m apart to link: {peak_dbm} dBm must exceed sensitivity")
     _require(0.0 <= sc.p_f <= 1.0, "scenario.p_f", "must lie in [0, 1]")
     _require(sc.failure_side in ("rx", "tx"), "scenario.failure_side", "must be rx or tx")
     _require(sc.sink_placement in ("corner", "center"), "scenario.sink_placement",

@@ -12,7 +12,11 @@ pair's pathloss and default-power received mW and the neighbor lists once.
 The table keeps one ``Reception`` per (sender, power): its received-mW row
 and what decoding it needs besides its interferers. A transmission carries
 its reception, and ``decode_batch`` decodes it for all its hearers from
-that, doing per call only the work that depends on the interferers. The
+that, doing per call only the work that depends on the interferers. These
+come from the network's channel mark log (see ``decode_batch``): a start or
+end mark per transmission, in event order, read from a window's start to
+its end; a start at the window's start played after it joins the clamped
+group, an end there is dropped, and so is every mark at its end. The
 scalar ``decode`` is the reference the batched path must equal bit for bit,
 and two facts make it exact:
 
@@ -34,8 +38,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from bisect import bisect_left, bisect_right
+from itertools import chain, groupby, islice, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -90,10 +94,10 @@ class Transmission:
     start: float
     end: float               # start + airtime
     packet: object
-    # every other transmission overlapping [start, end]; maintained by the network
-    interferers: list = field(default_factory=list)
     reception: Reception | None = None   # LinkTable.reception(sender, tx_power_dbm)
     n_bytes: int = 0         # the packet's size, which sets airtime and energy
+    first: int = 0           # the channel log's length just after its start mark
+    group: list = field(default_factory=list)   # its clamped group's bank rows
 
 
 _INF_BITS = 0x7FF0000000000000   # the bit pattern of +inf
@@ -370,82 +374,61 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
     return signal_mw / denominator >= 10.0 ** (params.sinr_threshold_db / 10.0)
 
 
-def decode_batch(wanted: Transmission, links: LinkTable) -> list[int]:
+def decode_batch(wanted: Transmission, marks: tuple, links: LinkTable) -> list[int]:
     """The hearers of ``wanted`` (the ids of ``wanted.reception``, which
-    ``links`` made) that demodulate it among ``wanted.interferers``,
+    ``links`` made) that demodulate it on the channel ``marks`` records,
     ascending; ``decode`` for each of them, bit for bit.
+
+    ``marks`` is the channel log by column: the instant, bank row and sign
+    (+1.0 a start, -1.0 an end) of each start and end since the channel
+    idled, in event order, so its instants never decrease. The window holds
+    the clamped group, ``wanted.group`` (the rows on the air at its start
+    that end after it), and the marks from ``wanted.first`` up to the first
+    at or after ``wanted.end`` (an overlap must have ``end > start``),
+    found by bisection. A start at ``wanted.start`` played after it joins
+    the group; an end there, of a transmission that never overlapped, is
+    dropped. Removals after the last addition's instant are left out: each
+    turns a level L into fl(L - x) <= L, so none can raise the peak.
 
     A hearer decodes when the peak interference over the window is at most
     its limit, or at a non-default power when ``decode``'s own test passes
     on its signal (``LinkTable.reception``). With no interferer overlapping
     the window the peak is zero, and the decoded ids are the reception's
-    clean list.
-
-    Otherwise one signed mark list gives the peak. It holds the rows of the
-    clamped group (the interferers on the air at ``wanted.start``), then an
-    (instant, row) per later start and an (end, row) per end inside the
-    window, sorted by instant. The rows (each interferer's
-    ``reception.row``) are gathered from the table's bank, then at the
-    hearers, into one marks x hearers matrix, the removals' rows are
-    negated (exactly), and a cumulative sum down each column adds them
-    in ``decode``'s order, so every partial sum equals its loop's. Sorting
-    by instant fixes that order everywhere except among marks of one
-    instant, which ``decode`` orders by signed mW at each receiver: such a
-    group is sorted column by column. The clamped group needs it only from
-    three rows up (see the module docstring), and later marks only when two
-    share an instant.
-
-    Removals after the last addition are left out, those at ``wanted.end``
-    among them (an overlap must have ``end > start``, so no addition falls
-    on that instant). Each one turns a level L into fl(L - x) <= L, so no
-    level after the last addition can raise the peak.
+    clean list. Otherwise the group's rows, then the later marks', are
+    gathered from the bank, then at the hearers, into one marks x hearers
+    matrix, the removals' rows are negated (exactly), and a cumulative sum
+    down each column adds them in ``decode``'s order: the log's, but marks
+    of one instant, which ``decode`` orders by signed mW per receiver, are
+    sorted by column (the clamped group from three rows up: module docstring).
     """
     _, ids, lim, signal, clean = wanted.reception
-
-    group = []   # rows of the interferers on the air at the start
-    later = []   # (instant, row, sign) of the marks after it
-    ws, we = wanted.start, wanted.end
-    last = ws    # the last addition's instant
-    for other in wanted.interferers:
-        s, e = other.start, other.end
-        end = e if e < we else we
-        if s > ws:
-            if end <= s:
-                continue
-            later.append((s, other.reception.row, 1.0))
-            if s > last:
-                last = s
-        elif end > ws:
-            group.append(other.reception.row)
-        else:
-            continue
-        if e < we:
-            later.append((e, other.reception.row, -1.0))
-    if not group and not later:
+    instants, rows, signs = marks
+    ws, first, group = wanted.start, wanted.first, wanted.group
+    end = bisect_left(instants, wanted.end, first)
+    k = bisect_right(instants, ws, first, end)   # the marks before k lie at the start
+    if k > first:
+        group = group + [r for r, sign in zip(rows[first:k], signs[first:k]) if sign > 0.0]
+    j = end   # just after the last addition, then after the removals tied with it
+    while j > k and signs[j - 1] < 0.0:
+        j -= 1
+    end = bisect_right(instants, instants[j - 1], j, end) if j > k else k
+    if not group and end == k:
         return list(clean)
-    later.sort(key=itemgetter(0))
-    while later and later[-1][0] > last:
-        later.pop()
-    if later:
-        at, after, signs = zip(*later)
-        rows = group + list(after)
-    else:
-        rows = group
-
-    level = links.bank.take(rows, axis=0).take(ids, axis=1)
+    at, signs = instants[k:end], signs[k:end]
+    level = links.bank.take(group + rows[k:end], axis=0).take(ids, axis=1)
     g = len(group)
-    if later and -1.0 in signs:
+    if -1.0 in signs:
         # negation is exact, and decode orders a tie by the signed value
         level[g:] *= np.array(signs)[:, None]
     if g > 2:
         level[:g].sort(axis=0)
-    if later and len(set(at)) < len(at):
-        first = 0
-        for i in range(1, len(at) + 1):
-            if i == len(at) or at[i] != at[first]:
-                if i - first > 1:
-                    level[g + first:g + i].sort(axis=0)
-                first = i
+    if len(set(at)) < len(at):
+        i = g
+        for _, tied in groupby(at):
+            n = len(list(tied))
+            if n > 1:
+                level[i:i + n].sort(axis=0)
+            i += n
     # the first mark is an addition of a non-negative power, so the peak is
     # never below decode's starting level of zero
     peak = np.maximum.reduce(np.add.accumulate(level, axis=0), axis=0)

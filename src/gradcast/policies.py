@@ -142,7 +142,7 @@ def remaining_life_probability(battery: Battery) -> float:
     for a healthy battery, zero when nothing can be sent anymore. A node that
     never broadcast has no estimate and is maximally willing.
     """
-    if battery.remaining_j <= 0.0:
+    if battery.dead:
         return 0.0
     if battery.n_forwarded == 0:
         return 1.0

@@ -70,7 +70,7 @@ def generate_topology(cfg: SimConfig, rng) -> tuple[list, tuple[float, float],
         links = phys.link_table(positions + [sink_pos], cfg.phys)
         if not sc.require_connected or all(_reaches(links.neighbors, sc.node_count)):
             return positions, sink_pos, links
-    raise RuntimeError("could not sample a fully connected topology")
+    raise ConfigError("scenario.require_connected: no connected topology in 1000 samples")
 
 
 def neighbor_lists(positions: list, params: phys.RadioParams) -> list[list[int]]:
@@ -143,6 +143,7 @@ class Network:
         self.links: phys.LinkTable | None = None
         self.sensor_xy: np.ndarray | None = None   # (sensors, 2), for the source search
         self.active: dict[int, phys.Transmission] = {}   # by its TX_END event's seq
+        self.marks = ([], [], [])   # instants, bank rows, signs: see phys.decode_batch
         self.flood_epoch = 0.0
         self.energy_log: list | None = [] if cfg.metrics.energy_audit else None
         self._setup_seqs = 0    # events the setup phase schedules at the start
@@ -319,20 +320,27 @@ class Network:
         if self.energy_log is not None:
             self.energy_log.append((node.id, joules))
         now = self.sim.clock
+        reception = self.links.reception(node.id, power)
+        instants, rows, signs = self.marks
+        instants.append(now)
+        rows.append(reception.row)
+        signs.append(1.0)
         tr = phys.Transmission(node.id, power, now, now + self.radio.airtime_ms(n_bytes), packet,
-                               reception=self.links.reception(node.id, power), n_bytes=n_bytes)
-        tr.interferers = list(self.active.values())
-        for other in self.active.values():
-            other.interferers.append(tr)
+                               reception, n_bytes, len(instants),
+                               [o.reception.row for o in self.active.values() if o.end > now])
         self.active[self.sim.schedule(tr.end, EventKind.TX_END, node.id, tr).seq] = tr
 
     def _tx_end(self, ev: Event) -> None:
         tr = ev.payload
         del self.active[ev.seq]
-        decoded = phys.decode_batch(tr, self.links)
-        # the transmissions still on the air keep theirs; dropping this list
-        # breaks the reference cycles between finished transmissions
-        tr.interferers = []
+        decoded = phys.decode_batch(tr, self.marks, self.links)
+        if self.active:
+            instants, rows, signs = self.marks
+            instants.append(tr.end)
+            rows.append(tr.reception.row)
+            signs.append(-1.0)
+        else:   # the channel idles: no later decode reads back past here
+            self.marks = ([], [], [])
         # Dead receivers drop out after the decode (a data packet's in its
         # receive loop), which equals leaving them out of it: each column
         # decodes on its own, and the decode changes no battery.
@@ -531,13 +539,10 @@ class Network:
         return best
 
     def release(self) -> None:
-        """Break the reference cycles of a played replication, so reference
+        """Break the reference cycle of a played replication, so reference
         counting frees it and its link table without waiting for the garbage
-        collector: the simulator's handler is this network's bound method, and
-        transmissions still on the air list each other as interferers."""
+        collector: the simulator's handler is this network's bound method."""
         self.sim.handler = None
-        for tr in self.active.values():
-            tr.interferers = []
 
     def finish(self) -> RunMetrics:
         return self.recorder.finalize(self.nodes, self.cfg.metrics.include_sink,

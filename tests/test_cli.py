@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from gradcast import cli
+from gradcast import cli, scenario
 
 FAST = [
     "--set", "scenario.node_count=30",
@@ -191,6 +191,8 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     f"phys.adv_bytes={'9' * 400}",
     # ran with every airtime inf: nothing left the air and nothing arrived
     "phys.bitrate_bps=1e-310",
+    # ran with packets that ended as they started, late in the run
+    "phys.bitrate_bps=1e20",
 ])
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, override):
     """``override`` is one or more overrides; the last one's key is named."""
@@ -200,3 +202,35 @@ def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, override):
     assert rc == 2
     assert not out.exists()
     assert override.split()[-1].split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    # about 8e12 stall-check events: the run would never end
+    (["scenario.protocol=U-GRAB", "policies.stall_check_factor=1e-9"],
+     "policies.stall_check_factor"),
+    # exited 3 after 1,000 samples: no two nodes can link
+    (["scenario.node_count=2", "phys.sensitivity_dbm=50", "scenario.require_connected=true"],
+     "scenario.require_connected"),
+])
+def test_config_that_cannot_end_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
+                                                         overrides, key):
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(scenario, "sweep", started)
+    out = tmp_path / "out"
+    sets = [arg for pair in overrides for arg in ("--set", pair)]
+    rc = cli.main(["run", "--config", "configs/desk.cfg", "--out", str(out)] + sets)
+    assert rc == 2
+    assert not out.exists()
+    assert key in capsys.readouterr().err
+
+
+def test_exhausted_topology_search_exits_2(tmp_path, capsys):
+    # two sensors in a 1,000 km square: the radio links pairs, but no
+    # sample puts both within its 66 m range of the sink
+    rc = cli.main(["run", "--out", str(tmp_path / "out"), "--set", "scenario.node_count=2",
+                   "--set", "scenario.area_width_m=1e6", "--set", "scenario.area_height_m=1e6",
+                   "--set", "scenario.require_connected=true"] + FAST[-2:])
+    assert rc == 2
+    assert "scenario.require_connected" in capsys.readouterr().err

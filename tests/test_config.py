@@ -107,12 +107,50 @@ def test_every_float_key_must_be_finite(key, value):
     # airtimes that overflow: a byte count too large for a float, and a
     # bitrate that makes every airtime inf
     f"phys.data_bytes={'9' * 400}", f"phys.adv_bytes={'9' * 400}", "phys.bitrate_bps=1e-310",
+    # airtimes below the spacing of floats near the end of the run, where a
+    # packet would end as it starts
+    "phys.bitrate_bps=1e20", "scenario.max_sim_time_ms=1e15 phys.bitrate_bps=1e7",
 ])
 def test_out_of_range_value_names_its_key(pair):
     """``pair`` is one or more overrides; the last one's key is named."""
     overrides = pair.split()
     with pytest.raises(ConfigError, match=overrides[-1].split("=")[0].replace(".", r"\.")):
         apply_overrides(default_config(), overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    # desk.cfg's U-GRAB with a 5e-7 ms stall period: about 8e12 timer events
+    ["scenario.protocol=U-GRAB", "policies.stall_check_factor=1e-9"],
+    ["scenario.protocol=UP-GRAB", "policies.stall_check_factor=0.008"],
+    # 4e5 checks, but a 5e-11 ms period never moves a clock near 1e6 ms
+    ["scenario.protocol=U-GRAB", "scenario.node_count=2", "scenario.event_count=1",
+     "scenario.max_sim_time_ms=1e6", "scenario.data_start_ms=999999.99999",
+     "scenario.data_window_ms=1e-5", "policies.stall_check_factor=5e-6"],
+])
+def test_stall_checks_without_end_name_the_factor(overrides):
+    with pytest.raises(ConfigError, match=r"^policies\.stall_check_factor must give at most"):
+        apply_overrides(default_config(), overrides)
+
+
+def test_stall_check_bound_is_the_closed_form_count():
+    # desk.cfg's ladder protocols: 200 sensors, 21,000 ms of data phase and
+    # a period of stall_check_factor * 500 ms
+    factor = 200 * 21000.0 / 500.0 / 1e6   # a million checks, the most allowed
+    for protocol in ("U-GRAB", "UP-GRAB"):
+        apply_overrides(default_config(), [f"scenario.protocol={protocol}",
+                                           f"policies.stall_check_factor={factor}"])
+    # protocols without the ladder arm no stall timer
+    for protocol in ("BGB", "GRAB", "P-GRAB"):
+        apply_overrides(default_config(), [f"scenario.protocol={protocol}",
+                                           "policies.stall_check_factor=1e-9"])
+
+
+def test_unconnectable_radio_names_require_connected():
+    # the received power at d_min_m is +30 dBm: no two nodes can link
+    overrides = ["scenario.node_count=2", "phys.sensitivity_dbm=50"]
+    apply_overrides(default_config(), overrides)
+    with pytest.raises(ConfigError, match=r"^scenario\.require_connected"):
+        apply_overrides(default_config(), overrides + ["scenario.require_connected=true"])
 
 
 def test_run_ending_before_the_data_phase_names_its_start():

@@ -20,15 +20,18 @@ from tests.test_scenario import _loop_nearest_alive_sensor
 # every way decode_batch can take through a call
 BRANCHES = ("no interferer", "clamped group of 1", "clamped group of 2",
             "clamped group of 3+", "tied later marks", "reduced-power reception",
-            "reduced-power interferer")
+            "reduced-power interferer", "start at the window's start, played after it",
+            "end at the window's start, played after it", "mark at the window's end")
 
 
-def _branches(wanted, default_power):
-    """The branches a decode of ``wanted`` takes, read off its interferers
-    as ``phys.decode`` sees them."""
+def _branches(wanted, concurrent, marks, default_power):
+    """The branches a decode of ``wanted`` takes, read off ``concurrent`` as
+    ``phys.decode`` sees them, and off the log's marks of its window."""
     ws, we = wanted.start, wanted.end
     group, instants, reduced = 0, [], False
-    for other in wanted.interferers:
+    for other in concurrent:
+        if other is wanted:
+            continue
         if min(other.end, we) <= max(other.start, ws):
             continue
         if other.start <= ws:
@@ -49,34 +52,61 @@ def _branches(wanted, default_power):
         taken.append("reduced-power reception")
     if reduced:
         taken.append("reduced-power interferer")
+    instants, _, signs = marks
+    window = list(zip(instants[wanted.first:], signs[wanted.first:]))
+    if (ws, 1.0) in window:
+        taken.append("start at the window's start, played after it")
+    if (ws, -1.0) in window:
+        taken.append("end at the window's start, played after it")
+    if we in instants[wanted.first:]:
+        taken.append("mark at the window's end")
     return taken
 
 
 def _play_checked(monkeypatch, cells):
     """Play ``cells`` through one ``play`` with every call of the fast paths
     checked against its reference; returns the runs and the call counts,
-    decode branches included."""
+    decode branches included. ``phys.decode`` gets the transmissions this
+    test records itself, not the network's channel log."""
     calls = Counter()
-    playing = []   # the network whose replication is playing, and its positions
+    playing = []   # the network whose replication is playing, its positions and longest airtime
+    # the playing replication's transmissions, dropped once they end a
+    # longest airtime before a decode: no later window reaches them
+    record = []
 
     def build(net, *args, build=scenario.Network.build, **kwargs):
         build(net, *args, **kwargs)
-        playing[:] = [net, [n.pos for n in net.nodes]]
+        r = net.radio
+        playing[:] = [net, [n.pos for n in net.nodes],
+                      max(r.airtime_ms(n) for n in (r.adv_bytes, r.ncnt_bytes, r.data_bytes))]
+        record.clear()
+
+    def transmission(*args, make=phys.Transmission, **kwargs):
+        tr = make(*args, **kwargs)
+        record.append(tr)
+        return tr
 
     def resume(net, snap, traffic, resume=scenario.Network.resume):
         calls["resume"] += 1
         resume(net, snap, traffic)
 
-    def decode_batch(wanted, links, decode_batch=phys.decode_batch):
-        decoded = decode_batch(wanted, links)
-        net, positions = playing
+    def decode_batch(wanted, marks, links, decode_batch=phys.decode_batch):
+        decoded = decode_batch(wanted, marks, links)
+        net, positions, longest = playing
         assert wanted.reception is links.receptions[wanted.sender, wanted.tx_power_dbm]
+        record[:] = [tr for tr in record if tr.end >= wanted.end - longest]
         # every node but the sender, not only the cached hearers
         assert decoded == [n.id for n in net.nodes if n.id != wanted.sender and phys.decode(
-            n.pos, wanted, wanted.interferers, net.radio, positions)]
+            n.pos, wanted, record, net.radio, positions)]
         calls["decode_batch"] += 1
-        calls.update(_branches(wanted, net.radio.tx_power_dbm))
+        calls.update(_branches(wanted, record, marks, net.radio.tx_power_dbm))
         return decoded
+
+    def release(net, release=scenario.Network.release):
+        # the log empties with the channel
+        assert net.active or net.marks == ([], [], [])
+        calls["idle at the end"] += not net.active
+        release(net)
 
     def sense(net, node, sense=mac.sense):
         busy = sense(net, node)
@@ -92,6 +122,8 @@ def _play_checked(monkeypatch, cells):
 
     monkeypatch.setattr(scenario.Network, "build", build)
     monkeypatch.setattr(scenario.Network, "resume", resume)
+    monkeypatch.setattr(scenario.Network, "release", release)
+    monkeypatch.setattr(phys, "Transmission", transmission)
     monkeypatch.setattr(phys, "decode_batch", decode_batch)
     monkeypatch.setattr(mac, "sense", sense)
     monkeypatch.setattr(scenario.Network, "_nearest_alive_sensor", nearest)
@@ -113,12 +145,39 @@ def test_fast_paths_equal_their_references_on_real_runs(monkeypatch):
 
 def test_zero_backoff_reaches_every_decode_branch(monkeypatch):
     """With no backoff, the receivers of one packet forward at one instant,
-    so marks after a wanted packet's start tie; every branch of the decode
-    is taken and checked."""
+    so marks after a wanted packet's start tie, and starts and ends fall on
+    window boundaries. An end at a window's start lands in the log after
+    that start only when the start was scheduled before the ending packet
+    began: in the third cell every time is a whole millisecond (4 ms
+    advertisements, 3 ms counts, an 8 ms backoff, advertisements sent as
+    they are heard), and the count stage's sends at 36 ms start as the
+    second hop of the flood, begun at 32 ms, ends. Every branch of the
+    decode is taken and checked."""
     cells = []
     for protocol in ("GRAB", "P-GRAB"):   # GRAB sends at reduced power
         cfg = _cell_cfg(protocol, CELLS["pf0"])
         cfg.mac.backoff_min_ms = cfg.mac.backoff_max_ms = 0.0
         cells.append((cfg, ""))
+    cfg = _cell_cfg("P-GRAB", CELLS["pf0"])
+    cfg.mac.backoff_min_ms = cfg.mac.backoff_max_ms = 8.0
+    cfg.phys.bitrate_bps = 32000.0
+    cfg.costfield.beta_adv_ms = cfg.costfield.ncnt_window_ms = 0.0
+    cfg.costfield.ncnt_start_ms = 28.0
+    cells.append((cfg, ""))
     _, calls = _play_checked(monkeypatch, cells)
     assert [branch for branch in BRANCHES if not calls[branch]] == []
+
+
+def test_the_log_is_empty_after_every_replication(monkeypatch):
+    """The golden cells' channels idle by the end of each replication, and
+    the log empties with the channel."""
+    cells = [(_cell_cfg(p, CELLS[cell]), "") for cell in CELLS for p in PROTOCOLS]
+    ended = []
+
+    def release(net, release=scenario.Network.release):
+        ended.append((len(net.active), len(net.marks[0])))
+        release(net)
+
+    monkeypatch.setattr(scenario.Network, "release", release)
+    runs, _ = play(cells)
+    assert ended == [(0, 0)] * len(runs)

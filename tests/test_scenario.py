@@ -540,6 +540,30 @@ def test_finished_replication_is_freed_without_the_collector(monkeypatch, protoc
     assert (on_air[0] >= 2) == cut
 
 
+def test_transmissions_on_the_air_are_freed_with_the_network(monkeypatch):
+    """A flood cut mid-air leaves transmissions on the air and their marks
+    in the channel log; with the collector off, the network and every one
+    of them go with the replication: they hold bank rows, not each other."""
+    cfg = small_cfg(protocol="BGB")
+    cfg.phys.bitrate_bps = 100.0
+    cfg.scenario.max_sim_time_ms = 2000.0
+    held = []
+
+    def release(net, release=scenario.Network.release):
+        assert net.active and net.marks[0]
+        held.extend(weakref.ref(tr) for tr in net.active.values())
+        held.append(weakref.ref(net))
+        release(net)
+
+    monkeypatch.setattr(scenario.Network, "release", release)
+    gc.disable()
+    try:
+        run_replication(cfg, 0)
+        assert len(held) > 2 and [ref() for ref in held] == [None] * len(held)
+    finally:
+        gc.enable()
+
+
 def _referenced(root) -> list:
     """Every object reachable from ``root``, classes and modules left out."""
     seen, out, stack = set(), [], [root]
@@ -619,12 +643,13 @@ def test_a_played_transmission_carries_the_tables_reception(monkeypatch):
     # GRAB sends at the default power and at reduced ones
     decoded = Counter()
 
-    def checked(wanted, links, decode_batch=phys.decode_batch):
+    def checked(wanted, marks, links, decode_batch=phys.decode_batch):
         assert wanted.reception is links.reception(wanted.sender, wanted.tx_power_dbm)
-        for other in wanted.interferers:
-            assert other.reception is links.reception(other.sender, other.tx_power_dbm)
+        # the window's rows, the clamped group's and the log's, are receptions' rows
+        rows = {rec.row for rec in links.receptions.values()}
+        assert set(wanted.group) | set(marks[1][wanted.first:]) <= rows
         decoded[wanted.tx_power_dbm == links.tx_power_dbm] += 1
-        return decode_batch(wanted, links)
+        return decode_batch(wanted, marks, links)
 
     monkeypatch.setattr(phys, "decode_batch", checked)
     run_replication(small_cfg(protocol="GRAB"), 0)
