@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain, groupby, islice, repeat
 from typing import Iterable, NamedTuple
@@ -166,14 +167,16 @@ def sinr_limits(signal: np.ndarray, noise_mw: float,
 
 
 class Reception(NamedTuple):
-    """Everything the table keeps for one (sender, power): the bank row of
-    its received mW and what decoding it needs besides its interferers, at
-    the default power each hearer's limit, at another power its signal."""
+    """Everything the table keeps for one (sender, power): its bank row, its
+    hearers, and what decoding needs besides the interferers, at the default
+    power each hearer's limit, at another power its signal."""
     row: int                   # LinkTable.bank[row]: the received mW at every node id
     ids: np.ndarray            # hearers: ascending, read-only intp
+    hearers: list              # ids as a list: at the default power, neighbors[sender]
+    losses: array              # per hearer, the pathloss in dB
     lim: np.ndarray | None     # per hearer, the largest peak it decodes under, or -1.0
     signal: np.ndarray | None  # per hearer, the received mW
-    clean: tuple               # the ids that decode with no interferer
+    clean: tuple               # per hearer, whether it decodes with no interferer
 
 
 @dataclass
@@ -187,14 +190,16 @@ class LinkTable:
     bit on a few percent of inputs, and one ulp in a link cost moves the
     cost field and every backoff time derived from it.
 
-    ``bank`` holds every received-mW row a decode reads, so that one gather
-    by row id serves all interferers: its first n rows are the default-power
-    rows, row = sender, and each other power's row follows as first asked
-    for. Rows never change once written; growing the bank moves them to a
-    larger array, so ``bank`` is read after ``reception``, never before.
+    ``bank`` holds every received-mW row a decode reads, row r at ``bank[r]``
+    and its negation, written with its reception, at ``bank[~r]``, so that one
+    gather by signed row id serves all starts and ends. The first n rows are
+    the default-power rows, row = sender; each other power's row follows as
+    first asked for. Sized for 3n rows (untouched capacity costs no resident
+    memory), the bank grows past that by moving both halves to a larger
+    array, so ``bank`` is read after ``reception``, never before.
     """
     pathloss_db: np.ndarray   # (n, n), symmetric
-    bank: np.ndarray          # (capacity, n); the first ``filled`` rows are written
+    bank: np.ndarray          # (2 * capacity, n); rows [0, filled) and their negations
     tx_power_dbm: float
     sensitivity_dbm: float
     noise_mw: float
@@ -215,8 +220,8 @@ class LinkTable:
 
         The first default-power call builds every sender's default-power
         reception, limits included, in one pass from the neighbor lists.
-        Another power's appends its row to the bank and keeps its hearers'
-        signal in place of limits: a limit costs a search of a dozen numpy
+        Another power's appends its row and its negation to the bank, and
+        keeps its hearers' signal in place of limits: a limit costs a search of a dozen numpy
         calls, and such a key is decoded about five times (desk GRAB family),
         too few to repay it. Only the power goes through ``math.pow``, the
         same libm call as ``10.0 ** x``; numpy's subtraction and division
@@ -227,14 +232,15 @@ class LinkTable:
                 self._receive_default()
             else:
                 r = self.filled
-                if r == len(self.bank):
-                    # room for two more rows per node: a desk GRAB-family
-                    # replication writes about one (206 to 213 for 201 nodes)
-                    grown = np.empty((r + 2 * len(self.neighbors), self.bank.shape[1]))
-                    grown[:r] = self.bank
+                if 2 * r == len(self.bank):
+                    # room for two more rows per node: the r rows at each end move
+                    n = len(self.neighbors)
+                    grown = np.empty((len(self.bank) + 4 * n, n))
+                    grown[:r], grown[::-1][:r] = self.bank[:r], self.bank[::-1][:r]
                     self.bank = grown
                 received = tx_power_dbm - self.pathloss_db[sender]
                 self.bank[r] = _pow10(received / 10.0)
+                np.negative(self.bank[r], out=self.bank[~r])
                 self.filled = r + 1
                 audible = received > self.sensitivity_dbm
                 audible[sender] = False
@@ -242,37 +248,39 @@ class LinkTable:
                 ids.flags.writeable = False
                 signal = self.bank[r].take(ids)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    clean = ids.compress(self.perfect_decode
-                                         | (signal / self.noise_mw >= self.threshold))
+                    clean = self.perfect_decode | (signal / self.noise_mw >= self.threshold)
                 self.receptions[sender, tx_power_dbm] = Reception(
-                    r, ids, None, signal, tuple(clean.tolist()))
+                    r, ids, ids.tolist(), array("d", self.pathloss_db[sender].take(ids).tobytes()),
+                    None, signal, tuple(clean.tolist()))
             rec = self.receptions[sender, tx_power_dbm]
         return rec
 
     def _receive_default(self) -> None:
-        """Build and keep every sender's default-power reception, with one
-        limit pass over each block of senders' (sender, hearer) pairs: blocks
-        keep the pass's temporaries small beside the table."""
+        """Build and keep every sender's default-power reception, and write
+        the default rows' negations, with one limit pass over each block of
+        senders' (sender, hearer) pairs: blocks keep the temporaries small."""
         nbrs = self.neighbors
+        np.negative(self.bank[:len(nbrs)], out=self.bank[::-1][:len(nbrs)])
         for first in range(0, len(nbrs), 32):
             senders = range(first, min(first + 32, len(nbrs)))
             counts = [len(nbrs[i]) for i in senders]
             flat = np.fromiter(chain.from_iterable(nbrs[i] for i in senders), dtype=np.intp,
                                count=sum(counts))
             flat.flags.writeable = False
+            pairs = (np.repeat(senders, counts), flat)
             if self.perfect_decode:
                 lim = np.full(len(flat), np.inf)
             else:
-                signal = self.bank[np.repeat(senders, counts), flat]
-                lim, _ = sinr_limits(signal, self.noise_mw, self.threshold)
+                lim, _ = sinr_limits(self.bank[pairs], self.noise_mw, self.threshold)
             lim.flags.writeable = False
             ok = (lim >= 0.0).tolist()
+            losses = self.pathloss_db[pairs]
             b = 0
             for sender, count in zip(senders, counts):
                 a, b = b, b + count
-                clean = tuple(j for j, good in zip(nbrs[sender], ok[a:b]) if good)
                 self.receptions[sender, self.tx_power_dbm] = Reception(
-                    sender, flat[a:b], lim[a:b], None, clean)
+                    sender, flat[a:b], nbrs[sender], array("d", losses[a:b].tobytes()),
+                    lim[a:b], None, tuple(ok[a:b]))
 
 
 def _pow10(exps: np.ndarray) -> np.ndarray:
@@ -288,8 +296,7 @@ _BLOCK_ROWS = 16
 def link_table(points: list, params: RadioParams) -> LinkTable:
     """Fill the i <= j half in blocks of rows, mirror it, and list each
     node's neighbors at ``params``' power and sensitivity. The bank starts
-    as the default-power rows alone: a replication that sends at no other
-    power never grows it.
+    with the default-power rows alone written.
 
     A block's pairs take a few C-level passes and no Python bytecode per
     pair. numpy does the steps IEEE rounds as Python floats do: the
@@ -301,7 +308,9 @@ def link_table(points: list, params: RadioParams) -> LinkTable:
     p0 = params.tx_power_dbm
     xs, ys = np.array(points, dtype=float).reshape(n, 2).T
     pl = np.empty((n, n))
-    mw = np.empty((n, n))
+    bank = np.empty((6 * n, n))   # room for 3n rows and their negations
+    mw = bank[:n]
+    audible = np.empty((n, n), dtype=bool)
     for a in range(0, n, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, n)
         upper = np.arange(a, n) >= np.arange(a, b)[:, None]   # j >= i
@@ -313,11 +322,12 @@ def link_table(points: list, params: RadioParams) -> LinkTable:
         for table, half in ((pl, v), (mw, _pow10((p0 - v) / 10.0))):
             table[a:b, a:][upper] = half
             table[a:, a:b].T[upper] = half
-    audible = p0 - pl > params.sensitivity_dbm
+        # rows [a, b) are complete: every earlier block mirrored its columns
+        np.greater(p0 - pl[a:b], params.sensitivity_dbm, out=audible[a:b])
     np.fill_diagonal(audible, False)
     ids = iter(np.nonzero(audible)[1].tolist())
     neighbors = [list(islice(ids, k)) for k in np.count_nonzero(audible, axis=1).tolist()]
-    return LinkTable(pl, mw, p0, params.sensitivity_dbm,
+    return LinkTable(pl, bank, p0, params.sensitivity_dbm,
                      10.0 ** (params.noise_floor_dbm / 10.0),
                      10.0 ** (params.sinr_threshold_db / 10.0), params.perfect_decode,
                      neighbors, n)
@@ -374,52 +384,49 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
     return signal_mw / denominator >= 10.0 ** (params.sinr_threshold_db / 10.0)
 
 
-def decode_batch(wanted: Transmission, marks: tuple, links: LinkTable) -> list[int]:
-    """The hearers of ``wanted`` (the ids of ``wanted.reception``, which
-    ``links`` made) that demodulate it on the channel ``marks`` records,
-    ascending; ``decode`` for each of them, bit for bit.
+def decode_batch(wanted: Transmission, marks: tuple, links: LinkTable) -> list | tuple:
+    """Per hearer of ``wanted`` (``wanted.reception``, which ``links`` made),
+    in hearer order, whether it demodulates ``wanted`` on the channel
+    ``marks`` records; ``decode`` for each of them, bit for bit.
 
-    ``marks`` is the channel log by column: the instant, bank row and sign
-    (+1.0 a start, -1.0 an end) of each start and end since the channel
-    idled, in event order, so its instants never decrease. The window holds
-    the clamped group, ``wanted.group`` (the rows on the air at its start
-    that end after it), and the marks from ``wanted.first`` up to the first
-    at or after ``wanted.end`` (an overlap must have ``end > start``),
-    found by bisection. A start at ``wanted.start`` played after it joins
-    the group; an end there, of a transmission that never overlapped, is
-    dropped. Removals after the last addition's instant are left out: each
-    turns a level L into fl(L - x) <= L, so none can raise the peak.
+    ``marks`` is the channel log by column: the instant and signed bank row
+    (``row`` a start, ``~row`` an end, which reads the row's negation) of
+    each start and end since the channel idled, in event order, so its
+    instants never decrease. The window holds the clamped group,
+    ``wanted.group`` (the rows on the air at its start that end after it),
+    and the marks from ``wanted.first`` up to the first at or after
+    ``wanted.end`` (an overlap must have ``end > start``), found by
+    bisection. A start at ``wanted.start`` played after it joins the group;
+    an end there, of a transmission that never overlapped, is dropped.
+    Removals after the last addition's instant are left out: each turns a
+    level L into fl(L - x) <= L, so none can raise the peak.
 
     A hearer decodes when the peak interference over the window is at most
     its limit, or at a non-default power when ``decode``'s own test passes
-    on its signal (``LinkTable.reception``). With no interferer overlapping
-    the window the peak is zero, and the decoded ids are the reception's
-    clean list. Otherwise the group's rows, then the later marks', are
-    gathered from the bank, then at the hearers, into one marks x hearers
-    matrix, the removals' rows are negated (exactly), and a cumulative sum
-    down each column adds them in ``decode``'s order: the log's, but marks
-    of one instant, which ``decode`` orders by signed mW per receiver, are
-    sorted by column (the clamped group from three rows up: module docstring).
+    on its signal (``LinkTable.reception``). With no interferer in the
+    window the verdicts are the reception's clean tuple. Otherwise one
+    gather by signed row, then at the hearers, makes a marks x hearers
+    matrix of exactly signed levels, and a cumulative sum down each column
+    adds them in ``decode``'s order: the log's, but marks of one instant,
+    which ``decode`` orders by signed mW per receiver, are sorted by column
+    (the clamped group from three rows up: module docstring).
     """
-    _, ids, lim, signal, clean = wanted.reception
-    instants, rows, signs = marks
+    _, ids, _, _, lim, signal, clean = wanted.reception
+    instants, rows = marks
     ws, first, group = wanted.start, wanted.first, wanted.group
     end = bisect_left(instants, wanted.end, first)
     k = bisect_right(instants, ws, first, end)   # the marks before k lie at the start
     if k > first:
-        group = group + [r for r, sign in zip(rows[first:k], signs[first:k]) if sign > 0.0]
+        group = group + [r for r in rows[first:k] if r >= 0]
     j = end   # just after the last addition, then after the removals tied with it
-    while j > k and signs[j - 1] < 0.0:
+    while j > k and rows[j - 1] < 0:
         j -= 1
     end = bisect_right(instants, instants[j - 1], j, end) if j > k else k
     if not group and end == k:
-        return list(clean)
-    at, signs = instants[k:end], signs[k:end]
+        return clean
+    at = instants[k:end]
     level = links.bank.take(group + rows[k:end], axis=0).take(ids, axis=1)
     g = len(group)
-    if -1.0 in signs:
-        # negation is exact, and decode orders a tie by the signed value
-        level[g:] *= np.array(signs)[:, None]
     if g > 2:
         level[:g].sort(axis=0)
     if len(set(at)) < len(at):
@@ -442,5 +449,5 @@ def decode_batch(wanted: Transmission, marks: tuple, links: LinkTable) -> list[i
             # 0 / 0 = nan fails
             with np.errstate(divide="ignore", invalid="ignore"):
                 sinr = signal / (noise + peak)
-        return ids.compress(links.perfect_decode | (sinr >= links.threshold)).tolist()
-    return ids.compress(peak <= lim).tolist()
+        return (links.perfect_decode | (sinr >= links.threshold)).tolist()
+    return (peak <= lim).tolist()

@@ -143,7 +143,7 @@ class Network:
         self.links: phys.LinkTable | None = None
         self.sensor_xy: np.ndarray | None = None   # (sensors, 2), for the source search
         self.active: dict[int, phys.Transmission] = {}   # by its TX_END event's seq
-        self.marks = ([], [], [])   # instants, bank rows, signs: see phys.decode_batch
+        self.marks = ([], [])   # instants, signed bank rows: see phys.decode_batch
         self.flood_epoch = 0.0
         self.energy_log: list | None = [] if cfg.metrics.energy_audit else None
         self._setup_seqs = 0    # events the setup phase schedules at the start
@@ -321,10 +321,9 @@ class Network:
             self.energy_log.append((node.id, joules))
         now = self.sim.clock
         reception = self.links.reception(node.id, power)
-        instants, rows, signs = self.marks
+        instants, rows = self.marks
         instants.append(now)
         rows.append(reception.row)
-        signs.append(1.0)
         tr = phys.Transmission(node.id, power, now, now + self.radio.airtime_ms(n_bytes), packet,
                                reception, n_bytes, len(instants),
                                [o.reception.row for o in self.active.values() if o.end > now])
@@ -333,42 +332,30 @@ class Network:
     def _tx_end(self, ev: Event) -> None:
         tr = ev.payload
         del self.active[ev.seq]
-        decoded = phys.decode_batch(tr, self.marks, self.links)
+        verdicts = phys.decode_batch(tr, self.marks, self.links)
         if self.active:
-            instants, rows, signs = self.marks
+            instants, rows = self.marks
             instants.append(tr.end)
-            rows.append(tr.reception.row)
-            signs.append(-1.0)
+            rows.append(~tr.reception.row)
         else:   # the channel idles: no later decode reads back past here
-            self.marks = ([], [], [])
-        # Dead receivers drop out after the decode (a data packet's in its
-        # receive loop), which equals leaving them out of it: each column
-        # decodes on its own, and the decode changes no battery.
-        kind = tr.packet.kind
-        if kind == "data":
-            self._receive_data(tr, decoded)
-            return
-        nodes = self.nodes
-        alive = [j for j in decoded if (b := nodes[j].battery).consumed_j < b.capacity_j]
-        if kind == "adv":
-            heard = sum(1 for j in tr.reception.ids.tolist()
-                        if (b := nodes[j].battery).consumed_j < b.capacity_j)
-            self.counters["adv_decode_failures"] += heard - len(alive)
-        self._receive_setup(tr, alive)
+            self.marks = ([], [])
+        # dead receivers drop out in the receive loops, which equals leaving
+        # them out of the decode: each column decodes alone, changing no battery
+        receive = self._receive_data if tr.packet.kind == "data" else self._receive_setup
+        receive(tr, verdicts)
 
     # Everything a reception reads that is the same for all receivers of one
     # transmission (powers, byte count, joules, packet fields, switches) is
     # read once; each receiver's side effects keep their order.
 
-    def _receive_data(self, tr: phys.Transmission, decoded: list[int]) -> None:
-        """Every alive decoded receiver of a data packet, in one flat loop.
-        It inlines the liveness filter, the failure lottery
-        (``Cursor.random``), the debit (``Battery.drain``), the hop cost
-        (``costfield.link_cost``) and the downhill rule
-        (``policies.eligible``), each with its helper's exact arithmetic; the
-        helpers remain the reference. A receiver changes no other
-        receiver's battery, so filtering each one as the loop reaches it
-        equals filtering them all first."""
+    def _receive_data(self, tr: phys.Transmission, verdicts: list | tuple) -> None:
+        """Every alive decoded hearer of a data packet, in one flat loop. It
+        inlines the liveness filter, the failure lottery (``Cursor.random``),
+        the debit (``Battery.drain``), the hop cost (``costfield.link_cost``)
+        and the downhill rule (``policies.eligible``), each with its helper's
+        exact arithmetic; the helpers remain the reference. A receiver
+        changes no other receiver's battery, so filtering each one as the
+        loop reaches it equals filtering them all first."""
         pkt = tr.packet
         nodes = self.nodes
         pol = self.policies
@@ -382,8 +369,8 @@ class Network:
         failure = self.cursors["failure"]
         counters = self.counters
         traced = self.decision_trace is not None
-        losses = self.links.pathloss_db[sender].take(decoded).tolist()
-        for rx_id, pl in zip(decoded, losses):
+        rec = tr.reception
+        for rx_id, pl in itertools.compress(zip(rec.hearers, rec.losses), verdicts):
             rx = nodes[rx_id]
             battery = rx.battery
             if battery.consumed_j >= battery.capacity_j:
@@ -420,15 +407,21 @@ class Network:
             rx.seen.add(msg_id)
             self._decide_and_forward(rx, pkt, hop_cost)
 
-    def _receive_setup(self, tr: phys.Transmission, decoded: list[int]) -> None:
+    def _receive_setup(self, tr: phys.Transmission, verdicts: list | tuple) -> None:
+        """Every alive decoded hearer of an advertisement or a count."""
         pkt = tr.packet
         nodes = self.nodes
         adv = pkt.kind == "adv"
         txp = tr.tx_power_dbm
         joules = policies.rx_joules(tr.n_bytes, self.policies, self.radio)
         log = self.energy_log
-        losses = self.links.pathloss_db[tr.sender].take(decoded).tolist()
-        for rx_id, pl in zip(decoded, losses):
+        rec = tr.reception
+        alive = [(j, pl) for j, pl in itertools.compress(zip(rec.hearers, rec.losses), verdicts)
+                 if (b := nodes[j].battery).consumed_j < b.capacity_j]
+        if adv:   # the alive hearers that failed to decode
+            self.counters["adv_decode_failures"] += sum(
+                (b := nodes[j].battery).consumed_j < b.capacity_j for j in rec.hearers) - len(alive)
+        for rx_id, pl in alive:
             rx = nodes[rx_id]
             drawn = rx.battery.drain(joules)
             if log is not None:

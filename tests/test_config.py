@@ -1,9 +1,16 @@
 import dataclasses
+import itertools
+import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradcast.config import (ConfigError, apply_overrides, config_text,
-                             default_config, load_config, parse_text)
+from gradcast.config import (ConfigError, apply_overrides, config_text, default_config,
+                             load_config, parse_text, resolve_key, validate)
+from gradcast.policies import PROTOCOLS
+from gradcast.scenario import run_replication
 
 
 def test_defaults_round_trip_through_text():
@@ -182,3 +189,97 @@ def test_config_copy_is_deep_enough():
     clone.scenario.p_f = 0.9
     assert cfg.scenario.p_f == 0.0
     assert dataclasses.asdict(cfg) != dataclasses.asdict(clone)
+
+
+@st.composite
+def _small_configs(draw):
+    """Configs at 2-20 nodes and data phases under a second, each key drawn
+    from the range ``validate`` accepts for it. Keys that a rule ties to
+    another are drawn to keep it, but on one draw in ten on their own, so
+    that the rules across keys also reject some. The stall check factor and
+    the message count are held where a ladder protocol's stall checks stay
+    in the thousands (``validate`` allows a million)."""
+    cfg = default_config()
+    p, m, c, pol, sc = cfg.phys, cfg.mac, cfg.costfield, cfg.policies, cfg.scenario
+    loose = draw(st.integers(0, 9)) == 0
+
+    def above(lo, free, extra):
+        """A value from ``lo`` to ``lo + extra``, or ``free``'s on a loose draw."""
+        return draw(free if loose else st.floats(0.0, extra).map(lambda x: lo + x))
+
+    p.alpha_exp = draw(st.floats(2.0, 6.0))
+    p.tx_power_dbm = draw(st.floats(-30.0, 30.0))
+    p.noise_floor_dbm = draw(st.floats(-200.0, -60.0))
+    p.sensitivity_dbm = above(math.nextafter(p.noise_floor_dbm, math.inf),
+                              st.floats(-100.0, -20.0), 100.0)
+    p.sinr_threshold_db = draw(st.floats(-20.0, 30.0))
+    p.bitrate_bps = draw(st.floats(8000.0, 1e6))
+    p.d_min_m = draw(st.floats(0.01, 5.0))
+    p.adv_bytes, p.ncnt_bytes, p.data_bytes = draw(st.tuples(*[st.integers(1, 200)] * 3))
+    p.perfect_decode = draw(st.booleans())
+    m.backoff_min_ms = draw(st.floats(0.0, 20.0))
+    m.backoff_max_ms = above(m.backoff_min_ms, st.floats(0.0, 70.0), 50.0)
+    m.congestion_limit = draw(st.integers(1, 5))
+    m.carrier_sense_offset_db = draw(st.floats(0.0, 40.0))
+    c.beta_adv_ms = draw(st.floats(0.0, 20.0))
+    c.bounds_mode = draw(st.sampled_from(["computed", "fixed"]))
+    c.fixed_bounds_lo = draw(st.floats(-100.0, 100.0))
+    c.fixed_bounds_hi = above(math.nextafter(c.fixed_bounds_lo, math.inf),
+                              st.floats(-100.0, 100.0), 100.0)
+    c.ncnt_start_ms = draw(st.floats(0.0, 200.0))
+    c.ncnt_window_ms = draw(st.floats(0.0, 100.0))
+    pol.credit_factor = draw(st.floats(0.0, 50.0))
+    pol.wide_neighbor_count = draw(st.integers(1, 10))
+    pol.power_margin_db = draw(st.floats(-10.0, 20.0))
+    pol.spread_factor, pol.spread_factor_max = draw(st.tuples(*[st.floats(1.0, 100.0)] * 2))
+    pol.ladder_scale = draw(st.floats(0.0, 1.0, exclude_min=True))
+    pol.ladder_ratio = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    pol.ema_weight, pol.stall_high, pol.stall_low = draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))
+    pol.stall_check_factor = draw(st.floats(0.5, 20.0))
+    pol.tx_draw_w, pol.rx_draw_w = draw(st.tuples(*[st.floats(0.0, 1.0)] * 2))
+    pol.initial_energy_j = draw(st.floats(1e-6, 1.0))
+    sc.protocol = draw(st.sampled_from(sorted(PROTOCOLS)))
+    sc.node_count = draw(st.integers(2, 20))
+    sc.area_width_m, sc.area_height_m = draw(st.tuples(*[st.floats(1.0, 300.0)] * 2))
+    sc.sink_placement = draw(st.sampled_from(["corner", "center"]))
+    sc.event_count = draw(st.integers(0, 6))
+    sc.event_spread = draw(st.integers(0, 3))
+    sc.p_f = draw(st.floats(0.0, 1.0))
+    sc.failure_side = draw(st.sampled_from(["rx", "tx"]))
+    sc.require_connected = draw(st.booleans())
+    sc.replications = 1
+    sc.base_seed = draw(st.integers(0, 2 ** 31))
+    # after the count stage's latest send leaves the air
+    sc.data_start_ms = above(c.ncnt_start_ms + c.ncnt_window_ms + m.backoff_max_ms
+                             + p.airtime_ms(p.ncnt_bytes), st.floats(0.0, 600.0), 300.0)
+    sc.data_window_ms = draw(st.floats(20.0, 300.0))
+    sc.max_sim_time_ms = sc.data_start_ms + sc.data_window_ms + draw(st.floats(0.0, 300.0))
+    cfg.metrics.include_sink, cfg.metrics.energy_audit = draw(st.tuples(st.booleans(),
+                                                                        st.booleans()))
+    return cfg
+
+
+# the most events one draw may play: its adverts, counts and message
+# floods take hundreds, its stall checks up to about 12,000
+EVENT_BUDGET = 20_000
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_configs())
+def test_every_config_that_validates_runs_to_a_bounded_end(cfg):
+    """A drawn config is rejected by a ``ConfigError`` that names a key, or
+    plays a replication within the event budget, raising no warning (an
+    energy audit re-checks the ledger when drawn)."""
+    played = itertools.count(1)
+
+    def count(ev):
+        assert next(played) <= EVENT_BUDGET
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            validate(cfg)
+            run_replication(cfg, 0, event_trace=count)
+        except ConfigError as err:
+            # the message starts with the key, or an expression of keys
+            resolve_key(str(err).split()[0].rstrip(":"))

@@ -5,12 +5,14 @@ through one ``play``, so shared topologies and draw tapes, cached receptions
 and their SINR limits, reduced-power rows and resumed setups are all in use,
 and every call of the batched decode, the carrier-sense count and the source
 search is compared bit for bit with its reference. A wrong cache key, which
-no synthetic input reaches, shows up as a mismatch here.
+no synthetic input reaches, shows up as a mismatch here. The utility game
+that U-GRAB and UP-GRAB play is checked against the payoff table it encodes,
+``policies.strategy_payoff``, decision by decision.
 """
 
 from collections import Counter
 
-from gradcast import mac, phys, scenario
+from gradcast import mac, phys, policies, scenario
 from gradcast.metrics import run_row
 from gradcast.scenario import play
 from tests.test_golden import CELLS, GOLDEN, PROTOCOLS, _cell_cfg, _sha
@@ -21,7 +23,8 @@ from tests.test_scenario import _loop_nearest_alive_sensor
 BRANCHES = ("no interferer", "clamped group of 1", "clamped group of 2",
             "clamped group of 3+", "tied later marks", "reduced-power reception",
             "reduced-power interferer", "start at the window's start, played after it",
-            "end at the window's start, played after it", "mark at the window's end")
+            "end at the window's start, played after it", "mark at the window's end",
+            "removal read from a negated row")
 
 
 def _branches(wanted, concurrent, marks, default_power):
@@ -52,14 +55,18 @@ def _branches(wanted, concurrent, marks, default_power):
         taken.append("reduced-power reception")
     if reduced:
         taken.append("reduced-power interferer")
-    instants, _, signs = marks
-    window = list(zip(instants[wanted.first:], signs[wanted.first:]))
-    if (ws, 1.0) in window:
+    instants, rows = marks   # an end's row is ~row, a negative id
+    window = list(zip(instants[wanted.first:], rows[wanted.first:]))
+    if any(t == ws and r >= 0 for t, r in window):
         taken.append("start at the window's start, played after it")
-    if (ws, -1.0) in window:
+    if any(t == ws and r < 0 for t, r in window):
         taken.append("end at the window's start, played after it")
     if we in instants[wanted.first:]:
         taken.append("mark at the window's end")
+    inside = [(t, r) for t, r in window if ws < t < we]
+    if any(r < 0 and any(u >= t and s >= 0 for u, s in inside) for t, r in inside):
+        # an end inside the window with a start at or after it: its row is read
+        taken.append("removal read from a negated row")
     return taken
 
 
@@ -91,22 +98,51 @@ def _play_checked(monkeypatch, cells):
         resume(net, snap, traffic)
 
     def decode_batch(wanted, marks, links, decode_batch=phys.decode_batch):
-        decoded = decode_batch(wanted, marks, links)
+        verdicts = decode_batch(wanted, marks, links)
         net, positions, longest = playing
-        assert wanted.reception is links.receptions[wanted.sender, wanted.tx_power_dbm]
+        rec = wanted.reception
+        assert rec is links.receptions[wanted.sender, wanted.tx_power_dbm]
         record[:] = [tr for tr in record if tr.end >= wanted.end - longest]
-        # every node but the sender, not only the cached hearers
+        # one verdict per hearer, in hearer order; every node but the
+        # sender is compared, not only the cached hearers
+        assert len(verdicts) == len(rec.hearers) and set(verdicts) <= {True, False}
+        decoded = [j for j, ok in zip(rec.hearers, verdicts) if ok]
         assert decoded == [n.id for n in net.nodes if n.id != wanted.sender and phys.decode(
             n.pos, wanted, record, net.radio, positions)]
         calls["decode_batch"] += 1
         calls.update(_branches(wanted, record, marks, net.radio.tx_power_dbm))
-        return decoded
+        return verdicts
 
     def release(net, release=scenario.Network.release):
         # the log empties with the channel
-        assert net.active or net.marks == ([], [], [])
+        assert net.active or net.marks == ([], [])
         calls["idle at the end"] += not net.active
         release(net)
+
+    def utility_game(node, c_n, limit, rng, game=policies._utility_game):
+        # the played decision is the argmax of the payoff table over
+        # forwarding and dropping, and a tie follows the coin it drew
+        coins = []
+
+        class Recorded:
+            def random(self):
+                coins.append(rng.random())
+                return coins[-1]
+
+        a, r = node.ugrab.forward_reward, policies.energy_reward(node.battery)
+        dec = game(node, c_n, limit, Recorded())
+        assert (dec.forward_reward, dec.energy_reward) == (a, r)
+        forward = policies.strategy_payoff(True, c_n >= limit, a, r)
+        drop = policies.strategy_payoff(False, c_n >= limit, a, r)
+        if forward == drop:
+            assert len(coins) == 1 and dec.forward == (coins[0] < 0.5)
+            calls["utility game tie"] += 1
+            calls["utility game tie forwards"] += dec.forward
+        else:
+            assert coins == [] and dec.forward == (forward > drop)
+        calls["utility game congested" if c_n >= limit else "utility game free"] += 1
+        calls["utility game forwards"] += dec.forward
+        return dec
 
     def sense(net, node, sense=mac.sense):
         busy = sense(net, node)
@@ -125,6 +161,7 @@ def _play_checked(monkeypatch, cells):
     monkeypatch.setattr(scenario.Network, "release", release)
     monkeypatch.setattr(phys, "Transmission", transmission)
     monkeypatch.setattr(phys, "decode_batch", decode_batch)
+    monkeypatch.setattr(policies, "_utility_game", utility_game)
     monkeypatch.setattr(mac, "sense", sense)
     monkeypatch.setattr(scenario.Network, "_nearest_alive_sensor", nearest)
     runs, _ = play(cells)
@@ -136,6 +173,10 @@ def test_fast_paths_equal_their_references_on_real_runs(monkeypatch):
                                               for cell in CELLS for p in PROTOCOLS])
     assert calls["decode_batch"] and calls["sense"] and calls["nearest"]
     assert calls["resume"] > 0
+    # U-GRAB and UP-GRAB cells play the game busy and free, forwarding and not
+    assert calls["utility game congested"] and calls["utility game free"]
+    assert 0 < calls["utility game forwards"] < (calls["utility game congested"]
+                                                 + calls["utility game free"])
     # the cells played together give the rows each gives on its own
     per_cell = len(runs) // len(CELLS)
     for k, cell in enumerate(CELLS):
@@ -181,3 +222,19 @@ def test_the_log_is_empty_after_every_replication(monkeypatch):
     monkeypatch.setattr(scenario.Network, "release", release)
     runs, _ = play(cells)
     assert ended == [(0, 0)] * len(runs)
+
+
+def test_the_utility_game_ties_follow_their_coin(monkeypatch):
+    """With a ladder scale of 1 and radios that draw no energy, a node that
+    has not raised its ladder holds a forward reward of 0 against an energy
+    reward of 0: every such decision on a free channel is a tie, played by
+    the coin, which the checked game compares with the decision."""
+    cells = []
+    for protocol in ("U-GRAB", "UP-GRAB"):
+        cfg = _cell_cfg(protocol, CELLS["pf0"])
+        cfg.policies.ladder_scale = 1.0
+        cfg.policies.tx_draw_w = cfg.policies.rx_draw_w = 0.0
+        cells.append((cfg, ""))
+    _, calls = _play_checked(monkeypatch, cells)
+    # both sides of the coin come up
+    assert 0 < calls["utility game tie forwards"] < calls["utility game tie"]

@@ -313,6 +313,50 @@ def test_bank_grows_keeping_every_row():
             10.0 ** ((p - pl) / 10.0) for pl in links.pathloss_db[k % 61].tolist()]
 
 
+def test_growth_moves_every_row_and_its_negation_bit_for_bit():
+    links = link_table(ARENA_61, PARAMS)
+    links.reception(0, PARAMS.tx_power_dbm)   # writes the default rows' negations
+    capacity = len(links.bank) // 2
+    assert capacity == 3 * 61
+    k = 0
+    while links.filled < capacity:
+        k += 1
+        links.reception(k % 61, -0.25 * k)
+    written = links.filled
+    front, back = links.bank[:written].copy(), links.bank[len(links.bank) - written:].copy()
+    assert all(back[~r].tobytes() == (-front[r]).tobytes() for r in range(written))
+    links.reception(5, -0.125)   # one more key than the capacity holds
+    assert len(links.bank) > 2 * capacity and links.filled == written + 1
+    assert links.bank[:written].tobytes() == front.tobytes()
+    assert links.bank[len(links.bank) - written:].tobytes() == back.tobytes()
+    for r in range(links.filled):
+        assert links.bank[~r].tobytes() == (-links.bank[r]).tobytes()
+
+
+def test_a_grown_bank_decodes_as_decode():
+    # keys written before the growth, past it, and by the call that grows it
+    links = link_table(ARENA_61, PARAMS)
+    before = [_on_air(links, j, p, s, s + 4.0)
+              for j, p, s in ((12, 0.0, 8.0), (30, -4.0, 10.5), (44, 0.0, 12.0))]
+    k = 0
+    while links.filled < len(links.bank) // 2:
+        k += 1
+        links.reception(k % 61, -0.25 * k)
+    full = len(links.bank)
+    after = [_on_air(links, j, p, s, s + 3.0)
+             for j, p, s in ((21, -2.125, 11.0), (50, -1.125, 13.5), (7, 0.0, 15.0))]
+    assert len(links.bank) > full
+    rest = range(1, 61)
+    verdicts = set()
+    for power in (0.0, -3.125, -0.375):
+        wanted = _on_air(links, 0, power, 10.0, 17.5)
+        for others in (before, after, before + after):
+            decoded = _batch(links, wanted, others)
+            assert decoded == _oracle_ids(wanted, others, rest, ARENA_61, PARAMS)
+            verdicts |= {j in decoded for j in wanted.reception.hearers}
+    assert verdicts == {True, False}
+
+
 @settings(max_examples=200, deadline=None)
 @given(sender=st.integers(0, 60),
        power=st.sampled_from([0.0, -3.0, -12.5, -84.5]) | st.floats(-90.0, 0.0))
@@ -328,7 +372,11 @@ def test_hearers_cut_the_neighbor_lists_at_the_power(sender, power):
     # and still left out
     assert row[sender] == pathloss_db(0.0, PARAMS.alpha_exp, PARAMS.d_min_m)
     assert sender not in ids.tolist()
-    assert links.reception(sender, power).ids is ids
+    rec = links.reception(sender, power)
+    assert rec.ids is ids
+    # the same hearers as a list, each with its pathloss
+    assert rec.hearers == ids.tolist() and rec.losses.tolist() == [row[j] for j in rec.hearers]
+    assert (rec.hearers is links.neighbors[sender]) == (power == PARAMS.tx_power_dbm)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +428,16 @@ def test_receptions_hold_limits_at_the_default_power_and_signals_at_others(noise
     links = link_table(ARENA_61, params)
     assert (links.noise_mw == 0.0) == (noise_dbm == -4000.0)
     for sender in (0, 7, 60):
-        row, ids, lim, signal, clean = links.reception(sender, 0.0)
+        row, ids, _, _, lim, signal, clean = links.reception(sender, 0.0)
         assert row == sender and signal is None and not lim.flags.writeable
         mw = links.bank[sender].take(ids)
         assert lim.tolist() == sinr_limits(mw, links.noise_mw, links.threshold)[0].tolist()
-        assert clean == tuple(ids.compress(lim >= 0.0).tolist())
-        row, ids, lim, signal, clean = links.reception(sender, -9.5)
+        assert clean == tuple((lim >= 0.0).tolist())
+        row, ids, _, _, lim, signal, clean = links.reception(sender, -9.5)
         assert lim is None and row >= len(ARENA_61)
         assert signal.tolist() == links.bank[row].take(ids).tolist()
         with np.errstate(divide="ignore"):
-            assert clean == tuple(ids.compress(signal / links.noise_mw >= links.threshold)
-                                  .tolist())
+            assert clean == tuple((signal / links.noise_mw >= links.threshold).tolist())
         assert links.reception(sender, -9.5) is links.reception(sender, -9.5)
 
 
@@ -407,8 +454,9 @@ def _played(transmissions, wanted, rng=None):
     """Play the starts and ends of ``transmissions`` into a channel mark log
     by the network's rules, in time order, and return the log as it stands
     when ``wanted``, one of them, leaves the air, its log index and clamped
-    group set, as a list of (instant, bank row, sign) marks. Events of one
-    instant play in listing order, or in an order ``rng`` shuffles."""
+    group set, as a list of (instant, signed bank row) marks: ``row`` a
+    start, ``~row`` an end. Events of one instant play in listing order, or
+    in an order ``rng`` shuffles."""
     events = [ev for tr in transmissions for ev in ((tr.start, 1.0, tr), (tr.end, -1.0, tr))]
     if rng is not None:
         rng.shuffle(events)
@@ -417,7 +465,7 @@ def _played(transmissions, wanted, rng=None):
     for at, sign, tr in events:
         if sign > 0.0:
             tr.group = [o.reception.row for o in active.values() if o.end > at]
-            marks.append((at, tr.reception.row, 1.0))
+            marks.append((at, tr.reception.row))
             tr.first = len(marks)
             active[id(tr)] = tr
             continue
@@ -425,7 +473,7 @@ def _played(transmissions, wanted, rng=None):
         if tr is wanted:
             return marks
         if active:
-            marks.append((at, tr.reception.row, -1.0))
+            marks.append((at, ~tr.reception.row))
         else:
             marks.clear()
     raise AssertionError("wanted never ended")
@@ -433,13 +481,21 @@ def _played(transmissions, wanted, rng=None):
 
 def _columns(marks):
     """The log by column, as ``decode_batch`` reads it."""
-    return tuple(list(column) for column in zip(*marks)) if marks else ([], [], [])
+    return tuple(list(column) for column in zip(*marks)) if marks else ([], [])
+
+
+def _ids(wanted, verdicts):
+    """The hearers of ``wanted`` that decode by ``verdicts``, one per hearer."""
+    hearers = wanted.reception.hearers
+    assert len(verdicts) == len(hearers) and set(verdicts) <= {True, False}
+    return [j for j, ok in zip(hearers, verdicts) if ok]
 
 
 def _batch(links, wanted, others, rng=None):
-    """decode_batch of ``wanted`` on the log of its window, ``wanted``
-    listed first."""
-    return decode_batch(wanted, _columns(_played([wanted] + others, wanted, rng)), links)
+    """The ids decode_batch decodes ``wanted`` at, on the log of its window,
+    ``wanted`` listed first."""
+    return _ids(wanted, decode_batch(wanted, _columns(_played([wanted] + others, wanted, rng)),
+                                     links))
 
 
 def _at(params, points, wanted, others):
@@ -470,10 +526,9 @@ def test_played_log_holds_the_window_and_the_edge_marks():
     others = [at_end, on_air, ended, started]
     marks = _played([at_end, on_air, wanted, ended, started], wanted)
     assert wanted.group == [1]
-    assert marks[:wanted.first] == [(2.0, 2, 1.0), (5.0, 1, 1.0), (10.0, 0, 1.0)]
-    assert marks[wanted.first:] == [(10.0, 2, -1.0), (10.0, 3, 1.0), (12.0, 1, -1.0),
-                                    (17.5, 2, 1.0)]
-    assert decode_batch(wanted, _columns(marks), links) == \
+    assert marks[:wanted.first] == [(2.0, 2), (5.0, 1), (10.0, 0)]
+    assert marks[wanted.first:] == [(10.0, ~2), (10.0, 3), (12.0, ~1), (17.5, 2)]
+    assert _ids(wanted, decode_batch(wanted, _columns(marks), links)) == \
         _oracle_ids(wanted, others, [1, 2, 3], points, PARAMS)
 
 
@@ -524,14 +579,16 @@ def test_decode_equals_decode_batch_at_a_zero_noise_floor(power, interferer_dbm,
         _oracle_ids(wanted, others, [1, 2, 3], points, params) == expected
 
 
-def test_decode_batch_without_interferers_hands_out_a_fresh_list():
+def test_decode_batch_without_interferers_hands_out_the_clean_verdicts():
+    # the reception's own tuple, which no caller can change, at the default
+    # power and at another
     links = link_table(ARENA_61, PARAMS)
-    wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
-    first = _batch(links, wanted, [])
-    assert first == _oracle_ids(wanted, [], range(1, 61), ARENA_61, PARAMS) != []
-    first.clear()
-    assert _batch(links, wanted, []) == \
-        _oracle_ids(wanted, [], range(1, 61), ARENA_61, PARAMS)
+    for power in (0.0, -6.0):
+        wanted = _on_air(links, 0, power, 10.0, 17.5)
+        verdicts = _batch(links, wanted, [])
+        assert decode_batch(wanted, ([], []), links) is wanted.reception.clean
+        assert isinstance(wanted.reception.clean, tuple)
+        assert verdicts == _oracle_ids(wanted, [], range(1, 61), ARENA_61, PARAMS) != []
 
 
 def test_decode_batch_boundary_cases():

@@ -624,7 +624,9 @@ def test_require_connected_builds_the_link_table_once(monkeypatch):
     positions, sink, links = generate_topology(cfg, make_stream(1, 0, None, "topology"))
     fresh = real(positions + [sink], cfg.phys)
     assert np.array_equal(links.pathloss_db, fresh.pathloss_db)
-    assert np.array_equal(links.bank, fresh.bank)
+    # the written rows: the default-power ones, as no reception is built yet
+    assert links.filled == fresh.filled == 61
+    assert np.array_equal(links.bank[:61], fresh.bank[:61])
     built.clear()
     build_network(cfg, 0)
     assert built == [61]   # the accepted sample's table serves the network
@@ -645,15 +647,26 @@ def test_a_played_transmission_carries_the_tables_reception(monkeypatch):
 
     def checked(wanted, marks, links, decode_batch=phys.decode_batch):
         assert wanted.reception is links.reception(wanted.sender, wanted.tx_power_dbm)
-        # the window's rows, the clamped group's and the log's, are receptions' rows
+        # the window's rows, the clamped group's and the log's (an end's as
+        # ~row), are receptions' rows
         rows = {rec.row for rec in links.receptions.values()}
-        assert set(wanted.group) | set(marks[1][wanted.first:]) <= rows
+        assert set(wanted.group) | {r if r >= 0 else ~r for r in marks[1][wanted.first:]} <= rows
         decoded[wanted.tx_power_dbm == links.tx_power_dbm] += 1
         return decode_batch(wanted, marks, links)
 
     monkeypatch.setattr(phys, "decode_batch", checked)
     run_replication(small_cfg(protocol="GRAB"), 0)
     assert decoded[True] and decoded[False]
+
+
+def test_the_end_of_a_transmission_makes_no_numpy_call():
+    """Past the decode, the end of a transmission reads its reception's
+    hearer list and packed pathlosses: no numpy name, array or array method
+    appears in it."""
+    names = {"np", "numpy", "tolist", "take", "ids", "lim", "signal", "pathloss_db", "bank"}
+    for fn in (scenario.Network._tx_end, scenario.Network._receive_data,
+               scenario.Network._receive_setup):
+        assert not set(fn.__code__.co_names) & names, fn.__name__
 
 
 def test_receiver_drained_mid_run_hears_nothing_more(monkeypatch):
@@ -955,15 +968,18 @@ def test_cursor_lists_hold_the_simulators_cursors(protocol):
     assert rows[0] == rows[1]
 
 
-def _reference_receive_data(net, tr, decoded):
-    """``Network._receive_data`` through its helpers: the liveness filter
-    first, then ``Cursor.random`` on ``Network.cursor``, ``Battery.drain``,
+def _reference_receive_data(net, tr, verdicts):
+    """``Network._receive_data`` through its helpers: the decoded hearers
+    (one verdict per hearer) and the liveness filter first, then
+    ``Cursor.random`` on ``Network.cursor``, ``Battery.drain``,
     ``costfield.link_cost`` and ``policies.eligible`` per receiver."""
     nodes = net.nodes
     pkt = tr.packet
     sc = net.cfg.scenario
     joules = policies.rx_joules(tr.n_bytes, net.policies, net.radio)
-    alive = [j for j in decoded if not nodes[j].battery.dead]
+    ids = tr.reception.ids.tolist()
+    assert len(verdicts) == len(ids)
+    alive = [j for j, ok in zip(ids, verdicts) if ok and not nodes[j].battery.dead]
     losses = net.links.pathloss_db[tr.sender].take(alive).tolist()
     for rx_id, pl in zip(alive, losses):
         rx = nodes[rx_id]
