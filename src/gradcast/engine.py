@@ -6,6 +6,7 @@ insertion order, which makes every run a total order and hence reproducible.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from array import array
 from enum import Enum
@@ -54,25 +55,75 @@ def make_stream(seed: int, run_index: int, node: int | None, purpose: str) -> np
     return np.random.default_rng([seed ^ run_index, node_key, STREAM_PURPOSES[purpose]])
 
 
+def _hashmix(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row t: xor h[t], multiply h[t + 1]."""
+    v = (v ^ h[:-1]) * h[1:]
+    return v ^ v >> 16
+
+
+def seed_words(seed: int, run_index: int, purpose: str, nodes) -> np.ndarray:
+    """Row i is ``SeedSequence([seed ^ run_index, nodes[i], STREAM_PURPOSES[purpose]])
+    .generate_state(4, np.uint64)``, that ``make_stream``'s PCG64 seed, in one
+    uint32 pass (numpy's hash, NEP 19): the entropy's first four words, zero-padded,
+    fill a pool, mixed with itself and each later word, then hashed to eight."""
+    key = seed ^ run_index   # >= 0, as SeedSequence requires
+    words = [key >> s & 0xFFFFFFFF for s in range(0, max(key.bit_length(), 1), 32)]
+    k = len(words)   # the node's word follows the key's
+    words += [0, STREAM_PURPOSES[purpose]] + [0] * (2 - k)
+    entropy = np.repeat(np.array(words, np.uint32)[:, None], len(nodes), axis=1)
+    entropy[k] = nodes
+    t = np.arange(4 * len(words) + 1, dtype=np.uint32)[:, None]   # 4 * len(words) hashmixes
+    h = np.uint32(0x43B0D7E5) * np.uint32(0x931E8875) ** t
+    pool = _hashmix(entropy[:4], h[:5])
+    for s in range(4):
+        dst = [d for d in range(4) if d != s]
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hashmix(pool[s], h[4 + 3 * s:8 + 3 * s])
+        pool[dst] = mixed ^ mixed >> 16
+    for i, extra in enumerate(entropy[4:]):
+        mixed = 0xCA01F9DD * pool - 0x4973F715 * _hashmix(extra, h[16 + 4 * i:21 + 4 * i])
+        pool = mixed ^ mixed >> 16
+    out = np.uint32(0x8B51F9DD) * np.uint32(0x58F38DED) ** t[:9]
+    state = _hashmix(np.concatenate((pool, pool)), out)
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _row_seed_class() -> type:
+    """A seed sequence handing PCG64 a precomputed row (see ``Tape``), made at
+    the first call: importing ``numpy.random`` costs about 6.6 MB."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a seed row is PCG64's 4 uint64 words, not {n_words} {dtype}")
+            return self.row
+    return RowSeed
+
+
 class Tape:
     """Every draw of one (seed, run, node, purpose) stream, for all the cells
-    of a topology group to read. The generator is seeded at the first draw,
-    through ``make_stream``, and the tape then grows in blocks: numpy fills
-    ``random(k)`` with the same doubles as k scalar ``random()`` calls."""
-    __slots__ = ("key", "gen", "draws")
+    of a topology group to read. ``row`` is the node's row of its purpose's
+    ``seed_words``; the first draw builds ``make_stream``'s generator from it,
+    ``Generator(PCG64(RowSeed(row)))``, and the tape then grows in blocks:
+    numpy fills ``random(k)`` with the same doubles as k ``random()`` calls."""
+    __slots__ = ("row", "gen", "draws")
 
     # a desk replication reads at most one block from a mac or policy stream
     # and at most four from a failure stream
     BLOCK = 64
 
-    def __init__(self, seed: int, run_index: int, node: int, purpose: str):
-        self.key = (seed, run_index, node, purpose)
+    def __init__(self, row: np.ndarray):
+        self.row = row
         self.gen: np.random.Generator | None = None
         self.draws = array("d")
 
     def grow(self) -> None:
         if self.gen is None:
-            self.gen = make_stream(*self.key)
+            self.gen = np.random.Generator(np.random.PCG64(_row_seed_class()(self.row)))
         self.draws.frombytes(self.gen.random(self.BLOCK).tobytes())
 
 

@@ -247,13 +247,22 @@ class LinkTable:
                 ids = np.flatnonzero(audible)
                 ids.flags.writeable = False
                 signal = self.bank[r].take(ids)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    clean = self.perfect_decode | (signal / self.noise_mw >= self.threshold)
                 self.receptions[sender, tx_power_dbm] = Reception(
                     r, ids, ids.tolist(), array("d", self.pathloss_db[sender].take(ids).tobytes()),
-                    None, signal, tuple(clean.tolist()))
+                    None, signal, tuple(self.decodes(signal).tolist()))
             rec = self.receptions[sender, tx_power_dbm]
         return rec
+
+    def decodes(self, signal: np.ndarray, peak=0.0) -> np.ndarray:
+        """Whether each ``signal`` passes decode's SINR test over the noise
+        plus ``peak``. At a zero noise floor, as in decode, x / 0 = inf passes
+        and 0 / 0 = nan fails; only then is numpy's warning state entered."""
+        if self.noise_mw > 0.0:
+            sinr = signal / (self.noise_mw + peak)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sinr = signal / (self.noise_mw + peak)
+        return self.perfect_decode | (sinr >= self.threshold)
 
     def _receive_default(self) -> None:
         """Build and keep every sender's default-power reception, and write
@@ -441,13 +450,5 @@ def decode_batch(wanted: Transmission, marks: tuple, links: LinkTable) -> list |
     peak = np.maximum.reduce(np.add.accumulate(level, axis=0), axis=0)
     if lim is None:
         # another power's reception keeps decode's own test
-        noise = links.noise_mw
-        if noise > 0.0:
-            sinr = signal / (noise + peak)
-        else:
-            # a zero noise floor: as in decode, x / 0 = inf passes and
-            # 0 / 0 = nan fails
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sinr = signal / (noise + peak)
-        return (links.perfect_decode | (sinr >= links.threshold)).tolist()
+        return links.decodes(signal, peak).tolist()
     return (peak <= lim).tolist()

@@ -148,8 +148,8 @@ class Network:
         self.energy_log: list | None = [] if cfg.metrics.energy_audit else None
         self._setup_seqs = 0    # events the setup phase schedules at the start
         self._data_events = 0   # events the data phase schedules at the start
-        # (seed, run, node, purpose) -> engine.Tape, the run being the
-        # recorder's; the cells of a topology group share one dict
+        # (seed, run, node, purpose) -> engine.Tape and (seed, run, purpose) -> its
+        # seed_words, run the recorder's; the cells of a topology group share it
         self.tapes = {} if tapes is None else tapes
         self._seed_run = (cfg.scenario.base_seed, recorder.run_index)
         # purpose -> one cursor slot per node id, filled at the node's first
@@ -194,7 +194,12 @@ class Network:
             key = self._seed_run + (node_id, purpose)
             tape = self.tapes.get(key)
             if tape is None:
-                tape = self.tapes[key] = engine.Tape(*key)
+                # the purpose's first tape hashes every node id's seed words
+                wkey = self._seed_run + (purpose,)
+                words = self.tapes.get(wkey)
+                if words is None:
+                    words = self.tapes[wkey] = engine.seed_words(*wkey, np.arange(len(slots)))
+                tape = self.tapes[key] = engine.Tape(words[node_id])
             cur = slots[node_id] = engine.Cursor(tape)
         return cur
 

@@ -1,14 +1,18 @@
 import math
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcast import engine
 from gradcast.config import default_config
-from gradcast.engine import (Cursor, Event, EventKind, SchedulingInPastError, Simulator,
-                             Tape, make_stream)
+from gradcast.engine import (STREAM_PURPOSES, Cursor, Event, EventKind,
+                             SchedulingInPastError, Simulator, Tape, make_stream)
 from gradcast.metrics import RunRecorder
 from gradcast.phys import Transmission
 from gradcast.scenario import Network
@@ -131,20 +135,32 @@ def test_resume_moves_every_cursor_on_fresh_tapes():
 
 def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):
     """Two networks on one tape dict read the same draws, each from its own
-    position, and the stream is seeded once, through the module attribute."""
-    seeded = []
-    real = engine.make_stream
-    monkeypatch.setattr(engine, "make_stream",
-                        lambda *key: seeded.append(key) or real(*key))
+    position, and each stream is seeded once, through the module attributes:
+    one tape per key, each on its row of one hash of the purpose's seed
+    words over every node id."""
+    hashed, made = [], []
+    real_words, real_tape = engine.seed_words, engine.Tape
+    monkeypatch.setattr(engine, "seed_words",
+                        lambda *args: hashed.append(args) or real_words(*args))
+    monkeypatch.setattr(engine, "Tape", lambda row: made.append(row.tobytes()) or real_tape(row))
     tapes = {}
-    a = _network(seed=9, run_index=1, tapes=tapes).cursor(3, "mac")
-    b = _network(seed=9, run_index=1, tapes=tapes).cursor(3, "mac")
+    nets = [_network(seed=9, run_index=1, tapes=tapes) for _ in range(2)]
     n = 3 * Tape.BLOCK + 5
-    first = [a.random() for _ in range(n)]
-    assert [b.random() for _ in range(n)] == first
-    assert seeded == [(9, 1, 3, "mac")]
-    assert first == real(9, 1, 3, "mac").random(n).tolist()
-    assert list(tapes) == [(9, 1, 3, "mac")]
+    for node in (3, 5):
+        a, b = (net.cursor(node, "mac") for net in nets)
+        first = [a.random() for _ in range(n)]
+        assert [b.random() for _ in range(n)] == first
+        assert first == make_stream(9, 1, node, "mac").random(n).tolist()
+    assert [args[:3] for args in hashed] == [(9, 1, "mac")]
+    assert list(hashed[0][3]) == list(range(9))
+    assert made == [np.random.SeedSequence([9 ^ 1, node, STREAM_PURPOSES["mac"]])
+                    .generate_state(4, np.uint64).tobytes() for node in (3, 5)]
+    assert list(tapes) == [(9, 1, "mac"), (9, 1, 3, "mac"), (9, 1, 5, "mac")]
+
+
+def _tape(seed: int, node: int, purpose: str) -> Tape:
+    """The tape of stream (seed, run 0, node, purpose), on its row alone."""
+    return Tape(engine.seed_words(seed, 0, purpose, [node])[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -156,7 +172,7 @@ def test_block_draws_equal_scalar_draws(seed, node, k, offset):
     tape's block refills."""
     blocks = make_stream(seed, 0, node, "failure")
     scalars = make_stream(seed, 0, node, "failure")
-    cursor = Cursor(Tape(seed, 0, node, "failure"))
+    cursor = Cursor(_tape(seed, node, "failure"))
     for _ in range(offset):
         scalars.random()
         cursor.random()
@@ -164,6 +180,71 @@ def test_block_draws_equal_scalar_draws(seed, node, k, offset):
     expected = [scalars.random() for _ in range(k)]
     assert blocks.random(k).tolist() == expected
     assert [cursor.random() for _ in range(k)] == expected
+
+
+# seed ^ run as SeedSequence splits it: zero, one 32-bit word, two or three
+# words, and more words than its pool of four holds with the node and purpose
+STREAM_KEYS = (st.just(0) | st.integers(1, 2**32 - 1) | st.integers(2**32, 2**96 - 1)
+               | st.integers(2**96, 2**200))
+
+
+@settings(max_examples=120, deadline=None)
+@given(key=STREAM_KEYS, run=st.integers(0, 63), purpose=st.sampled_from(list(STREAM_PURPOSES)),
+       count=st.integers(1, 300))
+@example(key=2**32 - 1, run=0, purpose="mac", count=1)
+@example(key=2**32, run=5, purpose="failure", count=300)
+@example(key=2**96 - 1, run=1, purpose="policy", count=2)
+@example(key=2**96, run=0, purpose="topology", count=3)
+def test_seed_words_are_numpys_seed_sequence(key, run, purpose, count):
+    """Every row is what numpy's SeedSequence hands PCG64 for that stream."""
+    rows = engine.seed_words(key ^ run, run, purpose, np.arange(count))
+    assert rows.dtype == np.uint64 and rows.shape == (count, 4)
+    for node in range(count):
+        want = np.random.SeedSequence([key, node, STREAM_PURPOSES[purpose]])
+        assert rows[node].tobytes() == want.generate_state(4, np.uint64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=STREAM_KEYS, purpose=st.sampled_from(list(STREAM_PURPOSES)),
+       node=st.integers(0, 299))
+def test_tape_blocks_are_make_streams_draws(key, purpose, node):
+    """A tape on its row of its purpose's seed words reads make_stream's
+    doubles byte for byte across three blocks."""
+    want = make_stream(key, 0, node, purpose).random(3 * Tape.BLOCK).tobytes()
+    tape = Tape(engine.seed_words(key, 0, purpose, np.arange(node + 1))[node])
+    assert tape.gen is None   # no generator before the first draw
+    for _ in range(3):
+        tape.grow()
+    assert tape.draws.tobytes() == want
+
+
+def test_row_seed_hands_pcg64_its_row_and_refuses_anything_else():
+    row = engine.seed_words(3, 0, "mac", [5])[0]
+    seq = engine._row_seed_class()(row)
+    assert seq.generate_state(4, np.uint64) is row
+    assert seq.generate_state(4, "uint64") is row
+    for args in [(4,), (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64),
+                 (4, np.int64)]:
+        with pytest.raises(ValueError):
+            seq.generate_state(*args)
+
+
+def test_importing_gradcast_leaves_numpy_random_unloaded():
+    """numpy loads ``numpy.random`` on first use; importing it costs about
+    6.6 MB, which a module of this package must not pay at import."""
+    script = ("import importlib, pkgutil, sys\n"
+              f"sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / 'src')!r})\n"
+              "import gradcast\n"
+              "names = [m.name for m in pkgutil.iter_modules(gradcast.__path__)]\n"
+              "for name in names:\n"
+              "    importlib.import_module('gradcast.' + name)\n"
+              "print(len(names), 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    count, numpy_loaded, random_loaded = done.stdout.split()
+    assert int(count) >= 10 and numpy_loaded == "True"
+    assert random_loaded == "False"
 
 
 FINITE = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0, 120.0, 5e-324])
@@ -181,7 +262,7 @@ def test_uniform_is_affine_in_one_double(seed, lo, hi, same):
         hi = lo
     numpy_draws = make_stream(seed, 0, 1, "mac")
     doubles = make_stream(seed, 0, 1, "mac")
-    cursor = Cursor(Tape(seed, 0, 1, "mac"))
+    cursor = Cursor(_tape(seed, 1, "mac"))
     for _ in range(3):
         want = struct.pack("<d", lo + (hi - lo) * doubles.random())
         assert struct.pack("<d", cursor.uniform(lo, hi)) == want

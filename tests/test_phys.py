@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -439,6 +440,23 @@ def test_receptions_hold_limits_at_the_default_power_and_signals_at_others(noise
         with np.errstate(divide="ignore"):
             assert clean == tuple((signal / links.noise_mw >= links.threshold).tolist())
         assert links.reception(sender, -9.5) is links.reception(sender, -9.5)
+
+
+@pytest.mark.parametrize("noise_dbm", [-105.0, -4000.0])
+def test_a_reduced_power_reception_decodes_as_decode_without_a_warning(noise_dbm):
+    # only a zero noise floor enters numpy's warning state, where x / 0 = inf
+    # passes as in decode; any RuntimeWarning fails here, whatever the filters
+    params = RadioParams(noise_floor_dbm=noise_dbm, sinr_threshold_db=-2.5)
+    links = link_table(ARENA_61, params)
+    assert (links.noise_mw == 0.0) == (noise_dbm == -4000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sender in (0, 7, 60):
+            wanted = _on_air(links, sender, -9.5, 10.0, 17.5)
+            rec = wanted.reception
+            assert rec.lim is None and rec.hearers
+            assert rec.clean == tuple(decode(ARENA_61[h], wanted, [], params, ARENA_61)
+                                      for h in rec.hearers)
 
 
 def _oracle_ids(wanted, others, receivers, points, params):

@@ -197,9 +197,9 @@ def test_sweep_shapes():
 
 
 def _seeded(net, purpose: str) -> list[int]:
-    """Node ids whose ``purpose`` tape has seeded its generator."""
-    return sorted(node for (_, _, node, p), tape in net.tapes.items()
-                  if p == purpose and tape.gen is not None)
+    """Node ids whose ``purpose`` tape has built its generator."""
+    return sorted(key[2] for key, tape in net.tapes.items()
+                  if len(key) == 4 and key[3] == purpose and tape.gen is not None)
 
 
 def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
@@ -214,9 +214,11 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
         sim.run_until_idle(cfg.scenario.max_sim_time_ms)
         net.release()
         assert net.counters["forwarded_total"] > 0
-        built[protocol] = _seeded(net, "policy")
-    assert built["BGB"] == [] and built["GRAB"] == []
-    assert built["P-GRAB"]
+        # the seeded tapes, and whether the policy seed words were hashed
+        built[protocol] = (_seeded(net, "policy"),
+                           (cfg.scenario.base_seed, 0, "policy") in net.tapes)
+    assert built["BGB"] == built["GRAB"] == ([], False)
+    assert built["P-GRAB"][0] and built["P-GRAB"][1]
 
     draws = []
     real = policies.ugrab_decide
@@ -330,20 +332,27 @@ def test_play_an_explicit_cell_list_shares_each_topology(monkeypatch):
 
 def test_play_seeds_each_stream_once_per_topology_group(monkeypatch):
     """Twenty cells on two replications, differing in protocol, p_f and the
-    failure side: every stream key is seeded once in the play, yet each
-    cell's rows equal its replications run on their own, serially and in
-    parallel."""
+    failure side: every stream key is seeded once in the play (the node-less
+    ones through ``make_stream``, the per-node ones through one tape, and
+    each purpose's seed words at most once), yet each cell's rows equal its
+    replications run on their own, serially and in parallel."""
     cells = [(small_cfg(protocol=protocol, p_f=p_f, failure_side=side), "")
              for protocol in SWEEP_PROTOCOLS for p_f in (0.0, 0.4) for side in ("rx", "tx")]
-    seeded = []
-    real = engine.make_stream
+    seeded, hashed, made = [], [], []
+    real_stream, real_words, real_tape = engine.make_stream, engine.seed_words, engine.Tape
     monkeypatch.setattr(engine, "make_stream",
-                        lambda *key: seeded.append(key) or real(*key))
+                        lambda *key: seeded.append(key) or real_stream(*key))
+    monkeypatch.setattr(engine, "seed_words",
+                        lambda *args: hashed.append(args[:3]) or real_words(*args))
+    monkeypatch.setattr(engine, "Tape", lambda row: made.append(row.tobytes()) or real_tape(row))
     runs, _ = play(cells)
-    counts = Counter(seeded)
-    assert set(counts.values()) == {1}
-    assert {(run, purpose) for _, run, _, purpose in counts} == \
-        {(run, purpose) for run in (0, 1) for purpose in engine.STREAM_PURPOSES}
+    for keys in (seeded, hashed, made):
+        assert set(Counter(keys).values()) == {1}
+    assert {node for _, _, node, _ in seeded} == {None}
+    assert {(run, purpose) for _, run, _, purpose in seeded} == \
+        {(run, purpose) for run in (0, 1) for purpose in ("topology", "traffic")}
+    assert {(run, purpose) for _, run, purpose in hashed} == \
+        {(run, purpose) for run in (0, 1) for purpose in ("failure", "mac", "policy")}
     alone = [run_row(run_replication(cfg, i)) for cfg, _ in cells for i in range(2)]
     assert [run_row(m) for m in runs] == alone
     parallel, _ = play(cells, jobs=2)
@@ -962,10 +971,27 @@ def test_cursor_lists_hold_the_simulators_cursors(protocol):
         for (i, purpose), cur in cursors.items():
             assert cur.tape is net.tapes[cfg.scenario.base_seed, 0, i, purpose]
         assert any(net.cursors["failure"]) and any(net.cursors["policy"])
-        # every draw went through the lists: no tape lacks its slot
-        assert len(net.tapes) == len(cursors)
+        # every draw went through the lists: no tape lacks its slot, and
+        # only the purposes drawn from hashed their seed words
+        tapes = [key for key in net.tapes if len(key) == 4]
+        assert len(tapes) == len(cursors)
+        assert set(net.tapes) - set(tapes) == \
+            {(cfg.scenario.base_seed, 0, purpose) for _, purpose in cursors}
         rows.append(_outcome(net.finish()))
     assert rows[0] == rows[1]
+
+
+def test_played_tapes_hold_make_streams_draws():
+    """Every tape a played replication filled, each seeded from its row of
+    its purpose's seed words, holds its stream's draws byte for byte."""
+    cfg = small_cfg(protocol="UP-GRAB", replications=1, p_f=0.4)
+    sim, net = build_network(cfg, 0)
+    sim.run_until_idle(cfg.scenario.max_sim_time_ms)
+    net.release()
+    tapes = {key: tape for key, tape in net.tapes.items() if len(key) == 4}
+    assert {purpose for *_, purpose in tapes} == {"failure", "mac", "policy"}
+    for key, tape in tapes.items():
+        assert tape.draws.tobytes() == make_stream(*key).random(len(tape.draws)).tobytes()
 
 
 def _reference_receive_data(net, tr, verdicts):
