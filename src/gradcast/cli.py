@@ -35,6 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one configuration cell")
     _add_common(run)
+    run.set_defaults(axis=[])   # a sweep with no axes
 
     sw = sub.add_parser("sweep", help="run the cross product of override axes")
     _add_common(sw)
@@ -71,20 +72,6 @@ def _load(args) -> "SimConfig":
     return cfg
 
 
-def _cmd_run(args) -> int:
-    cfg = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    return _write_results(args.out, *scenario.sweep(cfg, {}, jobs=args.jobs))
-
-
-def _write_results(out: str, runs, cells) -> int:
-    """Write runs.csv and aggregate.csv under ``out`` and print the cells."""
-    metrics_mod.write_runs_csv(os.path.join(out, "runs.csv"), runs)
-    metrics_mod.write_aggregate_csv(os.path.join(out, "aggregate.csv"), cells)
-    _print_cells(cells)
-    return EXIT_OK
-
-
 def _trace_row(ev) -> list[str]:
     detail = ""
     payload = ev.payload
@@ -107,6 +94,9 @@ def _fmt_row(row) -> list[str]:
 
 
 def _cmd_sweep(args) -> int:
+    """Play the cross product of the ``--axis`` values (one cell for
+    ``run``, which has none), write runs.csv and aggregate.csv under
+    ``--out`` and print the cells."""
     cfg = _load(args)
     axes = []
     for spec in args.axis:
@@ -116,7 +106,10 @@ def _cmd_sweep(args) -> int:
         axes.append((key.strip(), [v for v in raw.split(",") if v != ""]))
     runs, cells = scenario.sweep(cfg, axes, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
-    return _write_results(args.out, runs, cells)
+    metrics_mod.write_runs_csv(os.path.join(args.out, "runs.csv"), runs)
+    metrics_mod.write_aggregate_csv(os.path.join(args.out, "aggregate.csv"), cells)
+    _print_cells(cells)
+    return EXIT_OK
 
 
 def _print_cells(cells) -> None:
@@ -201,7 +194,7 @@ def _cmd_dump_trace(args) -> int:
 
 
 _COMMANDS = {
-    "run": _cmd_run,
+    "run": _cmd_sweep,
     "sweep": _cmd_sweep,
     "report": _cmd_report,
     "dump-topology": _cmd_dump_topology,

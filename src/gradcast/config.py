@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 from .costfield import CostfieldParams
 from .mac import MacParams
 from .phys import RadioParams, received_power_dbm
-from .policies import PROTOCOLS, PolicyParams
+from .policies import PROTOCOLS, PolicyParams, stall_period
 
 
 class ConfigError(ValueError):
@@ -296,7 +296,7 @@ def validate(cfg: SimConfig) -> None:
     # a ladder protocol's sensors re-arm a stall timer every period until the
     # end (desk.cfg: 840 checks), and at a period below the end's ulp, forever
     if PROTOCOLS[sc.protocol].ladder:
-        period = pol.stall_check_factor * (sc.data_window_ms / max(1, sc.event_count))
+        period = stall_period(pol, sc)
         checks = (sc.node_count * (sc.max_sim_time_ms - sc.data_start_ms) / period
                   if period >= math.ulp(sc.max_sim_time_ms) else math.inf)
         _require(checks <= 1e6, "policies.stall_check_factor", "must give at most 1e6 stall "

@@ -109,7 +109,9 @@ class Tape:
     of a topology group to read. ``row`` is the node's row of its purpose's
     ``seed_words``; the first draw builds ``make_stream``'s generator from it,
     ``Generator(PCG64(RowSeed(row)))``, and the tape then grows in blocks:
-    numpy fills ``random(k)`` with the same doubles as k ``random()`` calls."""
+    numpy fills ``random(k)`` with the same doubles as k ``random()`` calls.
+    A tape holds no read position: each replication keeps its own (see
+    ``Network.random``)."""
     __slots__ = ("row", "gen", "draws")
 
     # a desk replication reads at most one block from a mac or policy stream
@@ -125,32 +127,6 @@ class Tape:
         if self.gen is None:
             self.gen = np.random.Generator(np.random.PCG64(_row_seed_class()(self.row)))
         self.draws.frombytes(self.gen.random(self.BLOCK).tobytes())
-
-
-class Cursor:
-    """One cell's read position on a tape. It references only the tape: the
-    group's tapes outlive each cell, and a reference back to the simulator
-    or network would keep a played replication alive."""
-    __slots__ = ("tape", "pos")
-
-    def __init__(self, tape: Tape):
-        self.tape = tape
-        self.pos = 0
-
-    def random(self) -> float:
-        """The next uniform double in [0, 1). ``Network._receive_data``
-        inlines it for the failure lottery; keep the two in step."""
-        pos = self.pos
-        draws = self.tape.draws
-        if pos == len(draws):
-            self.tape.grow()
-        self.pos = pos + 1
-        return draws[pos]
-
-    def uniform(self, lo: float, hi: float) -> float:
-        """numpy's scalar ``Generator.uniform(lo, hi)``, which computes
-        ``lo + (hi - lo) * random()`` from the same double."""
-        return lo + (hi - lo) * self.random()
 
 
 class Simulator:

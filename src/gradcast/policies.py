@@ -205,16 +205,17 @@ def grab_decide(node, pkt: DataPacket, params: PolicyParams, radio) -> Decision:
     return Decision(True, tx_power_dbm=reach_power(node, k, params, radio), wide=wide)
 
 
-def pgrab_decide(node, rng) -> Decision:
-    """Bernoulli forward with p = interference avoidance * life duration."""
+def pgrab_decide(node, coin: Callable[[], float]) -> Decision:
+    """Bernoulli forward with p = interference avoidance * life duration.
+    ``coin()`` returns the node's next policy draw, uniform in [0, 1)."""
     p = node.p_ia * remaining_life_probability(node.battery)
-    return Decision(bool(rng.random() < p), p_fw=p)
+    return Decision(bool(coin() < p), p_fw=p)
 
 
-def _utility_game(node, c_n: int, limit: int, rng) -> Decision:
+def _utility_game(node, c_n: int, limit: int, coin: Callable[[], float]) -> Decision:
     """The forwarding game both utility policies play: a busy channel drops
     outright, otherwise forward iff the ladder reward beats the energy
-    reward, flipping a fair coin on a tie."""
+    reward, flipping a fair coin on a tie; only the tie calls ``coin``."""
     a = node.ugrab.forward_reward
     r = energy_reward(node.battery)
     if c_n >= limit or a < r:
@@ -222,16 +223,17 @@ def _utility_game(node, c_n: int, limit: int, rng) -> Decision:
     elif a > r:
         fwd = True
     else:
-        fwd = bool(rng.random() < 0.5)
+        fwd = bool(coin() < 0.5)
     return Decision(fwd, c_n=c_n, forward_reward=a, energy_reward=r)
 
 
-def ugrab_decide(node, c_n: int, limit: int, rng) -> Decision:
+def ugrab_decide(node, c_n: int, limit: int, coin: Callable[[], float]) -> Decision:
     """The utility game with the single-channel shortcut (``_utility_game``)."""
-    return _utility_game(node, c_n, limit, rng)
+    return _utility_game(node, c_n, limit, coin)
 
 
-def upgrab_decide(node, c_n: int, limit: int, params: PolicyParams, rng) -> Decision:
+def upgrab_decide(node, c_n: int, limit: int, params: PolicyParams,
+                  coin: Callable[[], float]) -> Decision:
     """Utility game whose forward action fires with the interference-avoidance
     probability under a per-node spreading factor.
 
@@ -248,11 +250,11 @@ def upgrab_decide(node, c_n: int, limit: int, params: PolicyParams, rng) -> Deci
     step = -1.0 if delta < center else (1.0 if delta > center else 0.0)
     st.spread = min(params.spread_factor_max, max(1.0, st.spread + step))
 
-    game = _utility_game(node, c_n, limit, rng)
+    game = _utility_game(node, c_n, limit, coin)
     if not game.forward:
         return game
     p_ia = erfc_forward_probability(delta, st.spread, node.delta_bounds)
-    return replace(game, forward=bool(rng.random() < p_ia), p_fw=p_ia)
+    return replace(game, forward=bool(coin() < p_ia), p_fw=p_ia)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +271,12 @@ def note_overheard(node, pkt_cost: float, params: PolicyParams) -> None:
     elif pkt_cost < node.cost.q:
         st.n_low = (1.0 - w) * st.n_low + w
         st.n_high = (1.0 - w) * st.n_high
+
+
+def stall_period(params: PolicyParams, scenario) -> float:
+    """The stall check's period: ``stall_check_factor`` mean message
+    interarrivals of the data window."""
+    return params.stall_check_factor * (scenario.data_window_ms / max(1, scenario.event_count))
 
 
 def stall_check(node, params: PolicyParams) -> bool:
@@ -338,17 +346,17 @@ def _pgrab(net, node, pkt: DataPacket) -> Decision:
     if node.p_ia is None:
         node.p_ia = erfc_forward_probability(node.delta, net.policies.spread_factor,
                                              node.delta_bounds)
-    return pgrab_decide(node, net.cursor(node.id, "policy"))
+    return pgrab_decide(node, lambda: net.random(node.id, "policy"))
 
 
 def _ugrab(net, node, pkt: DataPacket) -> Decision:
     return ugrab_decide(node, mac.sense(net, node), net.mac.congestion_limit,
-                        net.cursor(node.id, "policy"))
+                        lambda: net.random(node.id, "policy"))
 
 
 def _upgrab(net, node, pkt: DataPacket) -> Decision:
     return upgrab_decide(node, mac.sense(net, node), net.mac.congestion_limit,
-                         net.policies, net.cursor(node.id, "policy"))
+                         net.policies, lambda: net.random(node.id, "policy"))
 
 
 @dataclass(frozen=True)

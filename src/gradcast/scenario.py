@@ -119,9 +119,6 @@ def generate_traffic(cfg: SimConfig, rng) -> list[TrafficEvent]:
 # ---------------------------------------------------------------------------
 # the wired network
 
-# the per-node streams a replication draws from once its nodes exist
-CURSOR_PURPOSES = ("failure", "mac", "policy")
-
 
 class Network:
     """Owns one replication: nodes, the active-transmission set, dispatch."""
@@ -148,13 +145,13 @@ class Network:
         self.energy_log: list | None = [] if cfg.metrics.energy_audit else None
         self._setup_seqs = 0    # events the setup phase schedules at the start
         self._data_events = 0   # events the data phase schedules at the start
-        # (seed, run, node, purpose) -> engine.Tape and (seed, run, purpose) -> its
-        # seed_words, run the recorder's; the cells of a topology group share it
+        # (seed, run, purpose) -> one engine.Tape per node id, run the
+        # recorder's; the cells of a topology group share it
         self.tapes = {} if tapes is None else tapes
         self._seed_run = (cfg.scenario.base_seed, recorder.run_index)
-        # purpose -> one cursor slot per node id, filled at the node's first
-        # draw from that stream (see ``cursor``) or by ``resume``
-        self.cursors: dict[str, list[engine.Cursor | None]] = {}
+        # purpose -> (its tapes, this replication's read position on each),
+        # opened at the purpose's first draw (see ``random``) or by ``resume``
+        self.streams: dict[str, tuple[list[engine.Tape], list[int]]] = {}
         # the class's functions, read when the network is made: a handler
         # patched on the class beforehand is seen, and the table holds no
         # reference back to this network
@@ -183,25 +180,35 @@ class Network:
             links = phys.link_table([n.pos for n in self.nodes], self.radio)
         self.links = links
         self.sensor_xy = np.array(positions, dtype=float).reshape(-1, 2)
-        self.cursors = {purpose: [None] * len(self.nodes) for purpose in CURSOR_PURPOSES}
 
-    def cursor(self, node_id: int, purpose: str) -> engine.Cursor:
-        """The node's cursor on its ``purpose`` stream, made at the node's
-        first draw on the tape of key (seed, run, node, purpose)."""
-        slots = self.cursors[purpose]
-        cur = slots[node_id]
-        if cur is None:
-            key = self._seed_run + (node_id, purpose)
-            tape = self.tapes.get(key)
-            if tape is None:
-                # the purpose's first tape hashes every node id's seed words
-                wkey = self._seed_run + (purpose,)
-                words = self.tapes.get(wkey)
-                if words is None:
-                    words = self.tapes[wkey] = engine.seed_words(*wkey, np.arange(len(slots)))
-                tape = self.tapes[key] = engine.Tape(words[node_id])
-            cur = slots[node_id] = engine.Cursor(tape)
-        return cur
+    def _stream(self, purpose: str) -> tuple[list[engine.Tape], list[int]]:
+        """Open ``purpose``: its tapes, made at the group's first draw of it
+        from one hash of every node id's seed words, and a read position at
+        0 on each."""
+        key = self._seed_run + (purpose,)
+        tapes = self.tapes.get(key)
+        if tapes is None:
+            rows = engine.seed_words(*key, np.arange(len(self.nodes)))
+            tapes = self.tapes[key] = [engine.Tape(row) for row in rows]
+        stream = self.streams[purpose] = (tapes, [0] * len(tapes))
+        return stream
+
+    def random(self, node_id: int, purpose: str) -> float:
+        """The next uniform double in [0, 1) of the node's ``purpose``
+        stream. ``_receive_data`` inlines it for the failure lottery; keep
+        the two in step."""
+        tapes, reads = self.streams.get(purpose) or self._stream(purpose)
+        pos = reads[node_id]
+        draws = tapes[node_id].draws
+        if pos == len(draws):
+            tapes[node_id].grow()
+        reads[node_id] = pos + 1
+        return draws[pos]
+
+    def uniform(self, node_id: int, purpose: str, lo: float, hi: float) -> float:
+        """numpy's scalar ``Generator.uniform(lo, hi)``, which computes
+        ``lo + (hi - lo) * random()`` from the same double."""
+        return lo + (hi - lo) * self.random(node_id, purpose)
 
     def _discrepancy_bounds(self) -> tuple[float, float]:
         cf = self.costfield
@@ -236,7 +243,7 @@ class Network:
         if self.proto.counts:
             cf = self.costfield
             for node in self.nodes:
-                u = self.cursor(node.id, "mac").uniform(0.0, cf.ncnt_window_ms)
+                u = self.uniform(node.id, "mac", 0.0, cf.ncnt_window_ms)
                 sim.schedule(cf.ncnt_start_ms + u, EventKind.TIMER, node.id, ("ncnt", 0))
         self._start_data(traffic)
 
@@ -246,7 +253,7 @@ class Network:
         sim = self.sim
         self._setup_seqs = sim.seq
         if self.proto.ladder:
-            period = self._stall_period()
+            period = policies.stall_period(self.policies, self.cfg.scenario)
             for node in self.nodes:
                 if not node.is_sink:
                     sim.schedule(self.cfg.scenario.data_start_ms + period,
@@ -263,9 +270,8 @@ class Network:
         if sim.pending() != self._data_events:
             return None
         played = sim.seq - self._setup_seqs - self._data_events
-        positions = {(i, purpose): cur.pos for purpose, slots in self.cursors.items()
-                     for i, cur in enumerate(slots) if cur is not None}
-        return SetupSnapshot(sim.clock, (self._setup_seqs, played), positions,
+        reads = {purpose: tuple(reads) for purpose, (_, reads) in self.streams.items()}
+        return SetupSnapshot(sim.clock, (self._setup_seqs, played), reads,
                              node_states(self.nodes), dict(self.counters),
                              None if self.energy_log is None else list(self.energy_log))
 
@@ -278,21 +284,17 @@ class Network:
         self.counters.update(snap.counters)
         if snap.energy_log is not None:
             self.energy_log = list(snap.energy_log)
-        for (node_id, purpose), pos in snap.cursors.items():
-            cur = self.cursor(node_id, purpose)
-            while len(cur.tape.draws) < pos:
-                cur.tape.grow()
-            cur.pos = pos
+        for purpose, reads in snap.reads.items():
+            tapes, positions = self._stream(purpose)
+            for tape, pos in zip(tapes, reads):
+                while len(tape.draws) < pos:
+                    tape.grow()
+            positions[:] = reads
         sim = self.sim
         sim.clock = snap.clock
         sim.seq, played = snap.seqs
         self._start_data(traffic)
         sim.seq += played
-
-    def _stall_period(self) -> float:
-        sc = self.cfg.scenario
-        mean_interarrival = sc.data_window_ms / max(1, sc.event_count)
-        return self.policies.stall_check_factor * mean_interarrival
 
     # -- event dispatch ------------------------------------------------------
 
@@ -355,8 +357,9 @@ class Network:
 
     def _receive_data(self, tr: phys.Transmission, verdicts: list | tuple) -> None:
         """Every alive decoded hearer of a data packet, in one flat loop. It
-        inlines the liveness filter, the failure lottery (``Cursor.random``),
-        the debit (``Battery.drain``), the hop cost (``costfield.link_cost``)
+        inlines the liveness filter, the failure lottery (``random`` on the
+        failure stream, opened at the first lottery draw), the debit
+        (``Battery.drain``), the hop cost (``costfield.link_cost``)
         and the downhill rule (``policies.eligible``), each with its helper's
         exact arithmetic; the helpers remain the reference. A receiver
         changes no other receiver's battery, so filtering each one as the
@@ -371,7 +374,7 @@ class Network:
         log = self.energy_log
         p_f = self.cfg.scenario.p_f
         lottery = p_f > 0.0 and self.cfg.scenario.failure_side == "rx"
-        failure = self.cursors["failure"]
+        tapes, reads = self.streams.get("failure", (None, None))
         counters = self.counters
         traced = self.decision_trace is not None
         rec = tr.reception
@@ -381,12 +384,13 @@ class Network:
             if battery.consumed_j >= battery.capacity_j:
                 continue
             if lottery and rx_id != sink_id:
-                cur = failure[rx_id] or self.cursor(rx_id, "failure")
-                pos = cur.pos
-                draws = cur.tape.draws
+                if reads is None:
+                    tapes, reads = self._stream("failure")
+                pos = reads[rx_id]
+                draws = tapes[rx_id].draws
                 if pos == len(draws):
-                    cur.tape.grow()
-                cur.pos = pos + 1
+                    tapes[rx_id].grow()
+                reads[rx_id] = pos + 1
                 if draws[pos] < p_f:
                     counters["relay_failures"] += 1
                     continue
@@ -464,7 +468,7 @@ class Network:
             return
         sc = self.cfg.scenario
         if sc.p_f > 0.0 and sc.failure_side == "tx":
-            if self.cursor(node.id, "failure").random() < sc.p_f:
+            if self.random(node.id, "failure") < sc.p_f:
                 self.counters["relay_failures"] += 1
                 return
         fwd_pkt.q_p = node.cost.q
@@ -496,7 +500,7 @@ class Network:
         elif tag == "stall":
             if not node.battery.dead and node.ugrab is not None:
                 policies.stall_check(node, self.policies)
-            nxt = self.sim.clock + self._stall_period()
+            nxt = self.sim.clock + policies.stall_period(self.policies, self.cfg.scenario)
             if nxt <= self.cfg.scenario.max_sim_time_ms:
                 self.sim.schedule(nxt, EventKind.TIMER, node.id, ("stall", 0))
 

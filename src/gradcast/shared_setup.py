@@ -51,7 +51,7 @@ class SetupSnapshot:
     advertisement is received after it."""
     clock: float              # the last setup event's time
     seqs: tuple[int, int]     # numbers the setup took at the start, then in play
-    cursors: dict             # (node, purpose) -> read position
+    reads: dict               # purpose -> each node id's read position on its tape
     nodes: list[tuple]        # per node, as node_states lists it
     counters: dict
     energy_log: list | None

@@ -260,7 +260,7 @@ def test_criterion_06_bernoulli_calibration():
     p = node.p_ia * remaining_life_probability(node.battery)
     rng = np.random.default_rng(20260808)
     n = 10_000
-    hits = sum(pgrab_decide(node, rng).forward for _ in range(n))
+    hits = sum(pgrab_decide(node, rng.random).forward for _ in range(n))
     sig_p = math.sqrt(p * (1.0 - p) / n)
     fwd_ok = abs(hits / n - p) <= 3 * sig_p
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from gradcast import engine
 from gradcast.config import default_config
-from gradcast.engine import (STREAM_PURPOSES, Cursor, Event, EventKind,
-                             SchedulingInPastError, Simulator, Tape, make_stream)
+from gradcast.engine import (STREAM_PURPOSES, Event, EventKind, SchedulingInPastError,
+                             Simulator, Tape, make_stream)
 from gradcast.metrics import RunRecorder
 from gradcast.phys import Transmission
 from gradcast.scenario import Network
@@ -108,36 +108,44 @@ def _network(seed: int, run_index: int, tapes: dict | None = None) -> Network:
 
 
 def test_network_cursor_keeps_its_place():
+    """Each (node, purpose) stream of a network keeps its own read
+    position: draws of another node or purpose in between do not move it."""
     net = _network(seed=5, run_index=2)
-    c1 = net.cursor(4, "policy")
-    first = c1.random()
-    assert net.cursor(4, "policy") is c1
-    second = c1.random()
+    first = net.random(4, "policy")
+    net.random(5, "policy")
+    net.random(4, "mac")
+    second = net.random(4, "policy")
     fresh = make_stream(5, 2, 4, "policy")
     assert [first, second] == [fresh.random(), fresh.random()]
 
 
 def test_resume_moves_every_cursor_on_fresh_tapes():
+    """A network on a tape dict of its own, resumed from a snapshot, grows
+    its tapes to the snapshot's read positions and reads on from there."""
     played = _network(seed=3, run_index=1)
-    mac = played.cursor(7, "mac")
     for _ in range(Tape.BLOCK + 5):   # two blocks in
-        mac.random()
-    played.cursor(2, "policy").random()
+        played.random(7, "mac")
+    played.random(2, "policy")
     snap = played.snapshot()
-    assert snap.cursors == {(7, "mac"): Tape.BLOCK + 5, (2, "policy"): 1}
+    n = len(played.nodes)
+    assert snap.reads == {"mac": tuple(Tape.BLOCK + 5 if i == 7 else 0 for i in range(n)),
+                          "policy": tuple(int(i == 2) for i in range(n))}
     fresh = _network(seed=3, run_index=1)
     fresh.resume(snap, [])
     assert fresh.snapshot() == snap
-    assert [fresh.cursor(7, "mac").random() for _ in range(80)] == \
-        [mac.random() for _ in range(80)]
-    assert fresh.cursor(2, "policy").random() == played.cursor(2, "policy").random()
+    assert [len(tape.draws) for tape in fresh.tapes[3, 1, "mac"]] == \
+        [2 * Tape.BLOCK if i == 7 else 0 for i in range(n)]
+    assert [fresh.random(7, "mac") for _ in range(80)] == \
+        [played.random(7, "mac") for _ in range(80)]
+    assert fresh.random(2, "policy") == played.random(2, "policy")
 
 
 def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):
     """Two networks on one tape dict read the same draws, each from its own
-    position, and each stream is seeded once, through the module attributes:
-    one tape per key, each on its row of one hash of the purpose's seed
-    words over every node id."""
+    position, and each purpose is seeded once, through the module
+    attributes: one hash of its seed words over every node id, and one
+    tape per node id on its row, which builds no generator before its
+    first draw."""
     hashed, made = [], []
     real_words, real_tape = engine.seed_words, engine.Tape
     monkeypatch.setattr(engine, "seed_words",
@@ -146,21 +154,18 @@ def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):
     tapes = {}
     nets = [_network(seed=9, run_index=1, tapes=tapes) for _ in range(2)]
     n = 3 * Tape.BLOCK + 5
+    a, b = nets
     for node in (3, 5):
-        a, b = (net.cursor(node, "mac") for net in nets)
-        first = [a.random() for _ in range(n)]
-        assert [b.random() for _ in range(n)] == first
+        first = [a.random(node, "mac") for _ in range(n)]
+        assert [b.random(node, "mac") for _ in range(n)] == first
         assert first == make_stream(9, 1, node, "mac").random(n).tolist()
     assert [args[:3] for args in hashed] == [(9, 1, "mac")]
     assert list(hashed[0][3]) == list(range(9))
     assert made == [np.random.SeedSequence([9 ^ 1, node, STREAM_PURPOSES["mac"]])
-                    .generate_state(4, np.uint64).tobytes() for node in (3, 5)]
-    assert list(tapes) == [(9, 1, "mac"), (9, 1, 3, "mac"), (9, 1, 5, "mac")]
-
-
-def _tape(seed: int, node: int, purpose: str) -> Tape:
-    """The tape of stream (seed, run 0, node, purpose), on its row alone."""
-    return Tape(engine.seed_words(seed, 0, purpose, [node])[0])
+                    .generate_state(4, np.uint64).tobytes() for node in range(9)]
+    assert list(tapes) == [(9, 1, "mac")]
+    assert [tape.gen is not None for tape in tapes[9, 1, "mac"]] == \
+        [node in (3, 5) for node in range(9)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,18 +173,22 @@ def _tape(seed: int, node: int, purpose: str) -> Tape:
        k=st.integers(1, 3 * Tape.BLOCK + 1), offset=st.integers(0, 2 * Tape.BLOCK))
 def test_block_draws_equal_scalar_draws(seed, node, k, offset):
     """``Generator.random(k)`` gives the doubles of k scalar ``random()``
-    calls, at any offset into the stream; a cursor reads them across its
-    tape's block refills."""
+    calls, at any offset into the stream; ``Network.random`` reads them
+    across its tape's block refills (on a network of nine node ids, the
+    stream of node ``node % 9``)."""
     blocks = make_stream(seed, 0, node, "failure")
     scalars = make_stream(seed, 0, node, "failure")
-    cursor = Cursor(_tape(seed, node, "failure"))
     for _ in range(offset):
         scalars.random()
-        cursor.random()
     blocks.random(offset)
     expected = [scalars.random() for _ in range(k)]
     assert blocks.random(k).tolist() == expected
-    assert [cursor.random() for _ in range(k)] == expected
+    net = _network(seed, 0)
+    node %= len(net.nodes)
+    for _ in range(offset):
+        net.random(node, "failure")
+    want = make_stream(seed, 0, node, "failure").random(offset + k).tolist()[offset:]
+    assert [net.random(node, "failure") for _ in range(k)] == want
 
 
 # seed ^ run as SeedSequence splits it: zero, one 32-bit word, two or three
@@ -254,7 +263,7 @@ FINITE = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0, 120.0, 5e-3
 @given(seed=st.integers(0, 2**32 - 1), lo=FINITE, hi=FINITE, same=st.booleans())
 def test_uniform_is_affine_in_one_double(seed, lo, hi, same):
     """numpy's scalar ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()`` bit
-    for bit wherever it accepts lo and hi, and a cursor's ``uniform`` is that
+    for bit wherever it accepts lo and hi, and ``Network.uniform`` is that
     formula for any finite lo and hi. numpy refuses a range with its sign bit
     set (lo > hi, or 0.0 to -0.0), so nothing in the simulator can have
     depended on its value there."""
@@ -262,10 +271,10 @@ def test_uniform_is_affine_in_one_double(seed, lo, hi, same):
         hi = lo
     numpy_draws = make_stream(seed, 0, 1, "mac")
     doubles = make_stream(seed, 0, 1, "mac")
-    cursor = Cursor(_tape(seed, 1, "mac"))
+    net = _network(seed, 0)
     for _ in range(3):
         want = struct.pack("<d", lo + (hi - lo) * doubles.random())
-        assert struct.pack("<d", cursor.uniform(lo, hi)) == want
+        assert struct.pack("<d", net.uniform(1, "mac", lo, hi)) == want
         if math.copysign(1.0, hi - lo) < 0.0:
             with pytest.raises(ValueError):
                 numpy_draws.uniform(lo, hi)

@@ -119,18 +119,17 @@ def _play_checked(monkeypatch, cells):
         calls["idle at the end"] += not net.active
         release(net)
 
-    def utility_game(node, c_n, limit, rng, game=policies._utility_game):
+    def utility_game(node, c_n, limit, coin, game=policies._utility_game):
         # the played decision is the argmax of the payoff table over
         # forwarding and dropping, and a tie follows the coin it drew
         coins = []
 
-        class Recorded:
-            def random(self):
-                coins.append(rng.random())
-                return coins[-1]
+        def recorded():
+            coins.append(coin())
+            return coins[-1]
 
         a, r = node.ugrab.forward_reward, policies.energy_reward(node.battery)
-        dec = game(node, c_n, limit, Recorded())
+        dec = game(node, c_n, limit, recorded)
         assert (dec.forward_reward, dec.energy_reward) == (a, r)
         forward = policies.strategy_payoff(True, c_n >= limit, a, r)
         drop = policies.strategy_payoff(False, c_n >= limit, a, r)

@@ -266,13 +266,13 @@ def test_congested_forwarding_never_beats_dropping(alpha, r):
 
 def test_pgrab_dead_battery_never_forwards():
     node = StubNode(delta=-12.0, consumed=1.0, n_forwarded=5)
-    dec = pgrab_decide(node, SeqRng([0.0]))
+    dec = pgrab_decide(node, SeqRng([0.0]).random)
     assert not dec.forward and dec.p_fw == 0.0
 
 
 def test_pgrab_certain_forward():
     node = StubNode(delta=-100.0)   # far below the interval: p_ia ~ 1
-    dec = pgrab_decide(node, SeqRng([0.999999]))
+    dec = pgrab_decide(node, SeqRng([0.999999]).random)
     assert dec.forward and dec.p_fw > 1.0 - 1e-9
 
 
@@ -282,7 +282,7 @@ def test_pgrab_matches_analytic_rate():
     p = node.p_ia * remaining_life_probability(node.battery)
     rng = np.random.default_rng(1234)
     n = 10_000
-    hits = sum(pgrab_decide(node, rng).forward for _ in range(n))
+    hits = sum(pgrab_decide(node, rng.random).forward for _ in range(n))
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) <= 3 * sigma
 
@@ -293,26 +293,26 @@ def test_pgrab_matches_analytic_rate():
 
 def test_ugrab_fresh_node_forwards_on_free_channel():
     node = StubNode()
-    dec = ugrab_decide(node, c_n=0, limit=1, rng=SeqRng([]))
+    dec = ugrab_decide(node, c_n=0, limit=1, coin=SeqRng([]).random)
     assert dec.forward and dec.forward_reward == 0.25 and dec.energy_reward == 0.0
 
 
 def test_ugrab_drops_when_energy_reward_wins():
     node = StubNode(consumed=0.5)
-    dec = ugrab_decide(node, c_n=0, limit=1, rng=SeqRng([]))
+    dec = ugrab_decide(node, c_n=0, limit=1, coin=SeqRng([]).random)
     assert not dec.forward and dec.energy_reward == 0.5
 
 
 def test_ugrab_busy_channel_drops_outright():
     node = StubNode()   # rewards would say forward
-    dec = ugrab_decide(node, c_n=1, limit=1, rng=SeqRng([]))
+    dec = ugrab_decide(node, c_n=1, limit=1, coin=SeqRng([]).random)
     assert not dec.forward and dec.c_n == 1
 
 
 def test_ugrab_tie_flips_fair_coin():
     node = StubNode(consumed=0.25)   # energy reward equals the initial ladder
-    assert ugrab_decide(node, 0, 1, SeqRng([0.49])).forward
-    assert not ugrab_decide(node, 0, 1, SeqRng([0.51])).forward
+    assert ugrab_decide(node, 0, 1, SeqRng([0.49]).random).forward
+    assert not ugrab_decide(node, 0, 1, SeqRng([0.51]).random).forward
 
 
 def test_energy_reward_is_consumed_fraction():
@@ -326,7 +326,7 @@ def test_energy_reward_is_consumed_fraction():
 def test_upgrab_busy_channel_drops_and_still_adapts_spread():
     node = StubNode(delta=-5.0)
     before = node.ugrab.spread
-    dec = upgrab_decide(node, c_n=2, limit=1, params=PolicyParams(), rng=SeqRng([]))
+    dec = upgrab_decide(node, c_n=2, limit=1, params=PolicyParams(), coin=SeqRng([]).random)
     assert not dec.forward
     assert node.ugrab.spread == before - 1
 
@@ -339,14 +339,14 @@ def test_upgrab_spread_moves_match_stated_rules():
     for c_n in (0, 1):
         node = StubNode(delta=-5.0, spread=4.0)
         p_before = erfc_forward_probability(node.delta, node.ugrab.spread, node.delta_bounds)
-        upgrab_decide(node, c_n, 1, params, SeqRng([0.0, 0.0]))
+        upgrab_decide(node, c_n, 1, params, SeqRng([0.0, 0.0]).random)
         assert node.ugrab.spread == 3.0
         p_after = erfc_forward_probability(node.delta, node.ugrab.spread, node.delta_bounds)
         assert p_after > p_before
 
         node = StubNode(delta=5.0, spread=4.0)
         p_before = erfc_forward_probability(node.delta, node.ugrab.spread, node.delta_bounds)
-        upgrab_decide(node, c_n, 1, params, SeqRng([0.0, 0.0]))
+        upgrab_decide(node, c_n, 1, params, SeqRng([0.0, 0.0]).random)
         assert node.ugrab.spread == 5.0
         p_after = erfc_forward_probability(node.delta, node.ugrab.spread, node.delta_bounds)
         assert p_after > p_before
@@ -355,10 +355,10 @@ def test_upgrab_spread_moves_match_stated_rules():
 def test_upgrab_spread_clamped():
     params = PolicyParams(spread_factor_max=4.0)
     node = StubNode(delta=-5.0, spread=1.0)
-    upgrab_decide(node, 0, 1, params, SeqRng([0.0, 0.0]))
+    upgrab_decide(node, 0, 1, params, SeqRng([0.0, 0.0]).random)
     assert node.ugrab.spread == 1.0
     node = StubNode(delta=5.0, spread=4.0)
-    upgrab_decide(node, 0, 1, params, SeqRng([0.0, 0.0]))
+    upgrab_decide(node, 0, 1, params, SeqRng([0.0, 0.0]).random)
     assert node.ugrab.spread == 4.0
 
 
@@ -370,16 +370,16 @@ def test_upgrab_center_discrepancy_is_spread_invariant():
 def test_upgrab_forward_probability_gates_the_action():
     params = PolicyParams()
     node = StubNode(delta=-100.0, spread=1.0)   # p_ia ~ 1
-    dec = upgrab_decide(node, 0, 1, params, SeqRng([1.0 - 1e-9]))
+    dec = upgrab_decide(node, 0, 1, params, SeqRng([1.0 - 1e-9]).random)
     assert dec.forward and dec.p_fw > 1.0 - 1e-9
     node = StubNode(delta=100.0, spread=1.0)    # p_ia ~ 0
-    dec = upgrab_decide(node, 0, 1, params, SeqRng([1e-12]))
+    dec = upgrab_decide(node, 0, 1, params, SeqRng([1e-12]).random)
     assert not dec.forward
 
 
 def test_upgrab_energy_reward_can_refuse_action():
     node = StubNode(delta=-100.0, consumed=0.5)
-    dec = upgrab_decide(node, 0, 1, PolicyParams(), rng=SeqRng([]))
+    dec = upgrab_decide(node, 0, 1, PolicyParams(), coin=SeqRng([]).random)
     assert not dec.forward
 
 
@@ -420,12 +420,12 @@ def test_stalled_node_climbs_ladder_and_resumes():
     reward and it resumes forwarding."""
     params = PolicyParams()
     node = StubNode(q=50.0, consumed=0.30)
-    assert not ugrab_decide(node, 0, 1, SeqRng([])).forward   # 0.25 < 0.30
+    assert not ugrab_decide(node, 0, 1, SeqRng([]).random).forward   # 0.25 < 0.30
     for _ in range(20):
         note_overheard(node, 90.0, params)
     assert stall_check(node, params)
     assert node.ugrab.forward_reward == pytest.approx(0.4375)
-    assert ugrab_decide(node, 0, 1, SeqRng([])).forward
+    assert ugrab_decide(node, 0, 1, SeqRng([]).random).forward
 
 
 def test_downstream_traffic_suppresses_the_step():

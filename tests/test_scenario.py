@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gradcast import costfield, engine, phys, policies, scenario
 from gradcast.config import ConfigError, apply_overrides, default_config, validate
-from gradcast.engine import Cursor, Simulator, Tape, make_stream
+from gradcast.engine import Simulator, Tape, make_stream
 from gradcast.metrics import RunRecorder, run_row
 from gradcast.policies import Battery
 from gradcast.scenario import (TrafficEvent, build_network, connectivity,
@@ -198,15 +198,16 @@ def test_sweep_shapes():
 
 def _seeded(net, purpose: str) -> list[int]:
     """Node ids whose ``purpose`` tape has built its generator."""
-    return sorted(key[2] for key, tape in net.tapes.items()
-                  if len(key) == 4 and key[3] == purpose and tape.gen is not None)
+    tapes = net.tapes.get((net.cfg.scenario.base_seed, net.recorder.run_index, purpose), [])
+    return [i for i, tape in enumerate(tapes) if tape.gen is not None]
 
 
 def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
     """BGB and GRAB never draw from a node's policy stream, so they seed no
-    policy tape; P-GRAB does draw, so the check is not vacuous. U-GRAB draws
-    only on a reward tie, so it seeds a tape exactly for each node that drew;
-    with the energy reward pinned to the fresh ladder's, ties are common."""
+    policy tape and hash no policy seed words; P-GRAB does draw, so the
+    check is not vacuous. U-GRAB draws only on a reward tie, so it seeds a
+    tape exactly for each node that drew; with the energy reward pinned to
+    the fresh ladder's, ties are common."""
     built = {}
     for protocol in ("BGB", "GRAB", "P-GRAB"):
         cfg = small_cfg(protocol=protocol, replications=1)
@@ -223,16 +224,14 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
     draws = []
     real = policies.ugrab_decide
 
-    class Counted:
-        def __init__(self, node_id, rng):
-            self.node_id, self.rng = node_id, rng
+    def counted(node_id, coin):
+        def draw():
+            draws.append(node_id)
+            return coin()
+        return draw
 
-        def random(self):
-            draws.append(self.node_id)
-            return self.rng.random()
-
-    monkeypatch.setattr(policies, "ugrab_decide", lambda node, c_n, limit, rng:
-                        real(node, c_n, limit, Counted(node.id, rng)))
+    monkeypatch.setattr(policies, "ugrab_decide", lambda node, c_n, limit, coin:
+                        real(node, c_n, limit, counted(node.id, coin)))
     for forced_tie in (False, True):
         if forced_tie:
             monkeypatch.setattr(policies, "energy_reward", lambda battery: 0.25)
@@ -248,6 +247,26 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
             assert len(draws) > 10
         else:
             assert len(streams) == len(draws)
+
+
+def test_ugrab_without_a_tie_hashes_no_policy_words(monkeypatch):
+    """U-GRAB flips its policy coin only on a reward tie: a play whose
+    decisions hold no tie hashes no policy seed words and makes no policy
+    tape, though its nodes decide."""
+    hashed = []
+    real_words = engine.seed_words
+    monkeypatch.setattr(engine, "seed_words",
+                        lambda *args: hashed.append(args[2]) or real_words(*args))
+    decisions = []
+    cfg = small_cfg(protocol="U-GRAB", replications=1, p_f=0.4)
+    sim, net = build_network(cfg, 0, decision_trace=decisions.append)
+    sim.run_until_idle(cfg.scenario.max_sim_time_ms)
+    net.release()
+    # row: time, node, protocol, eligible, action, p_fw, c_n, ladder and energy rewards
+    decided = [row for row in decisions if row[3] == 1]
+    assert len(decided) > 10 and all(row[7] != row[8] for row in decided)
+    assert sorted(hashed) == ["failure", "mac"]
+    assert set(net.tapes) == {(cfg.scenario.base_seed, 0, p) for p in ("failure", "mac")}
 
 
 def test_a_new_protocol_is_one_table_row(monkeypatch):
@@ -333,8 +352,9 @@ def test_play_an_explicit_cell_list_shares_each_topology(monkeypatch):
 def test_play_seeds_each_stream_once_per_topology_group(monkeypatch):
     """Twenty cells on two replications, differing in protocol, p_f and the
     failure side: every stream key is seeded once in the play (the node-less
-    ones through ``make_stream``, the per-node ones through one tape, and
-    each purpose's seed words at most once), yet each cell's rows equal its
+    ones through ``make_stream``, the per-node ones through one tape each,
+    made with its purpose's list from one hash of its seed words), yet each
+    cell's rows equal its
     replications run on their own, serially and in parallel."""
     cells = [(small_cfg(protocol=protocol, p_f=p_f, failure_side=side), "")
              for protocol in SWEEP_PROTOCOLS for p_f in (0.0, 0.4) for side in ("rx", "tx")]
@@ -603,8 +623,7 @@ def test_shared_setup_is_freed_with_its_group(monkeypatch):
     def snapshot(net, snapshot=scenario.Network.snapshot):
         snap = snapshot(net)
         held = {type(obj) for obj in _referenced(snap)}
-        assert not held & {scenario.Network, scenario.Node, Simulator, Tape, Cursor,
-                           phys.LinkTable}
+        assert not held & {scenario.Network, scenario.Node, Simulator, Tape, phys.LinkTable}
         snapshots.append(weakref.ref(snap))
         return snap
 
@@ -940,45 +959,69 @@ def test_setup_overlapping_the_data_phase_is_not_shared(monkeypatch, setups_of, 
 
 @pytest.mark.parametrize("protocol", ["P-GRAB", "UP-GRAB"])
 def test_cursor_lists_hold_the_simulators_cursors(protocol):
-    """The network's per-node cursor of each purpose, in a run with a setup
-    of its own and in one resumed from a snapshot: no slot is filled before
-    its node's first draw or, after a resume, beyond the setup's draws;
-    every slot reads the tape of its own key, every tape has its slot, and
-    a resumed network snapshots back to the snapshot it resumed from."""
+    """The network's read positions, one list per purpose beside that
+    purpose's tapes, in a run with a setup of its own and in one resumed
+    from a snapshot: no purpose is opened before its first draw or, after a
+    resume, beyond the setup's; each list holds one position per node id on
+    the tapes of its own key, a tape built its generator exactly when its
+    node read it, and a resumed network snapshots back to the snapshot it
+    resumed from."""
     cfg = small_cfg(protocol=protocol, replications=1, p_f=0.4, failure_side="rx")
     validate(cfg)
     snap = _setup_snapshot(cfg)
+    assert set(snap.reads) == {"mac"}
     rows = []
-
-    def filled(net):
-        return {(i, purpose): cur for purpose, slots in net.cursors.items()
-                for i, cur in enumerate(slots) if cur is not None}
-
     for snapshot in (None, snap):
         sim, net = build_network(cfg, 0, snapshot=snapshot)
-        assert set(net.cursors) == {"failure", "mac", "policy"}
-        assert all(len(slots) == len(net.nodes) for slots in net.cursors.values())
         if snapshot is None:
-            # the setup's first draws are the count stage's timers
-            assert net.cursors["failure"] == net.cursors["policy"] == [None] * len(net.nodes)
+            # the setup's first draws are the sink's backoff and the count
+            # stage's timers
+            assert set(net.streams) == {"mac"}
         else:
-            assert set(filled(net)) == set(snap.cursors)
+            assert set(net.streams) == set(snap.reads)
             assert net.snapshot() == snap
         sim.run_until_idle(cfg.scenario.max_sim_time_ms)
         net.release()
         assert net.counters["relay_failures"] > 0
-        cursors = filled(net)
-        for (i, purpose), cur in cursors.items():
-            assert cur.tape is net.tapes[cfg.scenario.base_seed, 0, i, purpose]
-        assert any(net.cursors["failure"]) and any(net.cursors["policy"])
-        # every draw went through the lists: no tape lacks its slot, and
-        # only the purposes drawn from hashed their seed words
-        tapes = [key for key in net.tapes if len(key) == 4]
-        assert len(tapes) == len(cursors)
-        assert set(net.tapes) - set(tapes) == \
-            {(cfg.scenario.base_seed, 0, purpose) for _, purpose in cursors}
+        assert set(net.streams) == {"failure", "mac", "policy"}
+        for purpose, (tapes, reads) in net.streams.items():
+            assert tapes is net.tapes[cfg.scenario.base_seed, 0, purpose]
+            assert len(tapes) == len(reads) == len(net.nodes)
+            assert all(pos <= len(tape.draws) for tape, pos in zip(tapes, reads))
+            assert [tape.gen is not None for tape in tapes] == [pos > 0 for pos in reads]
+        # every draw went through the lists: only the purposes drawn from
+        # hashed their seed words
+        assert set(net.tapes) == {(cfg.scenario.base_seed, 0, p) for p in net.streams}
         rows.append(_outcome(net.finish()))
     assert rows[0] == rows[1]
+
+
+def test_group_tape_dict_holds_one_tape_per_node_id_per_purpose(monkeypatch):
+    """Every key of a topology group's tape dict is (seed, run, purpose),
+    holding one tape per node id; each cell of the group plays on the
+    group's dict, each on read positions of its own."""
+    played = []
+
+    def spy(*args, **kwargs):
+        sim, net = build_network(*args, **kwargs)
+        played.append(net)
+        return sim, net
+
+    monkeypatch.setattr(scenario, "build_network", spy)
+    cells = [(small_cfg(protocol=p, p_f=0.4), "") for p in SWEEP_PROTOCOLS]
+    play(cells)
+    seed = cells[0][0].scenario.base_seed
+    for run in (0, 1):
+        nets = [net for net in played if net.recorder.run_index == run]
+        assert len(nets) == len(cells)
+        tapes = nets[0].tapes
+        assert all(net.tapes is tapes for net in nets)
+        assert set(tapes) == {(seed, run, p) for p in ("failure", "mac", "policy")}
+        for key, group in tapes.items():
+            assert len(group) == len(nets[0].nodes)
+            assert all(type(tape) is Tape for tape in group)
+        reads = [pos for net in nets for _, pos in net.streams.values()]
+        assert len({id(pos) for pos in reads}) == len(reads)
 
 
 def test_played_tapes_hold_make_streams_draws():
@@ -988,16 +1031,18 @@ def test_played_tapes_hold_make_streams_draws():
     sim, net = build_network(cfg, 0)
     sim.run_until_idle(cfg.scenario.max_sim_time_ms)
     net.release()
-    tapes = {key: tape for key, tape in net.tapes.items() if len(key) == 4}
-    assert {purpose for *_, purpose in tapes} == {"failure", "mac", "policy"}
-    for key, tape in tapes.items():
-        assert tape.draws.tobytes() == make_stream(*key).random(len(tape.draws)).tobytes()
+    assert {purpose for *_, purpose in net.tapes} == {"failure", "mac", "policy"}
+    for (seed, run, purpose), tapes in net.tapes.items():
+        assert len(tapes) == len(net.nodes)
+        for node, tape in enumerate(tapes):
+            want = make_stream(seed, run, node, purpose).random(len(tape.draws))
+            assert tape.draws.tobytes() == want.tobytes()
 
 
 def _reference_receive_data(net, tr, verdicts):
     """``Network._receive_data`` through its helpers: the decoded hearers
     (one verdict per hearer) and the liveness filter first, then
-    ``Cursor.random`` on ``Network.cursor``, ``Battery.drain``,
+    ``Network.random`` on the failure stream, ``Battery.drain``,
     ``costfield.link_cost`` and ``policies.eligible`` per receiver."""
     nodes = net.nodes
     pkt = tr.packet
@@ -1010,7 +1055,7 @@ def _reference_receive_data(net, tr, verdicts):
     for rx_id, pl in zip(alive, losses):
         rx = nodes[rx_id]
         if (sc.p_f > 0.0 and sc.failure_side == "rx" and rx_id != net.sink_id
-                and net.cursor(rx_id, "failure").random() < sc.p_f):
+                and net.random(rx_id, "failure") < sc.p_f):
             net.counters["relay_failures"] += 1
             continue
         drawn = rx.battery.drain(joules)
