@@ -160,11 +160,11 @@ def parse_text(text: str, source: str = "<config>") -> SimConfig:
             raise ConfigError(f"{source}:{lineno}: expected key = value, got {stripped!r}")
         if section is None:
             raise ConfigError(f"{source}:{lineno}: key outside any section")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        types = _field_types(_SECTIONS[section])
-        if key not in types:
-            raise ConfigError(f"{source}:{lineno}: unknown config key: {section}.{key}")
-        setattr(getattr(cfg, section), key, _coerce(section, key, types[key], raw))
+        key, raw = stripped.split("=", 1)
+        try:
+            set_value(cfg, f"{section}.{key.strip()}", raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}:{lineno}: {exc}") from None
     validate(cfg)
     return cfg
 

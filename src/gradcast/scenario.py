@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-from collections import Counter
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
@@ -143,7 +142,6 @@ class Network:
         self.marks = ([], [])   # instants, signed bank rows: see phys.decode_batch
         self.flood_epoch = 0.0
         self.energy_log: list | None = [] if cfg.metrics.energy_audit else None
-        self._setup_seqs = 0    # events the setup phase schedules at the start
         self._data_events = 0   # events the data phase schedules at the start
         # (seed, run, purpose) -> one engine.Tape per node id, run the
         # recorder's; the cells of a topology group share it
@@ -251,7 +249,7 @@ class Network:
         """Schedule the data phase's events, all at or after the data start,
         after the setup phase's."""
         sim = self.sim
-        self._setup_seqs = sim.seq
+        first = sim.seq
         if self.proto.ladder:
             period = policies.stall_period(self.policies, self.cfg.scenario)
             for node in self.nodes:
@@ -260,7 +258,7 @@ class Network:
                                  EventKind.TIMER, node.id, ("stall", 0))
         for k, ev in enumerate(traffic):
             sim.schedule(ev.trigger_ms, EventKind.INJECT, -1, (k, ev))
-        self._data_events = sim.seq - self._setup_seqs
+        self._data_events = sim.seq - first
 
     def snapshot(self) -> SetupSnapshot | None:
         """The state after the setup phase, taken once every event before
@@ -269,17 +267,17 @@ class Network:
         sim = self.sim
         if sim.pending() != self._data_events:
             return None
-        played = sim.seq - self._setup_seqs - self._data_events
         reads = {purpose: tuple(reads) for purpose, (_, reads) in self.streams.items()}
-        return SetupSnapshot(sim.clock, (self._setup_seqs, played), reads,
+        return SetupSnapshot(sim.clock, reads,
                              node_states(self.nodes), dict(self.counters),
                              None if self.energy_log is None else list(self.energy_log))
 
     def resume(self, snap: SetupSnapshot, traffic: list[TrafficEvent]) -> None:
         """Start from ``snap`` in place of a setup phase of this network's
-        own, then schedule the data phase. Every event takes the number it
-        takes after a setup of its own: the data events follow the setup's
-        start, and the setup's played events took the numbers after them."""
+        own, then schedule the data phase. Event numbers start again at 0:
+        the data events are scheduled first and every later event after
+        them, as after a setup of its own, so the queue pops in the same
+        order."""
         restore_nodes(self.nodes, snap.nodes)
         self.counters.update(snap.counters)
         if snap.energy_log is not None:
@@ -290,11 +288,8 @@ class Network:
                 while len(tape.draws) < pos:
                     tape.grow()
             positions[:] = reads
-        sim = self.sim
-        sim.clock = snap.clock
-        sim.seq, played = snap.seqs
+        self.sim.clock = snap.clock
         self._start_data(traffic)
-        sim.seq += played
 
     # -- event dispatch ------------------------------------------------------
 
@@ -618,40 +613,27 @@ def _topology_key(cfg: SimConfig, run_index: int) -> tuple:
             sc.sink_placement, sc.require_connected, astuple(cfg.phys))
 
 
-def _traffic_key(cfg: SimConfig) -> tuple:
-    """Everything ``generate_traffic`` reads besides its stream."""
-    sc = cfg.scenario
-    return (sc.event_count, sc.event_spread, sc.area_width_m, sc.area_height_m,
-            sc.data_start_ms, sc.data_window_ms)
-
-
 def _run_group(tasks: list) -> list[RunMetrics]:
     """Replications of one run index whose cells share the topology: sample
-    it and its link table once, draw the traffic once per traffic setting,
-    and play each cell on them with one tape dict, so each per-node stream
-    is seeded once for the group. Cells of one setup key share a
-    ``SharedSetup``, so its setup phase plays once when it ends before the
-    data start."""
+    it and its link table once and play each cell on them with one tape
+    dict, so each per-node stream is seeded once for the group; each cell
+    draws its own traffic. Cells of one setup key share a ``SharedSetup``,
+    so its setup phase plays once when it ends before the data start."""
     cfg, run_index, _ = tasks[0]
-    seed = cfg.scenario.base_seed
     positions, sink_pos, links = generate_topology(
-        cfg, engine.make_stream(seed, run_index, None, "topology"))
-    traffic: dict[tuple, list[TrafficEvent]] = {}
+        cfg, engine.make_stream(cfg.scenario.base_seed, run_index, None, "topology"))
     tapes: dict = {}
-    keys = [setup_key(cell) for cell, _, _ in tasks]
-    setups = {key: SharedSetup(n) for key, n in Counter(keys).items()}
-    rank = {key: r for r, key in enumerate(setups)}
+    by_key: dict[tuple, list[int]] = {}
+    for k, (cell, _, _) in enumerate(tasks):
+        by_key.setdefault(setup_key(cell), []).append(k)
     runs = [None] * len(tasks)
     # one key's cells after another, so one snapshot is kept at a time
-    for k in sorted(range(len(tasks)), key=lambda k: rank[keys[k]]):
-        cell, _, param = tasks[k]
-        tkey = _traffic_key(cell)
-        if tkey not in traffic:
-            traffic[tkey] = generate_traffic(
-                cell, engine.make_stream(seed, run_index, None, "traffic"))
-        runs[k] = run_replication(cell, run_index, positions=positions, sink_pos=sink_pos,
-                                  links=links, traffic=traffic[tkey], tapes=tapes,
-                                  param=param, setup=setups[keys[k]])
+    for members in by_key.values():
+        setup = SharedSetup(len(members))
+        for k in members:
+            cell, _, param = tasks[k]
+            runs[k] = run_replication(cell, run_index, positions=positions, sink_pos=sink_pos,
+                                      links=links, tapes=tapes, param=param, setup=setup)
     return runs
 
 

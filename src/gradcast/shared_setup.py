@@ -48,9 +48,9 @@ class SetupSnapshot:
     start once no setup event is left to fire. It holds plain values only,
     no network, simulator or tape, so it keeps no played replication alive.
     The flood's epoch is left out: with no setup event left, no
-    advertisement is received after it."""
+    advertisement is received after it. So are event numbers: a resumed
+    cell numbers its events afresh (see ``Network.resume``)."""
     clock: float              # the last setup event's time
-    seqs: tuple[int, int]     # numbers the setup took at the start, then in play
     reads: dict               # purpose -> each node id's read position on its tape
     nodes: list[tuple]        # per node, as node_states lists it
     counters: dict

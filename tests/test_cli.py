@@ -149,6 +149,17 @@ def test_dump_trace(tmp_path, capsys):
                             "p_fw", "c_n", "alpha_n", "r_n"]
 
 
+def test_cell_without_traffic_prints_dashes(tmp_path, capsys):
+    """A cell that sends no message has no success ratio and no delay: its
+    table row shows a dash for each."""
+    rc = cli.main(["run", "--out", str(tmp_path / "out")] + FAST
+                  + ["--set", "scenario.event_count=0", "--set", "scenario.event_spread=0"])
+    assert rc == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[3:5] == ["success", "delay_ms"]
+    assert row.split()[2:4] == ["-", "-"]   # the param column is empty
+
+
 def test_seeds_must_be_positive(tmp_path):
     rc = cli.main(["run", "--out", str(tmp_path / "o"), "--seeds", "0"])
     assert rc == 2
@@ -163,8 +174,15 @@ def test_seeds_must_be_positive(tmp_path):
     (["sweep", "--axis", "scenario.p_f=0", "--axis", "scenario.p_f=0.4"], "scenario.p_f"),
     (["sweep", "--axis", "p_f=0,0.8", "--axis", "scenario.p_f=0.4"], "scenario.p_f"),
     (["sweep", "--axis", "scenario.p_f="], "scenario.p_f"),
+    (["run", "--set", "foo"], "'foo'"),
+    (["sweep", "--axis", "foo"], "'foo'"),
+    (["run", "--set", "nosuch.key=1"], "nosuch"),
+    (["run", "--set", "phys.perfect_decode=maybe"], "phys.perfect_decode: 'maybe'"),
+    (["run", "--config", "bad.cfg"], "bad.cfg:2: expected key = value, got 'protocol GRAB'"),
 ])
-def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("[scenario]\nprotocol GRAB\n")
     out = tmp_path / "out"
     rc = cli.main(argv + ["--out", str(out)] + FAST)
     assert rc == 2

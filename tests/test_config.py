@@ -44,6 +44,11 @@ def test_bad_value_reports_key():
         parse_text("[scenario]\np_f = often\n")
 
 
+def test_bad_value_names_its_file_and_line():
+    with pytest.raises(ConfigError, match=r"^x\.cfg:3: bad value for scenario\.p_f: 'often'$"):
+        parse_text("[scenario]\nnode_count = 44\np_f = often\n", source="x.cfg")
+
+
 def test_comments_and_blanks_ignored():
     cfg = parse_text("# top\n\n[scenario]\np_f = 0.4  # inline\n")
     assert cfg.scenario.p_f == 0.4

@@ -351,11 +351,11 @@ def test_play_an_explicit_cell_list_shares_each_topology(monkeypatch):
 
 def test_play_seeds_each_stream_once_per_topology_group(monkeypatch):
     """Twenty cells on two replications, differing in protocol, p_f and the
-    failure side: every stream key is seeded once in the play (the node-less
-    ones through ``make_stream``, the per-node ones through one tape each,
-    made with its purpose's list from one hash of its seed words), yet each
-    cell's rows equal its
-    replications run on their own, serially and in parallel."""
+    failure side: each per-node stream is seeded once in the play, through
+    one tape made with its purpose's list from one hash of its seed words;
+    of the node-less ones, ``make_stream`` seeds the topology once per run
+    index and the traffic once per cell and run. Yet each cell's rows equal
+    its replications run on their own, serially and in parallel."""
     cells = [(small_cfg(protocol=protocol, p_f=p_f, failure_side=side), "")
              for protocol in SWEEP_PROTOCOLS for p_f in (0.0, 0.4) for side in ("rx", "tx")]
     seeded, hashed, made = [], [], []
@@ -366,11 +366,11 @@ def test_play_seeds_each_stream_once_per_topology_group(monkeypatch):
                         lambda *args: hashed.append(args[:3]) or real_words(*args))
     monkeypatch.setattr(engine, "Tape", lambda row: made.append(row.tobytes()) or real_tape(row))
     runs, _ = play(cells)
-    for keys in (seeded, hashed, made):
+    for keys in (hashed, made):
         assert set(Counter(keys).values()) == {1}
-    assert {node for _, _, node, _ in seeded} == {None}
-    assert {(run, purpose) for _, run, _, purpose in seeded} == \
-        {(run, purpose) for run in (0, 1) for purpose in ("topology", "traffic")}
+    seed = cells[0][0].scenario.base_seed
+    assert Counter(seeded) == {(seed, run, None, "topology"): 1 for run in (0, 1)} | \
+        {(seed, run, None, "traffic"): len(cells) for run in (0, 1)}
     assert {(run, purpose) for _, run, purpose in hashed} == \
         {(run, purpose) for run in (0, 1) for purpose in ("failure", "mac", "policy")}
     alone = [run_row(run_replication(cfg, i)) for cfg, _ in cells for i in range(2)]
@@ -919,6 +919,41 @@ def test_every_other_field_is_in_the_setup_key():
     assert setup_key(small_cfg(protocol="P-GRAB")) != key
 
 
+# the config fields ``scenario._topology_key`` holds, besides the run index
+TOPOLOGY_FIELDS = {"scenario.base_seed", "scenario.node_count", "scenario.area_width_m",
+                   "scenario.area_height_m", "scenario.sink_placement",
+                   "scenario.require_connected"}
+
+
+def _topology(cfg) -> tuple:
+    positions, sink, links = generate_topology(
+        cfg, make_stream(cfg.scenario.base_seed, 0, None, "topology"))
+    return positions, sink, links.pathloss_db.tobytes(), links.neighbors
+
+
+def test_every_field_outside_the_topology_key_leaves_the_topology():
+    """Cells that share a topology key share its sample and link table: a
+    field outside the key, a new one included, moves neither, and each
+    field inside it, every radio parameter among them, changes the key."""
+    cfg = small_cfg(require_connected=True)
+    key = scenario._topology_key(cfg, 0)
+    topology = _topology(cfg)
+    inside = set()
+    for section in dataclasses.fields(cfg):
+        for f in dataclasses.fields(getattr(cfg, section.name)):
+            name = f"{section.name}.{f.name}"
+            other = cfg.copy()
+            part = getattr(other, section.name)
+            setattr(part, f.name, _another(getattr(part, f.name)))
+            if scenario._topology_key(other, 0) != key:
+                inside.add(name)
+            else:
+                assert _topology(other) == topology, name
+    phys_fields = {f"phys.{f.name}" for f in dataclasses.fields(cfg.phys)}
+    assert inside == TOPOLOGY_FIELDS | phys_fields
+    assert scenario._topology_key(cfg, 1) != key
+
+
 # setups that run into the data phase, or past the end of the run: each
 # cell's protocol and timing
 OVERLAPS = {
@@ -1102,23 +1137,29 @@ def test_flat_receive_loop_equals_its_helpers(monkeypatch, protocol, side):
 
 
 def _head(ev) -> tuple:
-    return ev.fire_at, ev.seq, ev.kind, ev.node
+    return ev.fire_at, ev.kind, ev.node
 
 
 def test_resumed_cell_plays_the_events_of_its_own_setup_run():
-    """A cell started from another's snapshot, on tapes of its own, plays
-    the same data-phase events, sequence numbers included, as a run with a
-    setup of its own; the key's last cell drops the snapshot."""
+    """A cell started from another's snapshot, on tapes of its own, pops
+    the same data-phase events in the same order as a run with a setup of
+    its own, an injection at the instant of the first stall checks
+    included; the key's last cell drops the snapshot."""
     grab, ugrab = (small_cfg(protocol=p, replications=1) for p in ("GRAB", "U-GRAB"))
+    start = ugrab.scenario.data_start_ms
+    traffic = generate_traffic(ugrab, make_stream(ugrab.scenario.base_seed, 0, None, "traffic"))
+    # a tie the queue breaks by scheduling order: the stall timers come first
+    traffic.append(TrafficEvent(traffic[0].pos,
+                                start + policies.stall_period(ugrab.policies, ugrab.scenario)))
     shared = SharedSetup(2)
     run_replication(grab, 0, setup=shared)
     assert shared.snapshot is not None
     resumed, own = [], []
-    m = run_replication(ugrab, 0, setup=shared,
+    m = run_replication(ugrab, 0, setup=shared, traffic=traffic,
                         event_trace=lambda ev: resumed.append(_head(ev)))
     assert shared.snapshot is None and shared.cells == 0
-    alone = run_replication(ugrab, 0, event_trace=lambda ev: own.append(_head(ev)))
-    start = ugrab.scenario.data_start_ms
+    alone = run_replication(ugrab, 0, traffic=traffic,
+                            event_trace=lambda ev: own.append(_head(ev)))
     assert resumed and resumed == [ev for ev in own if ev[0] >= start]
     assert _outcome(m) == _outcome(alone)
     # a network started from a snapshot holds all of it
