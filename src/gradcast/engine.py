@@ -145,7 +145,8 @@ class Simulator:
         if fire_at < self.clock:
             raise SchedulingInPastError(
                 f"event scheduled at t={fire_at} behind clock t={self.clock}")
-        ev = Event(fire_at, self.seq, kind, node, payload)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        ev = tuple.__new__(Event, (fire_at, self.seq, kind, node, payload))
         self.seq += 1
         heapq.heappush(self._heap, ev)
         return ev

@@ -39,11 +39,13 @@ def sense(net, node) -> int:
 def transmit(net, node, packet, tx_power_dbm: float | None = None) -> bool:
     """Queue a broadcast after a uniform random backoff draw from the node's
     mac stream. Dead nodes drop the packet silently (tallied as suppressed)."""
-    if node.battery.dead:
+    battery = node.battery
+    if battery.consumed_j >= battery.capacity_j:   # Battery.dead
         net.counters["suppressed_tx"] += 1
         return False
     power = net.radio.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
     lo, hi = net.mac.backoff_min_ms, net.mac.backoff_max_ms
-    u = net.uniform(node.id, "mac", lo, hi) if hi > lo else lo
+    # Network.uniform's arithmetic, one call frame shorter
+    u = lo + (hi - lo) * net.random(node.id, "mac") if hi > lo else lo
     net.sim.schedule(net.sim.clock + u, EventKind.TX_START, node.id, (packet, power))
     return True

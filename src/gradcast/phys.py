@@ -446,8 +446,9 @@ def decode_batch(wanted: Transmission, marks: tuple, links: LinkTable) -> list |
                 level[i:i + n].sort(axis=0)
             i += n
     # the first mark is an addition of a non-negative power, so the peak is
-    # never below decode's starting level of zero
-    peak = np.maximum.reduce(np.add.accumulate(level, axis=0), axis=0)
+    # never below decode's starting level of zero; a single row is its own peak
+    peak = (level[0] if len(level) == 1 else
+            np.maximum.reduce(np.add.accumulate(level, axis=0, out=level), axis=0))
     if lim is None:
         # another power's reception keeps decode's own test
         return links.decodes(signal, peak).tolist()

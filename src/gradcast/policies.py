@@ -177,9 +177,13 @@ def energy_reward(battery: Battery) -> float:
 # decisions
 
 
+_FORWARD = Decision(True)
+
+
 def bgb_decide(node, pkt: DataPacket) -> Decision:
-    """Every eligible node forwards, at default power."""
-    return Decision(True)
+    """Every eligible node forwards, at default power: one shared decision,
+    since no code mutates a ``Decision``."""
+    return _FORWARD
 
 
 def reach_power(node, k: int, params: PolicyParams, radio) -> float:

@@ -150,6 +150,16 @@ class Network:
         # purpose -> (its tapes, this replication's read position on each),
         # opened at the purpose's first draw (see ``random``) or by ``resume``
         self.streams: dict[str, tuple[list[engine.Tape], list[int]]] = {}
+        # read once, so a config must not change under a built network: per
+        # packet kind its byte count and airtime, per byte count the joules
+        # of one reception, and each side's failure-lottery switch
+        r, sc = cfg.phys, cfg.scenario
+        self._sizes = {kind: (n, r.airtime_ms(n)) for kind, n in
+                       (("adv", r.adv_bytes), ("ncnt", r.ncnt_bytes), ("data", r.data_bytes))}
+        self._rx_joules = {n: policies.rx_joules(n, cfg.policies, r)
+                           for n, _ in self._sizes.values()}
+        self._rx_lottery, self._tx_lottery = (sc.p_f > 0.0 and sc.failure_side == side
+                                              for side in ("rx", "tx"))
         # the class's functions, read when the network is made: a handler
         # patched on the class beforehand is seen, and the table holds no
         # reference back to this network
@@ -205,7 +215,8 @@ class Network:
 
     def uniform(self, node_id: int, purpose: str, lo: float, hi: float) -> float:
         """numpy's scalar ``Generator.uniform(lo, hi)``, which computes
-        ``lo + (hi - lo) * random()`` from the same double."""
+        ``lo + (hi - lo) * random()`` from the same double. ``mac.transmit``
+        inlines it for the backoff draw; keep the two in step."""
         return lo + (hi - lo) * self.random(node_id, purpose)
 
     def _discrepancy_bounds(self) -> tuple[float, float]:
@@ -299,7 +310,8 @@ class Network:
     def _tx_start(self, ev: Event) -> None:
         node = self.nodes[ev.node]
         packet, power = ev.payload
-        if node.battery.dead:
+        battery = node.battery
+        if battery.consumed_j >= battery.capacity_j:   # Battery.dead
             self.counters["suppressed_tx"] += 1
             return
         # packet contents freeze at the moment the transmission begins
@@ -317,7 +329,7 @@ class Network:
         else:
             packet.q_p = node.cost.q
             self.counters["forwarded_total"] += 1
-        n_bytes = getattr(self.radio, kind + "_bytes")
+        n_bytes, airtime = self._sizes[kind]
         joules = policies.consume_energy(node, n_bytes, power, self.policies, self.radio)
         if self.energy_log is not None:
             self.energy_log.append((node.id, joules))
@@ -326,7 +338,7 @@ class Network:
         instants, rows = self.marks
         instants.append(now)
         rows.append(reception.row)
-        tr = phys.Transmission(node.id, power, now, now + self.radio.airtime_ms(n_bytes), packet,
+        tr = phys.Transmission(node.id, power, now, now + airtime, packet,
                                reception, n_bytes, len(instants),
                                [o.reception.row for o in self.active.values() if o.end > now])
         self.active[self.sim.schedule(tr.end, EventKind.TX_END, node.id, tr).seq] = tr
@@ -365,10 +377,10 @@ class Network:
         sink_id = self.sink_id
         sender, txp = tr.sender, tr.tx_power_dbm
         q_p, msg_id = pkt.q_p, pkt.msg_id
-        joules = policies.rx_joules(tr.n_bytes, pol, self.radio)
+        joules = self._rx_joules[tr.n_bytes]
         log = self.energy_log
         p_f = self.cfg.scenario.p_f
-        lottery = p_f > 0.0 and self.cfg.scenario.failure_side == "rx"
+        lottery = self._rx_lottery
         tapes, reads = self.streams.get("failure", (None, None))
         counters = self.counters
         traced = self.decision_trace is not None
@@ -417,7 +429,7 @@ class Network:
         nodes = self.nodes
         adv = pkt.kind == "adv"
         txp = tr.tx_power_dbm
-        joules = policies.rx_joules(tr.n_bytes, self.policies, self.radio)
+        joules = self._rx_joules[tr.n_bytes]
         log = self.energy_log
         rec = tr.reception
         alive = [(j, pl) for j, pl in itertools.compress(zip(rec.hearers, rec.losses), verdicts)
@@ -461,9 +473,8 @@ class Network:
             self._trace_decision(node, eligible=True, dec=dec)
         if not dec.forward:
             return
-        sc = self.cfg.scenario
-        if sc.p_f > 0.0 and sc.failure_side == "tx":
-            if self.random(node.id, "failure") < sc.p_f:
+        if self._tx_lottery:
+            if self.random(node.id, "failure") < self.cfg.scenario.p_f:
                 self.counters["relay_failures"] += 1
                 return
         fwd_pkt.q_p = node.cost.q

@@ -290,6 +290,12 @@ def test_event_fields():
     assert Event._fields == ("fire_at", "seq", "kind", "node", "payload")
     assert isinstance(ev, tuple) and tuple(ev) == (1.5, 7, EventKind.TX_START, 3, "payload")
     assert Event(1.5, 8, EventKind.TIMER, 0).payload is None
+    # the simulator builds its events past the constructor, into the same type
+    sim = Simulator()
+    sim.seq = 7
+    scheduled = sim.schedule(1.5, EventKind.TX_START, 3, "payload")
+    assert type(scheduled) is Event and scheduled == ev and scheduled.kind is EventKind.TX_START
+    assert sim.schedule(1.5, EventKind.TIMER, 0) == Event(1.5, 8, EventKind.TIMER, 0)
 
 
 class Unordered:

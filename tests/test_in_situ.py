@@ -20,7 +20,7 @@ from tests.test_mac import geometric_sense
 from tests.test_scenario import _loop_nearest_alive_sensor
 
 # every way decode_batch can take through a call
-BRANCHES = ("no interferer", "clamped group of 1", "clamped group of 2",
+BRANCHES = ("no interferer", "single-row window", "clamped group of 1", "clamped group of 2",
             "clamped group of 3+", "tied later marks", "reduced-power reception",
             "reduced-power interferer", "start at the window's start, played after it",
             "end at the window's start, played after it", "mark at the window's end",
@@ -31,7 +31,7 @@ def _branches(wanted, concurrent, marks, default_power):
     """The branches a decode of ``wanted`` takes, read off ``concurrent`` as
     ``phys.decode`` sees them, and off the log's marks of its window."""
     ws, we = wanted.start, wanted.end
-    group, instants, reduced = 0, [], False
+    group, added, instants, reduced = 0, 0, [], False
     for other in concurrent:
         if other is wanted:
             continue
@@ -40,6 +40,7 @@ def _branches(wanted, concurrent, marks, default_power):
         if other.start <= ws:
             group += 1
         else:
+            added += 1
             instants.append(other.start)
         if other.end < we:
             instants.append(other.end)
@@ -47,6 +48,8 @@ def _branches(wanted, concurrent, marks, default_power):
     taken = []
     if not group and not instants:
         taken.append("no interferer")
+    if group + added == 1:   # its one row is the peak: no sum is taken
+        taken.append("single-row window")
     if group:
         taken.append(f"clamped group of {group}" if group < 3 else "clamped group of 3+")
     if len(set(instants)) < len(instants):

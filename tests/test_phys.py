@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import warnings
 
@@ -810,8 +811,12 @@ NEAR = st.sampled_from([0.0, 20.0, 35.0, 50.0, 60.0]) | st.floats(0.0, 80.0)
 @given(st.lists(st.tuples(NEAR, NEAR), min_size=2, max_size=7),
        st.lists(st.tuples(st.integers(0, 6), st.sampled_from([0.0, -3.0, -9.0]),
                           GRID_INSTANT, GRID_SPAN), max_size=10),
-       st.randoms(use_true_random=False))
-def test_decode_batch_equals_decode_on_a_grid_of_instants(points, others, rng):
+       st.integers(0, 2**32 - 1))
+def test_decode_batch_equals_decode_on_a_grid_of_instants(points, others, seed):
+    # one drawn seed, and a fresh shuffle of each instant's events at every
+    # threshold: hypothesis would record each shuffle's draws, at many times
+    # the cost, for a finer shrink of a failing order
+    rng = random.Random(seed)
     links = link_table(points, PARAMS)
     wanted = _on_air(links, 0, 0.0, 10.0, 17.5)
     others = [_on_air(links, k % len(points), p, s, s + dur) for k, p, s, dur in others]

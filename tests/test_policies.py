@@ -8,13 +8,15 @@ from scipy.special import erfc as scipy_erfc
 
 from gradcast.config import default_config
 from gradcast.costfield import CostState
-from gradcast.policies import (Battery, DataPacket, PolicyParams,
+from gradcast.policies import (Battery, DataPacket, Decision, PolicyParams,
                                UGrabState, bgb_decide, consume_energy, eligible,
                                energy_reward, erfc_forward_probability,
                                grab_decide, ladder_reward, note_overheard,
                                pgrab_decide, reach_power,
                                remaining_life_probability, rx_joules, stall_check,
                                strategy_payoff, ugrab_decide, upgrab_decide)
+from gradcast.scenario import run_replication
+from tests.conftest import small_cfg
 
 
 class StubNode:
@@ -72,7 +74,11 @@ def test_sink_never_forwards():
 
 
 def test_bgb_always_forwards():
-    assert bgb_decide(StubNode(), pkt()).forward
+    dec = bgb_decide(StubNode(), pkt())
+    assert dec == Decision(True)
+    # one shared decision, which a played flood leaves as it was
+    run_replication(small_cfg(protocol="BGB", replications=1), 0)
+    assert bgb_decide(StubNode(), pkt()) is dec and dec == Decision(True)
 
 
 # ---------------------------------------------------------------------------
