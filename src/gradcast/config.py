@@ -266,7 +266,7 @@ def validate(cfg: SimConfig) -> None:
     _require(0.0 < pol.ladder_ratio < 1.0, "policies.ladder_ratio", "must lie in (0, 1)")
     for key in ("ema_weight", "stall_high", "stall_low"):
         _require(0.0 <= getattr(pol, key) <= 1.0, f"policies.{key}", "must lie in [0, 1]")
-    # a zero period would re-arm the stall timer at the same instant forever
+    # a zero period would re-arm the stall sweep at the same instant forever
     _require(pol.stall_check_factor > 0, "policies.stall_check_factor", "must be positive")
     for key in ("tx_draw_w", "rx_draw_w"):
         _require(getattr(pol, key) >= 0, f"policies.{key}", "must be >= 0")
@@ -293,7 +293,7 @@ def validate(cfg: SimConfig) -> None:
         _require(count_end <= sc.data_start_ms, "costfield.ncnt_start_ms",
                  "plus costfield.ncnt_window_ms, mac.backoff_max_ms and the airtime of "
                  f"phys.ncnt_bytes must not exceed scenario.data_start_ms, got {count_end}")
-    # a ladder protocol's sensors re-arm a stall timer every period until the
+    # a ladder protocol's sweep checks every sensor each period until the
     # end (desk.cfg: 840 checks), and at a period below the end's ulp, forever
     if PROTOCOLS[sc.protocol].ladder:
         period = stall_period(pol, sc)

@@ -368,7 +368,7 @@ class Protocol:
     """What one strategy adds to the shared gradient broadcast."""
     # neighbor-count stage, discrepancy bounds, and each deciding node's delta
     counts: bool
-    # reward ladder state on every sensor and its stall timer
+    # reward ladder state on every sensor, and one stall sweep per period
     ladder: bool
     # (net, source) -> (credit budget, transmit power) of an injected message
     inject: Callable

@@ -241,8 +241,8 @@ class Network:
 
     def start(self, traffic: list[TrafficEvent]) -> None:
         """Schedule the setup phase (the flood and the optional
-        neighbor-count stage), then the data phase: stall checks and all
-        message injections."""
+        neighbor-count stage), then the data phase: the first stall sweep,
+        one event for the whole network, and all message injections."""
         sim = self.sim
         sink = self.nodes[self.sink_id]
         if self.proto.counts:
@@ -261,12 +261,9 @@ class Network:
         after the setup phase's."""
         sim = self.sim
         first = sim.seq
-        if self.proto.ladder:
-            period = policies.stall_period(self.policies, self.cfg.scenario)
-            for node in self.nodes:
-                if not node.is_sink:
-                    sim.schedule(self.cfg.scenario.data_start_ms + period,
-                                 EventKind.TIMER, node.id, ("stall", 0))
+        if self.proto.ladder:   # the first stall sweep
+            sim.schedule(self.cfg.scenario.data_start_ms + policies.stall_period(
+                self.policies, self.cfg.scenario), EventKind.TIMER, -1, ("stall", 0))
         for k, ev in enumerate(traffic):
             sim.schedule(ev.trigger_ms, EventKind.INJECT, -1, (k, ev))
         self._data_events = sim.seq - first
@@ -491,6 +488,14 @@ class Network:
 
     def _timer(self, ev: Event) -> None:
         tag, gen = ev.payload
+        if tag == "stall":   # the network's sweep: every alive sensor, by id
+            for node in self.nodes[:self.sink_id]:
+                if not node.battery.dead:
+                    policies.stall_check(node, self.policies)
+            nxt = self.sim.clock + policies.stall_period(self.policies, self.cfg.scenario)
+            if nxt <= self.cfg.scenario.max_sim_time_ms:
+                self.sim.schedule(nxt, EventKind.TIMER, -1, ("stall", 0))
+            return
         node = self.nodes[ev.node]
         if tag == "adv":
             st = node.cost
@@ -503,12 +508,6 @@ class Network:
             if not node.battery.dead:
                 mac.transmit(self, node, NeighborCountPacket(
                     node.id, len(node.neighbor_pathloss)))
-        elif tag == "stall":
-            if not node.battery.dead and node.ugrab is not None:
-                policies.stall_check(node, self.policies)
-            nxt = self.sim.clock + policies.stall_period(self.policies, self.cfg.scenario)
-            if nxt <= self.cfg.scenario.max_sim_time_ms:
-                self.sim.schedule(nxt, EventKind.TIMER, node.id, ("stall", 0))
 
     def _inject(self, ev: Event) -> None:
         k, tev = ev.payload

@@ -223,7 +223,7 @@ def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("overrides, key", [
-    # about 8e12 stall-check events: the run would never end
+    # about 8e12 stall checks in 4e10 sweeps: the run would never end
     (["scenario.protocol=U-GRAB", "policies.stall_check_factor=1e-9"],
      "policies.stall_check_factor"),
     # exited 3 after 1,000 samples: no two nodes can link

@@ -2,11 +2,13 @@ import dataclasses
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcast import policies
 from gradcast.config import (ConfigError, apply_overrides, config_text, default_config,
                              load_config, parse_text, resolve_key, validate)
 from gradcast.policies import PROTOCOLS
@@ -131,7 +133,8 @@ def test_out_of_range_value_names_its_key(pair):
 
 
 @pytest.mark.parametrize("overrides", [
-    # desk.cfg's U-GRAB with a 5e-7 ms stall period: about 8e12 timer events
+    # desk.cfg's U-GRAB with a 5e-7 ms stall period: about 8e12 stall checks
+    # in 4e10 sweeps
     ["scenario.protocol=U-GRAB", "policies.stall_check_factor=1e-9"],
     ["scenario.protocol=UP-GRAB", "policies.stall_check_factor=0.008"],
     # 4e5 checks, but a 5e-11 ms period never moves a clock near 1e6 ms
@@ -151,7 +154,7 @@ def test_stall_check_bound_is_the_closed_form_count():
     for protocol in ("U-GRAB", "UP-GRAB"):
         apply_overrides(default_config(), [f"scenario.protocol={protocol}",
                                            f"policies.stall_check_factor={factor}"])
-    # protocols without the ladder arm no stall timer
+    # protocols without the ladder run no stall sweep
     for protocol in ("BGB", "GRAB", "P-GRAB"):
         apply_overrides(default_config(), [f"scenario.protocol={protocol}",
                                            "policies.stall_check_factor=1e-9"])
@@ -264,23 +267,29 @@ def _small_configs(draw):
     return cfg
 
 
-# the most events one draw may play: its adverts, counts and message
-# floods take hundreds, its stall checks up to about 12,000
-EVENT_BUDGET = 20_000
+# the most work one draw may do, counting each event played and each stall
+# check: its adverts, counts and message floods take hundreds of events, its
+# stall checks up to about 12,000 (one sweep event checks every alive sensor)
+WORK_BUDGET = 20_000
 
 
 @settings(max_examples=150, deadline=None)
 @given(_small_configs())
 def test_every_config_that_validates_runs_to_a_bounded_end(cfg):
     """A drawn config is rejected by a ``ConfigError`` that names a key, or
-    plays a replication within the event budget, raising no warning (an
+    plays a replication within the work budget, raising no warning (an
     energy audit re-checks the ledger when drawn)."""
-    played = itertools.count(1)
+    done = itertools.count(1)
+    check = policies.stall_check
 
-    def count(ev):
-        assert next(played) <= EVENT_BUDGET
+    def count(*_):
+        assert next(done) <= WORK_BUDGET
 
-    with warnings.catch_warnings():
+    def counted_check(node, params):
+        count()
+        return check(node, params)
+
+    with warnings.catch_warnings(), mock.patch.object(policies, "stall_check", counted_check):
         warnings.simplefilter("error")
         try:
             validate(cfg)

@@ -4,22 +4,29 @@ Each cell runs all five protocols on the compact arena and hashes the
 ``run_row`` lines, and apart from them the run counters that ``runs.csv``
 leaves out (``adv_decode_failures`` among them); the low-energy cell drains
 nodes mid-run, so the liveness filter, the battery clamp and the energy
-ledger's order are in play. One
-U-GRAB ``dump-trace`` pins the event and decision traces byte for byte, and
-``dump-topology`` pins the cost field and the discrepancy column, and one
-sweep pins ``aggregate.csv``. The run, ledger and trace hashes were taken
-from the simulator before the per-transmission reception fan-out, the
-topology hashes before the protocol table, the aggregate hash before the
-metric table, the counter hashes before the decode over cached hearer
-arrays; a change that moves any of them changes the simulator's results.
+ledger's order are in play. Two U-GRAB ``dump-trace`` runs, one ending
+before the first stall sweep and one sweeping four times, pin the event and
+decision traces byte for byte, each file by its own hash; ``dump-topology``
+pins the cost field and the discrepancy column, and one sweep pins
+``aggregate.csv``. The run, ledger and decision-trace hashes were taken from
+the simulator before the per-transmission reception fan-out, the topology
+hashes before the protocol table, the aggregate hash before the metric
+table, the counter hashes before the decode over cached hearer arrays, the
+second decision-trace hash before the one-event stall sweep; a change that
+moves any of them changes the simulator's results. The event-trace hashes
+were taken after the sweep replaced a stall timer per sensor, which changed
+only the removed timers' rows and the ``seq`` column.
 """
 
+import csv
 import functools
 import hashlib
+import io
 
 import pytest
 
-from gradcast import cli
+from gradcast import cli, policies
+from gradcast.config import default_config
 from gradcast.scenario import build_network, play, sweep
 from gradcast.metrics import run_row, write_aggregate_csv
 from tests.conftest import small_cfg
@@ -54,7 +61,13 @@ GOLDEN = {
     "low-energy-ledger":
         "64733a6cbe1263caa05e94960430060181ac0a96ae3a9f57a43e7120838de090",
     "dump-trace":
-        "acba6f43849f06ff087eb05e3c6ff492b5aa9813b3ad4fe69eb75a5aa10644ed",
+        "b93ffa4152556d1425511b994f19da7c0b938665a3f7f6f1c5fc29fab7427940",
+    "dump-trace-decisions":
+        "d3f95b1b0e7ceb807ae7124119c3a4606d86c6e9f9088d98c110d4d0cd90ab03",
+    "dump-trace-stall":
+        "ce9d678030e6c1a69d4175fb1a815c10abcadd2b7c198e14fa9cdb34688acdf4",
+    "dump-trace-stall-decisions":
+        "62edb20c0092cf5e7a3dfafec3299cf305e2052e0a9cab5db0204b34cfe1d2f0",
     "aggregate":
         "fe6af73d8071420674892c94f271022bbc334f9764e92ffa27cfb68f12275934",
 }
@@ -150,12 +163,36 @@ def test_energy_ledger_order_matches_golden_bytes():
     assert _sha("\n".join(lines)) == GOLDEN["low-energy-ledger"]
 
 
-def test_dump_trace_matches_golden_bytes(tmp_path, capsys):
+def _dump_trace(tmp_path, golden: str, *overrides: str) -> tuple[bytes, bytes]:
+    """One U-GRAB ``dump-trace`` on the FAST arena: its trace.csv and
+    decisions.csv bytes, each checked against its own golden hash."""
     out = tmp_path / "trace"
-    assert cli.main(["dump-trace", "--out", str(out), "--set", "protocol=U-GRAB"]
-                    + FAST) == 0
-    blob = (out / "trace.csv").read_bytes() + b"\0" + (out / "decisions.csv").read_bytes()
-    assert hashlib.sha256(blob).hexdigest() == GOLDEN["dump-trace"]
+    sets = [arg for o in ("protocol=U-GRAB",) + overrides for arg in ("--set", o)]
+    assert cli.main(["dump-trace", "--out", str(out)] + sets + FAST) == 0
+    trace, decisions = (out / "trace.csv").read_bytes(), (out / "decisions.csv").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == GOLDEN[golden]
+    assert hashlib.sha256(decisions).hexdigest() == GOLDEN[golden + "-decisions"]
+    return trace, decisions
+
+
+def test_dump_trace_matches_golden_bytes(tmp_path, capsys):
+    # the first stall sweep would fall at 13,500 ms, after the 12,000 ms end
+    trace, _ = _dump_trace(tmp_path, "dump-trace")
+    assert b",stall" not in trace
+
+
+def test_dump_trace_with_stall_sweeps_matches_golden_bytes(tmp_path, capsys):
+    """A 1,600 ms stall period sweeps the network at 7,100, 8,700, 10,300
+    and 11,900 ms, one event each, and raises some ladders."""
+    trace, decisions = _dump_trace(tmp_path, "dump-trace-stall",
+                                   "policies.stall_check_factor=2")
+    stalls = [row for row in csv.reader(io.StringIO(trace.decode())) if row[4] == "stall"]
+    assert [(row[0], row[3]) for row in stalls] == [
+        (f"{t}.000000", "-1") for t in (7100, 8700, 10300, 11900)]
+    pol = default_config().policies
+    floor = policies.ladder_reward(0, pol.ladder_scale, pol.ladder_ratio)
+    alphas = [row["alpha_n"] for row in csv.DictReader(io.StringIO(decisions.decode()))]
+    assert any(a and float(a) > floor for a in alphas)
 
 
 @pytest.mark.parametrize("protocol", sorted(TOPOLOGY_GOLDEN))

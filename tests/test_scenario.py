@@ -1148,7 +1148,7 @@ def test_resumed_cell_plays_the_events_of_its_own_setup_run():
     grab, ugrab = (small_cfg(protocol=p, replications=1) for p in ("GRAB", "U-GRAB"))
     start = ugrab.scenario.data_start_ms
     traffic = generate_traffic(ugrab, make_stream(ugrab.scenario.base_seed, 0, None, "traffic"))
-    # a tie the queue breaks by scheduling order: the stall timers come first
+    # a tie the queue breaks by scheduling order: the stall sweep comes first
     traffic.append(TrafficEvent(traffic[0].pos,
                                 start + policies.stall_period(ugrab.policies, ugrab.scenario)))
     shared = SharedSetup(2)
@@ -1166,3 +1166,41 @@ def test_resumed_cell_plays_the_events_of_its_own_setup_run():
     snap = _setup_snapshot(grab)
     _, net = build_network(ugrab, 0, snapshot=snap)
     assert net.snapshot() == snap
+
+
+@pytest.mark.parametrize("protocol", ["U-GRAB", "UP-GRAB"])
+def test_one_stall_sweep_per_period_checks_the_alive_sensors(monkeypatch, protocol):
+    """The ladder's stall rule runs as one network sweep per period: at the
+    data start plus k periods, summed as the handler sums them, over
+    exactly the sensors alive at that instant in ascending id, and never
+    after the end; the data start queues one sweep event."""
+    cfg = small_cfg(protocol=protocol, replications=1)
+    cfg.policies.initial_energy_j = 0.005   # sensors die mid-run
+    sc = cfg.scenario
+    traffic = generate_traffic(cfg, make_stream(sc.base_seed, 0, None, "traffic"))
+    events = []
+    sim, net = build_network(cfg, 0, traffic=traffic, event_trace=events.append)
+    assert net._data_events == 1 + len(traffic)
+    sweeps = {}   # instant -> (the alive sensors then, the sensors checked)
+    check = policies.stall_check
+
+    def spy(node, params):
+        alive = [n.id for n in net.nodes if not n.is_sink and not n.battery.dead]
+        sweeps.setdefault(sim.clock, (alive, []))[1].append(node.id)
+        return check(node, params)
+
+    monkeypatch.setattr(policies, "stall_check", spy)
+    sim.run_until_idle(sc.max_sim_time_ms)
+    period = policies.stall_period(cfg.policies, sc)
+    expected, t = [], sc.data_start_ms + period
+    while t <= sc.max_sim_time_ms:
+        expected.append(t)
+        t += period
+    assert list(sweeps) == expected and len(expected) >= 2
+    assert [(ev.fire_at, ev.node) for ev in events
+            if ev.payload == ("stall", 0)] == [(t, -1) for t in expected]
+    for alive, checked in sweeps.values():
+        assert checked == alive == sorted(alive)
+    # deaths between sweeps must shrink a later sweep, or liveness goes unpinned
+    sizes = [len(alive) for alive, _ in sweeps.values()]
+    assert sizes[0] > sizes[-1] > 0
