@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Mutation gate: every mutant below must fail the tests named for it.
+
+A mutant is (name, file, exact old text, new text, tests). Each one is
+applied to a fresh temporary copy of the tree, and its tests run there with
+pytest. The gate fails when a mutant's tests still pass, when they end in
+anything other than test failures (an error proves nothing), or when its
+old text does not occur exactly once in the file. Before the mutants, every
+named test runs once on an unmutated copy and must pass. The working tree is
+only read.
+
+  python scripts/mutants.py
+
+Prints one line per mutant with its verdict and seconds, then the total wall
+time; exits 1 if any mutant survived or could not be applied.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO = "src/gradcast/scenario.py"
+SETUP_LOOP = "tests/test_scenario.py::test_flat_setup_loop_equals_its_helpers"
+
+MUTANTS = [
+    ("setup loop without its liveness check", SCENARIO,
+     "            if battery.consumed_j >= battery.capacity_j:\n"
+     "                continue\n"
+     "            if not ok:\n",
+     "            if not ok:\n",
+     [SETUP_LOOP]),
+    ("setup loop counting a dead hearer as a failed decode", SCENARIO,
+     "            if battery.consumed_j >= battery.capacity_j:\n"
+     "                continue\n"
+     "            if not ok:\n"
+     "                failed += 1\n"
+     "                continue\n",
+     "            if not ok:\n"
+     "                failed += 1\n"
+     "                continue\n"
+     "            if battery.consumed_j >= battery.capacity_j:\n"
+     "                continue\n",
+     [SETUP_LOOP]),
+    ("setup loop counting a count's failed decodes", SCENARIO,
+     "        if adv:\n"
+     "            self.counters[\"adv_decode_failures\"] += failed\n",
+     "        self.counters[\"adv_decode_failures\"] += failed\n",
+     [SETUP_LOOP]),
+    ("setup loop dropping the ledger append", SCENARIO,
+     "            if log is not None:\n"
+     "                log.append((rx_id, drawn))\n"
+     "            rx_power = txp - pl\n",
+     "            rx_power = txp - pl\n",
+     [SETUP_LOOP]),
+    ("a position list shared between replications", SCENARIO,
+     "        stream = self.streams[purpose] = (tapes, [0] * len(tapes))\n",
+     "        stream = self.streams[purpose] = (\n"
+     "            tapes, self.tapes.setdefault(key + (\"reads\",), [0] * len(tapes)))\n",
+     ["tests/test_engine.py::test_cells_sharing_tapes_replay_one_seeding"]),
+    ("_topology_key dropping area_height_m", SCENARIO,
+     "sc.area_width_m, sc.area_height_m,\n",
+     "sc.area_width_m,\n",
+     ["tests/test_scenario.py::test_every_field_outside_the_topology_key_leaves_the_topology"]),
+    ("the inlined lottery not advancing its position", SCENARIO,
+     "                reads[rx_id] = pos + 1\n"
+     "                if draws[pos] < p_f:\n",
+     "                if draws[pos] < p_f:\n",
+     ["tests/test_scenario.py::test_flat_receive_loop_equals_its_helpers"]),
+    ("the limit pass skipping the last pair's block", "src/gradcast/phys.py",
+     "            for a in range(0, len(flat), _LIMIT_PAIRS):\n",
+     "            for a in range(0, len(flat) - 1, _LIMIT_PAIRS):\n",
+     ["tests/test_phys.py::"
+      "test_the_limit_pass_block_size_leaves_every_default_reception_as_it_is"]),
+]
+
+# left out of each copy: version control, caches and run outputs
+SKIP = shutil.ignore_patterns(".git", ".perfbench", ".hypothesis", ".pytest_cache",
+                              ".benchmarks", "__pycache__", "*.egg-info", "out")
+
+
+def _pytest(tree: Path, tests: list) -> int:
+    """Run ``tests`` in ``tree`` against its own ``src``; pytest's exit code."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _copy(scratch: str, name: str) -> Path:
+    tree = Path(scratch) / name
+    shutil.copytree(ROOT, tree, ignore=SKIP)
+    return tree
+
+
+def main() -> int:
+    began = time.perf_counter()
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        tests = sorted({t for m in MUTANTS for t in m[4]})
+        code = _pytest(_copy(scratch, "unmutated"), tests)
+        print(f"unmutated copy: {'pass' if code == 0 else f'pytest exit {code}'}")
+        if code != 0:
+            return 1
+        for k, (name, path, old, new, tests) in enumerate(MUTANTS):
+            start = time.perf_counter()
+            tree = _copy(scratch, f"m{k}")
+            text = (tree / path).read_text()
+            if text.count(old) != 1:
+                verdict = f"old text found {text.count(old)} times in {path}"
+            else:
+                (tree / path).write_text(text.replace(old, new))
+                code = _pytest(tree, tests)
+                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+            bad += verdict != "killed"
+            print(f"{verdict:>9}  {time.perf_counter() - start:5.1f} s  {name}")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - began:.1f} s wall")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterable
+from typing import ClassVar, Collection
 
 from .engine import EventKind
 
@@ -56,7 +56,8 @@ class NeighborCountPacket:
 def link_cost(tx_power_dbm: float, rx_power_dbm: float) -> float:
     """Energy-related link cost: transmit minus received power, i.e. the
     pathloss in dB. Negative below one metre; cost updates stay monotone.
-    ``Network._receive_data`` inlines it; keep the two in step."""
+    ``Network._receive_data`` and ``Network._receive_setup`` inline it;
+    keep the three in step."""
     return tx_power_dbm - rx_power_dbm
 
 
@@ -86,18 +87,19 @@ def handle_ncnt(net, node, pkt: NeighborCountPacket) -> None:
     node.neighbor_counts[pkt.sender] = pkt.count
 
 
-def neighborhood_discrepancy(own_count: int, received_counts: Iterable[int]) -> float:
+def neighborhood_discrepancy(own_count: int, received_counts: Collection[int]) -> float:
     """Average surplus of a node's neighbor count over its neighbors' counts.
 
     Positive means the node sits in a relatively denser spot than its
     neighbors; zero means uniform. Counts lost to collisions contribute zero
     to the sum while the denominator keeps the full neighbor count, an
     underestimate of the magnitude that is accepted. A node with no neighbors
-    hears nothing and gets discrepancy 0.
+    hears nothing and gets discrepancy 0. The integer sum of the surpluses
+    is exact, so it is taken as own * len - sum.
     """
     if own_count <= 0:
         return 0.0
-    return sum(own_count - c for c in received_counts) / own_count
+    return (own_count * len(received_counts) - sum(received_counts)) / own_count
 
 
 def bounds_center(bounds: tuple[float, float]) -> float:

@@ -22,7 +22,7 @@ gradient broadcast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 from . import mac
@@ -65,7 +65,8 @@ class Battery:
 
     def drain(self, joules: float) -> float:
         """Debit up to ``joules``; returns the amount actually drawn.
-        ``Network._receive_data`` inlines it; keep the two in step."""
+        ``Network._receive_data`` and ``Network._receive_setup`` inline it;
+        keep the three in step."""
         remaining = self.capacity_j - self.consumed_j
         take = joules if joules < remaining else remaining
         if take < 0.0:
@@ -142,14 +143,15 @@ def remaining_life_probability(battery: Battery) -> float:
     for a healthy battery, zero when nothing can be sent anymore. A node that
     never broadcast has no estimate and is maximally willing.
     """
-    if battery.dead:
+    consumed, capacity, n = battery.consumed_j, battery.capacity_j, battery.n_forwarded
+    if consumed >= capacity:   # Battery.dead
         return 0.0
-    if battery.n_forwarded == 0:
+    if n == 0:
         return 1.0
-    per_packet = battery.consumed_j / battery.n_forwarded
+    per_packet = consumed / n
     if per_packet <= 0.0:
         return 1.0
-    expected = battery.remaining_j / per_packet
+    expected = (capacity - consumed) / per_packet   # Battery.remaining_j
     return 1.0 - 1.0 / (expected + 1.0)
 
 
@@ -258,7 +260,8 @@ def upgrab_decide(node, c_n: int, limit: int, params: PolicyParams,
     if not game.forward:
         return game
     p_ia = erfc_forward_probability(delta, st.spread, node.delta_bounds)
-    return replace(game, forward=bool(coin() < p_ia), p_fw=p_ia)
+    return Decision(bool(coin() < p_ia), p_fw=p_ia, c_n=c_n,
+                    forward_reward=game.forward_reward, energy_reward=game.energy_reward)
 
 
 # ---------------------------------------------------------------------------

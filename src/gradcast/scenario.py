@@ -421,30 +421,40 @@ class Network:
             self._decide_and_forward(rx, pkt, hop_cost)
 
     def _receive_setup(self, tr: phys.Transmission, verdicts: list | tuple) -> None:
-        """Every alive decoded hearer of an advertisement or a count."""
+        """Every alive hearer of an advertisement or a count, in one flat
+        loop with ``_receive_data``'s inlined liveness filter, debit and link
+        cost; it tallies an advertisement's alive hearers that failed to decode."""
         pkt = tr.packet
         nodes = self.nodes
         adv = pkt.kind == "adv"
-        txp = tr.tx_power_dbm
+        sender, txp = tr.sender, tr.tx_power_dbm
         joules = self._rx_joules[tr.n_bytes]
         log = self.energy_log
+        failed = 0
         rec = tr.reception
-        alive = [(j, pl) for j, pl in itertools.compress(zip(rec.hearers, rec.losses), verdicts)
-                 if (b := nodes[j].battery).consumed_j < b.capacity_j]
-        if adv:   # the alive hearers that failed to decode
-            self.counters["adv_decode_failures"] += sum(
-                (b := nodes[j].battery).consumed_j < b.capacity_j for j in rec.hearers) - len(alive)
-        for rx_id, pl in alive:
+        for rx_id, pl, ok in zip(rec.hearers, rec.losses, verdicts):
             rx = nodes[rx_id]
-            drawn = rx.battery.drain(joules)
+            battery = rx.battery
+            if battery.consumed_j >= battery.capacity_j:
+                continue
+            if not ok:
+                failed += 1
+                continue
+            remaining = battery.capacity_j - battery.consumed_j
+            drawn = joules if joules < remaining else remaining
+            if drawn < 0.0:
+                drawn = 0.0
+            battery.consumed_j += drawn
             if log is not None:
                 log.append((rx_id, drawn))
             rx_power = txp - pl
-            rx.neighbor_pathloss[pkt.sender] = costfield.link_cost(txp, rx_power)
+            rx.neighbor_pathloss[sender] = txp - rx_power
             if adv:
                 costfield.handle_adv(self, rx, pkt, rx_power)
             else:
                 costfield.handle_ncnt(self, rx, pkt)
+        if adv:
+            self.counters["adv_decode_failures"] += failed
 
     def ensure_delta(self, node: Node) -> None:
         """Settle the node's discrepancy and its bounds, once, from what the

@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gradcast import phys
+from gradcast import costfield, phys
 from gradcast.costfield import bounds_center, link_cost, neighborhood_discrepancy
 from gradcast.scenario import build_network
 from tests.conftest import line_cfg, small_cfg
@@ -116,6 +116,58 @@ def test_pairwise_contributions_antisymmetric(a, b):
     # the numerator contributions of a pair are negatives of each other
     assert neighborhood_discrepancy(a, [b]) * a == pytest.approx(
         -(neighborhood_discrepancy(b, [a]) * b), rel=1e-12, abs=1e-12)
+
+
+@given(st.integers(-2, 10**4), st.lists(st.integers(-10, 10**4), max_size=60))
+@example(0, [])
+@example(0, [3, 4])
+@example(7, [])
+@example(-1, [5])
+@example(2**70, [2**71, -2**69, 3])
+def test_discrepancy_is_the_exact_integer_sum_of_surpluses(own, counts):
+    """own * len - sum is the per-neighbor surplus sum, exactly, for lists
+    and for the dict views ``Network.ensure_delta`` passes."""
+    old = 0.0 if own <= 0 else sum(own - c for c in counts) / own
+    assert neighborhood_discrepancy(own, counts) == old
+    assert neighborhood_discrepancy(own, dict(enumerate(counts)).values()) == old
+
+
+def _reference_bounds(net):
+    """``Network._discrepancy_bounds`` in computed mode, sensor by sensor,
+    with the per-neighbor surplus sum."""
+    nbrs = net.links.neighbors
+    deltas = []
+    for i in range(net.sink_id):
+        own = len(nbrs[i])
+        deltas.append(0.0 if own <= 0 else sum(own - len(nbrs[j]) for j in nbrs[i]) / own)
+    lo, hi = min(deltas), max(deltas)
+    return (lo - 1.0, hi + 1.0) if lo >= hi else (lo, hi)
+
+
+# a chain from the sink, two isolated sensors and a far pair
+SPARSE = [(30.0, 0.0), (90.0, 0.0), (150.0, 0.0), (400.0, 400.0), (800.0, 50.0),
+          (820.0, 50.0), (50.0, 700.0)]
+
+
+@pytest.mark.parametrize("topology", ["dense", "sparse", "two-nodes"])
+def test_discrepancy_bounds_equal_a_per_sensor_reference(monkeypatch, topology):
+    """The sink's computed bounds equal the per-sensor reference, with one
+    discrepancy call per sensor: on a dense arena, on a sparse one with
+    isolated sensors (no neighbor, discrepancy 0), and on one sensor and
+    the sink, whose equal bounds widen to a unit interval each side."""
+    cfg = small_cfg(protocol="P-GRAB", replications=1)
+    positions, sink = {"dense": (None, None), "sparse": (SPARSE, (0.0, 0.0)),
+                       "two-nodes": ([(20.0, 0.0)], (0.0, 0.0))}[topology]
+    _, net = build_network(cfg, 0, positions=positions, sink_pos=sink)
+    owns = []
+    discrepancy = costfield.neighborhood_discrepancy
+    monkeypatch.setattr(costfield, "neighborhood_discrepancy",
+                        lambda own, counts: owns.append(own) or discrepancy(own, counts))
+    bounds = net._discrepancy_bounds()
+    assert bounds == _reference_bounds(net) == net.nodes[net.sink_id].cost.bounds
+    assert len(owns) == net.sink_id
+    assert (0 in owns) == (topology == "sparse")
+    assert (bounds == (-1.0, 1.0)) == (topology == "two-nodes")
 
 
 def test_bounds_center():

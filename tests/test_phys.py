@@ -443,6 +443,30 @@ def test_receptions_hold_limits_at_the_default_power_and_signals_at_others(noise
         assert links.reception(sender, -9.5) is links.reception(sender, -9.5)
 
 
+def _default_receptions(params):
+    links = link_table(ARENA_61, params)
+    links.reception(0, params.tx_power_dbm)
+    return [(key, rec.hearers, rec.losses.tobytes(), rec.lim.tobytes(), rec.clean)
+            for key, rec in sorted(links.receptions.items())]
+
+
+@pytest.mark.parametrize("perfect", [False, True])
+def test_the_limit_pass_block_size_leaves_every_default_reception_as_it_is(monkeypatch,
+                                                                           perfect):
+    """Every default-power reception's limit bytes and clean verdicts are the
+    same whatever the limit pass's block size: one pair per block, blocks
+    that split a sender's hearers, and one block for all the pairs. The
+    noise floor sits near the sensitivity, so some hearers fail with no
+    interferer at all."""
+    params = RadioParams(noise_floor_dbm=-55.0, sinr_threshold_db=3.0, perfect_decode=perfect)
+    want = _default_receptions(params)
+    assert len(want) == len(ARENA_61) and sum(len(w[1]) for w in want) > 7
+    assert {ok for w in want for ok in w[4]} == ({True} if perfect else {False, True})
+    for size in (1, 7, 10**9):
+        monkeypatch.setattr(phys, "_LIMIT_PAIRS", size)
+        assert _default_receptions(params) == want
+
+
 @pytest.mark.parametrize("noise_dbm", [-105.0, -4000.0])
 def test_a_reduced_power_reception_decodes_as_decode_without_a_warning(noise_dbm):
     # only a zero noise floor enters numpy's warning state, where x / 0 = inf

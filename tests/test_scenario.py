@@ -1136,6 +1136,65 @@ def test_flat_receive_loop_equals_its_helpers(monkeypatch, protocol, side):
     assert any(row[3] == 0 for row in decisions) and any(row[3] == 1 for row in decisions)
 
 
+def _reference_receive_setup(net, tr, verdicts):
+    """``Network._receive_setup`` through its helpers: the liveness filter
+    first, an advertisement's failed decodes counted over all its alive
+    hearers, then ``Battery.drain``, ``costfield.link_cost`` and
+    ``handle_adv`` or ``handle_ncnt`` per receiver."""
+    nodes = net.nodes
+    pkt = tr.packet
+    joules = policies.rx_joules(tr.n_bytes, net.policies, net.radio)
+    ids = tr.reception.ids.tolist()
+    assert len(verdicts) == len(ids)
+    alive = [j for j in ids if not nodes[j].battery.dead]
+    decoded = [j for j, ok in zip(ids, verdicts) if ok and not nodes[j].battery.dead]
+    if pkt.kind == "adv":
+        net.counters["adv_decode_failures"] += len(alive) - len(decoded)
+    losses = net.links.pathloss_db[tr.sender].take(decoded).tolist()
+    for rx_id, pl in zip(decoded, losses):
+        rx = nodes[rx_id]
+        drawn = rx.battery.drain(joules)
+        if net.energy_log is not None:
+            net.energy_log.append((rx_id, drawn))
+        rx_power = tr.tx_power_dbm - pl
+        rx.neighbor_pathloss[tr.sender] = costfield.link_cost(tr.tx_power_dbm, rx_power)
+        if pkt.kind == "adv":
+            costfield.handle_adv(net, rx, pkt, rx_power)
+        else:
+            costfield.handle_ncnt(net, rx, pkt)
+
+
+@pytest.mark.parametrize("protocol", sorted(policies.PROTOCOLS))
+def test_flat_setup_loop_equals_its_helpers(monkeypatch, protocol):
+    """The flat setup loop plays every replication as the loop through the
+    helpers it inlines: rows, counters, the energy ledger and every node's
+    cost state, learned link costs and heard counts, with batteries so small
+    that decoded hearers are already dead during the setup phase."""
+    cfg = small_cfg(protocol=protocol, replications=1)
+    cfg.policies.initial_energy_j = 0.002
+    cfg.metrics.energy_audit = True
+    validate(cfg)
+    dead_decoded = []
+
+    def reference(net, tr, verdicts):
+        dead_decoded.extend(j for j, ok in zip(tr.reception.hearers, verdicts)
+                            if ok and net.nodes[j].battery.dead)
+        _reference_receive_setup(net, tr, verdicts)
+
+    plays = []
+    for receive in (None, reference):
+        if receive is not None:
+            monkeypatch.setattr(scenario.Network, "_receive_setup", receive)
+        sim, net = build_network(cfg, 0)
+        sim.run_until_idle(cfg.scenario.max_sim_time_ms)
+        net.release()
+        plays.append((run_row(net.finish()), dict(net.counters), net.energy_log,
+                      [(n.cost, n.neighbor_pathloss, n.neighbor_counts) for n in net.nodes]))
+    assert plays[0] == plays[1]
+    assert dead_decoded   # a dead hearer was skipped
+    assert plays[0][1]["adv_decode_failures"] > 0
+
+
 def _head(ev) -> tuple:
     return ev.fire_at, ev.kind, ev.node
 
