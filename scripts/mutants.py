@@ -71,6 +71,23 @@ MUTANTS = [
      "                if draws[pos] < p_f:\n",
      "                if draws[pos] < p_f:\n",
      ["tests/test_scenario.py::test_flat_receive_loop_equals_its_helpers"]),
+    ("the data start back among the data-only fields", "src/gradcast/shared_setup.py",
+     "\"scenario.event_spread\", \"scenario.data_window_ms\",",
+     "\"scenario.event_spread\", \"scenario.data_start_ms\", \"scenario.data_window_ms\",",
+     ["tests/test_scenario.py::test_cells_apart_in_the_data_start_play_their_own_setups"]),
+    ("resume aliasing the snapshot's link costs", SCENARIO,
+     "            node.neighbor_pathloss = dict(pathloss)\n",
+     "            node.neighbor_pathloss = pathloss\n",
+     ["tests/test_scenario.py::test_resumed_cell_plays_the_events_of_its_own_setup_run"]),
+    ("the snapshot leaving out the advertised count", SCENARIO,
+     "n.neighbor_counts, n.advertised_count) for n in self.nodes]",
+     "n.neighbor_counts, None) for n in self.nodes]",
+     ["tests/test_scenario.py::"
+      "test_cells_apart_only_in_a_data_only_field_share_the_setup[scenario.protocol]"]),
+    ("the utility game ignoring the policy's ladder scale", "src/gradcast/policies.py",
+     "ladder_reward(node.ugrab.steps, params.ladder_scale, params.ladder_ratio)",
+     "ladder_reward(node.ugrab.steps, 0.75, params.ladder_ratio)",
+     ["tests/test_policies.py::test_the_ladder_reads_the_policy"]),
     ("the limit pass skipping the last pair's block", "src/gradcast/phys.py",
      "            for a in range(0, len(flat), _LIMIT_PAIRS):\n",
      "            for a in range(0, len(flat) - 1, _LIMIT_PAIRS):\n",

@@ -77,16 +77,10 @@ class Battery:
 
 @dataclass
 class UGrabState:
-    ladder_scale: float = 0.75
-    ladder_ratio: float = 0.75
-    steps: int = 0
+    steps: int = 0         # ladder raises; the ladder itself is the policy's
     n_high: float = 0.0    # EMA of decoded packets costlier than this node
     n_low: float = 0.0     # EMA of decoded packets cheaper than this node
     spread: float = 2.0    # per-node spreading factor (hybrid policy adapts it)
-
-    @property
-    def forward_reward(self) -> float:
-        return ladder_reward(self.steps, self.ladder_scale, self.ladder_ratio)
 
 
 @dataclass
@@ -218,11 +212,12 @@ def pgrab_decide(node, coin: Callable[[], float]) -> Decision:
     return Decision(bool(coin() < p), p_fw=p)
 
 
-def _utility_game(node, c_n: int, limit: int, coin: Callable[[], float]) -> Decision:
+def _utility_game(node, c_n: int, limit: int, params: PolicyParams,
+                  coin: Callable[[], float]) -> Decision:
     """The forwarding game both utility policies play: a busy channel drops
     outright, otherwise forward iff the ladder reward beats the energy
     reward, flipping a fair coin on a tie; only the tie calls ``coin``."""
-    a = node.ugrab.forward_reward
+    a = ladder_reward(node.ugrab.steps, params.ladder_scale, params.ladder_ratio)
     r = energy_reward(node.battery)
     if c_n >= limit or a < r:
         fwd = False
@@ -233,9 +228,10 @@ def _utility_game(node, c_n: int, limit: int, coin: Callable[[], float]) -> Deci
     return Decision(fwd, c_n=c_n, forward_reward=a, energy_reward=r)
 
 
-def ugrab_decide(node, c_n: int, limit: int, coin: Callable[[], float]) -> Decision:
+def ugrab_decide(node, c_n: int, limit: int, params: PolicyParams,
+                 coin: Callable[[], float]) -> Decision:
     """The utility game with the single-channel shortcut (``_utility_game``)."""
-    return _utility_game(node, c_n, limit, coin)
+    return _utility_game(node, c_n, limit, params, coin)
 
 
 def upgrab_decide(node, c_n: int, limit: int, params: PolicyParams,
@@ -251,15 +247,15 @@ def upgrab_decide(node, c_n: int, limit: int, params: PolicyParams,
     factor. Tests pin the realised drift direction.
     """
     st = node.ugrab
-    delta = node.delta
-    center = bounds_center(node.delta_bounds)
+    delta, bounds = node.delta, node.cost.bounds
+    center = bounds_center(bounds)
     step = -1.0 if delta < center else (1.0 if delta > center else 0.0)
     st.spread = min(params.spread_factor_max, max(1.0, st.spread + step))
 
-    game = _utility_game(node, c_n, limit, coin)
+    game = _utility_game(node, c_n, limit, params, coin)
     if not game.forward:
         return game
-    p_ia = erfc_forward_probability(delta, st.spread, node.delta_bounds)
+    p_ia = erfc_forward_probability(delta, st.spread, bounds)
     return Decision(bool(coin() < p_ia), p_fw=p_ia, c_n=c_n,
                     forward_reward=game.forward_reward, energy_reward=game.energy_reward)
 
@@ -352,13 +348,13 @@ def _grab(net, node, pkt: DataPacket) -> Decision:
 def _pgrab(net, node, pkt: DataPacket) -> Decision:
     if node.p_ia is None:
         node.p_ia = erfc_forward_probability(node.delta, net.policies.spread_factor,
-                                             node.delta_bounds)
+                                             node.cost.bounds)
     return pgrab_decide(node, lambda: net.random(node.id, "policy"))
 
 
 def _ugrab(net, node, pkt: DataPacket) -> Decision:
     return ugrab_decide(node, mac.sense(net, node), net.mac.congestion_limit,
-                        lambda: net.random(node.id, "policy"))
+                        net.policies, lambda: net.random(node.id, "policy"))
 
 
 def _upgrab(net, node, pkt: DataPacket) -> Decision:

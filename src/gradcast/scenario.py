@@ -24,7 +24,7 @@ from .costfield import AdvPacket, CostState, NeighborCountPacket
 from .engine import Event, EventKind, Simulator
 from .metrics import RunMetrics, RunRecorder, aggregate
 from .policies import Battery, DataPacket, Decision, UGrabState
-from .shared_setup import SetupSnapshot, SharedSetup, node_states, restore_nodes, setup_key
+from .shared_setup import SetupSnapshot, SharedSetup, setup_key
 
 
 @dataclass
@@ -39,7 +39,6 @@ class Node:
     neighbor_counts: dict = field(default_factory=dict)     # id -> advertised count
     advertised_count: int | None = None   # own count as broadcast in the count stage
     delta: float | None = None
-    delta_bounds: tuple[float, float] | None = None
     p_ia: float | None = None   # erfc conversion of delta at policies.spread_factor
     seen: set = field(default_factory=set)
 
@@ -178,8 +177,7 @@ class Network:
         for i, pos in enumerate(positions):
             self.nodes.append(Node(i, pos, False, Battery(pol.initial_energy_j)))
             if self.proto.ladder:
-                self.nodes[i].ugrab = UGrabState(pol.ladder_scale, pol.ladder_ratio,
-                                                 spread=pol.spread_factor)
+                self.nodes[i].ugrab = UGrabState(spread=pol.spread_factor)
         self.sink_id = len(positions)
         sink = Node(self.sink_id, sink_pos, True, Battery(pol.initial_energy_j))
         sink.cost.q = 0.0
@@ -271,31 +269,35 @@ class Network:
     def snapshot(self) -> SetupSnapshot | None:
         """The state after the setup phase, taken once every event before
         the data start has played; None while a setup event is still
-        queued or on the air."""
+        queued or on the air. Per node it holds what the setup phase writes
+        there; the data phase adds to neighbor_pathloss but never to
+        neighbor_counts, so resumed cells may share the counts."""
         sim = self.sim
         if sim.pending() != self._data_events:
             return None
         reads = {purpose: tuple(reads) for purpose, (_, reads) in self.streams.items()}
-        return SetupSnapshot(sim.clock, reads,
-                             node_states(self.nodes), dict(self.counters),
+        nodes = [(n.battery.consumed_j, n.battery.n_forwarded, n.cost.q, n.cost.adv_sent,
+                  n.cost.adv_timer_gen, n.cost.bounds, dict(n.neighbor_pathloss),
+                  n.neighbor_counts, n.advertised_count) for n in self.nodes]
+        return SetupSnapshot(sim.clock, reads, nodes, dict(self.counters),
                              None if self.energy_log is None else list(self.energy_log))
 
     def resume(self, snap: SetupSnapshot, traffic: list[TrafficEvent]) -> None:
-        """Start from ``snap`` in place of a setup phase of this network's
-        own, then schedule the data phase. Event numbers start again at 0:
-        the data events are scheduled first and every later event after
-        them, as after a setup of its own, so the queue pops in the same
-        order."""
-        restore_nodes(self.nodes, snap.nodes)
+        """Start from ``snap``, taken on this network's tape dict, in place
+        of a setup phase of its own, then schedule the data phase. Event
+        numbers start again at 0: the data events are scheduled first and
+        every later event after them, as after a setup of its own, so the
+        queue pops in the same order."""
+        for node, state in zip(self.nodes, snap.nodes):
+            battery, st = node.battery, node.cost
+            (battery.consumed_j, battery.n_forwarded, st.q, st.adv_sent, st.adv_timer_gen,
+             st.bounds, pathloss, node.neighbor_counts, node.advertised_count) = state
+            node.neighbor_pathloss = dict(pathloss)
         self.counters.update(snap.counters)
         if snap.energy_log is not None:
             self.energy_log = list(snap.energy_log)
         for purpose, reads in snap.reads.items():
-            tapes, positions = self._stream(purpose)
-            for tape, pos in zip(tapes, reads):
-                while len(tape.draws) < pos:
-                    tape.grow()
-            positions[:] = reads
+            self._stream(purpose)[1][:] = reads
         self.sim.clock = snap.clock
         self._start_data(traffic)
 
@@ -457,8 +459,9 @@ class Network:
             self.counters["adv_decode_failures"] += failed
 
     def ensure_delta(self, node: Node) -> None:
-        """Settle the node's discrepancy and its bounds, once, from what the
-        count stage delivered."""
+        """Settle the node's discrepancy, once, from what the count stage
+        delivered. It decides under ``node.cost.bounds``, the sink's, which
+        came with the advertisement that gave it a finite cost."""
         if node.delta is None:
             # the node's own count enters as the value it advertised, so both
             # sides of the discrepancy are snapshots of the same stage
@@ -466,9 +469,6 @@ class Network:
                    else len(node.neighbor_pathloss))
             node.delta = costfield.neighborhood_discrepancy(
                 own, node.neighbor_counts.values())
-            node.delta_bounds = (node.cost.bounds if node.cost.bounds is not None
-                                 else (self.costfield.fixed_bounds_lo,
-                                       self.costfield.fixed_bounds_hi))
 
     def _decide_and_forward(self, node: Node, pkt: DataPacket, hop_cost: float) -> None:
         fwd_pkt = DataPacket(pkt.msg_id, pkt.q_p, pkt.tx_power_dbm, pkt.budget,
@@ -580,10 +580,12 @@ def build_network(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=No
     ``links``, given with explicit positions, is their link table
     (``generate_topology``'s third item). ``tapes`` is the ``Network``'s
     tape dict, shared by the cells of one topology group. With ``snapshot``,
-    taken on the same topology and tapes by a cell of the same setup key,
+    taken on the same topology and ``tapes`` by a cell of the same setup key,
     the replication starts from it and plays only its data phase."""
     if (positions is None) != (sink_pos is None):
         raise ValueError("positions and sink_pos must be given together")
+    if snapshot is not None and tapes is None:
+        raise ValueError("a snapshot resumes only on the tapes it was taken on")
     seed = cfg.scenario.base_seed
     if positions is None:
         positions, sink_pos, links = generate_topology(
@@ -606,11 +608,11 @@ def run_replication(cfg: SimConfig, run_index: int, *, positions=None, sink_pos=
                     decision_trace=None, param: str = "",
                     setup: SharedSetup | None = None) -> RunMetrics:
     """Play one replication. ``setup``, shared by the cells of one setup
-    key on one topology and tape dict, supplies a snapshot to start from
-    when its setup ended before this cell's data start; otherwise the cell
-    plays its own setup phase and, when ``setup.wanted``, leaves its
-    snapshot there."""
-    snap = None if setup is None else setup.claim(cfg.scenario.data_start_ms)
+    key on one topology and tape dict, supplies the snapshot an earlier cell
+    took; the key holds the data start, so that snapshot ends before this
+    cell's. Without one the cell plays its own setup phase and, when
+    ``setup.wanted``, leaves its snapshot there."""
+    snap = None if setup is None else setup.claim()
     sim, net = build_network(cfg, run_index, positions=positions, sink_pos=sink_pos,
                              links=links, traffic=traffic, tapes=tapes,
                              event_trace=event_trace, decision_trace=decision_trace,
@@ -638,7 +640,8 @@ def _run_group(tasks: list) -> list[RunMetrics]:
     it and its link table once and play each cell on them with one tape
     dict, so each per-node stream is seeded once for the group; each cell
     draws its own traffic. Cells of one setup key share a ``SharedSetup``,
-    so its setup phase plays once when it ends before the data start."""
+    so its setup phase plays once when it ends before the data start, and
+    the key's other cells resume on the tapes its first cell drew."""
     cfg, run_index, _ = tasks[0]
     positions, sink_pos, links = generate_topology(
         cfg, engine.make_stream(cfg.scenario.base_seed, run_index, None, "topology"))

@@ -2,9 +2,10 @@
 
 A replication's setup phase (the advertisement flood, then for ``counts``
 protocols the neighbor-count stage) reads no data-phase setting. The cells of
-a group that agree on everything it does read, their setup key, play it once:
-the first snapshots its state just before its data start, and the others start
-their data phase from that snapshot.
+a group that agree on everything it does read, and on the data start where it
+is cut, their setup key, play it once: the first snapshots its state just
+before the data start, and the others start their data phase from that
+snapshot on the same tapes.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from .policies import PROTOCOLS
 
 # Config fields that only the data phase reads. The protocol enters the
 # setup key as its ``counts`` flag; every other field, a new one included,
-# enters it as it is.
+# enters it as it is. The data start does too: the snapshot is cut there.
 DATA_ONLY_FIELDS = frozenset({
     "scenario.protocol", "scenario.p_f", "scenario.failure_side",
     # traffic
-    "scenario.event_count", "scenario.event_spread", "scenario.data_start_ms",
-    "scenario.data_window_ms",
+    "scenario.event_count", "scenario.event_spread", "scenario.data_window_ms",
     # credit, spread, ladder and stall policies
     "policies.credit_factor", "policies.wide_neighbor_count", "policies.power_margin_db",
     "policies.spread_factor", "policies.spread_factor_max",
@@ -44,40 +44,18 @@ def setup_key(cfg) -> tuple:
 
 @dataclass
 class SetupSnapshot:
-    """A replication's state after its setup phase, taken before the data
-    start once no setup event is left to fire. It holds plain values only,
-    no network, simulator or tape, so it keeps no played replication alive.
-    The flood's epoch is left out: with no setup event left, no
+    """A replication's state after its setup phase, taken just before the
+    data start once no setup event is left to fire. It holds plain values
+    only, no network, simulator or tape, so it keeps no played replication
+    alive; its read positions are valid only on the tape dict it was taken
+    on. The flood's epoch is left out: with no setup event left, no
     advertisement is received after it. So are event numbers: a resumed
     cell numbers its events afresh (see ``Network.resume``)."""
     clock: float              # the last setup event's time
     reads: dict               # purpose -> each node id's read position on its tape
-    nodes: list[tuple]        # per node, as node_states lists it
+    nodes: list[tuple]        # per node, as ``Network.snapshot`` lists it
     counters: dict
     energy_log: list | None
-
-
-def node_states(nodes) -> list[tuple]:
-    """What the setup phase leaves on each node: battery, cost state,
-    learned link costs and neighbor counts. The data phase adds to
-    neighbor_pathloss but never to neighbor_counts, so every cell may read
-    the same counts."""
-    return [(n.battery.consumed_j, n.battery.n_forwarded, n.cost.q, n.cost.adv_sent,
-             n.cost.adv_timer_gen, n.cost.bounds, dict(n.neighbor_pathloss),
-             n.neighbor_counts, n.advertised_count) for n in nodes]
-
-
-def restore_nodes(nodes, states: list[tuple]) -> None:
-    """Put ``node_states``' values back on freshly built nodes."""
-    for node, (consumed, sent, q, adv_sent, gen, bounds, pathloss, counts,
-               advertised) in zip(nodes, states):
-        node.battery.consumed_j = consumed
-        node.battery.n_forwarded = sent
-        st = node.cost
-        st.q, st.adv_sent, st.adv_timer_gen, st.bounds = q, adv_sent, gen, bounds
-        node.neighbor_pathloss = dict(pathloss)
-        node.neighbor_counts = counts
-        node.advertised_count = advertised
 
 
 class SharedSetup:
@@ -90,14 +68,14 @@ class SharedSetup:
         self.cells = cells
         self.snapshot: SetupSnapshot | None = None
 
-    def claim(self, data_start_ms: float) -> SetupSnapshot | None:
+    def claim(self) -> SetupSnapshot | None:
         """Count one cell as playing; return the snapshot it starts from,
-        if its setup ended before the cell's data start."""
+        if an earlier cell left one."""
         self.cells -= 1
         snap = self.snapshot
         if not self.cells:
             self.snapshot = None
-        return snap if snap is not None and snap.clock < data_start_ms else None
+        return snap
 
     @property
     def wanted(self) -> bool:

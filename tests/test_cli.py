@@ -137,6 +137,23 @@ def test_dump_topology(tmp_path, capsys):
         assert all(row[5] != "" for row in rows[1:-1])
 
 
+@pytest.mark.parametrize("mode", ["computed", "fixed"])
+def test_dump_topology_gives_unreached_sensors_a_delta(tmp_path, capsys, mode):
+    """In a sparse arena most sensors never hear the flood, so they hold
+    no bounds and never decide; every sensor still gets its discrepancy,
+    which reads no bounds."""
+    out = tmp_path / mode
+    sparse = [arg.replace("=120", "=300") for arg in FAST]
+    rc = cli.main(["dump-topology", "--out", str(out), "--set", "protocol=P-GRAB",
+                   "--set", f"costfield.bounds_mode={mode}"] + sparse)
+    assert rc == 0
+    sensors = read_csv(out / "topology.csv")[1:-1]
+    assert len(sensors) == 30
+    reached = [row[3] != "inf" for row in sensors]
+    assert any(reached) and not all(reached)
+    assert all(row[5] != "" for row in sensors)
+
+
 def test_dump_trace(tmp_path, capsys):
     out = tmp_path / "trace"
     rc = cli.main(["dump-trace", "--out", str(out), "--set", "protocol=U-GRAB"] + FAST)

@@ -15,7 +15,7 @@ from gradcast.engine import (STREAM_PURPOSES, Event, EventKind, SchedulingInPast
                              Simulator, Tape, make_stream)
 from gradcast.metrics import RunRecorder
 from gradcast.phys import Transmission
-from gradcast.scenario import Network
+from gradcast.scenario import Network, build_network
 
 
 def test_schedule_keeps_clock():
@@ -119,10 +119,12 @@ def test_network_cursor_keeps_its_place():
     assert [first, second] == [fresh.random(), fresh.random()]
 
 
-def test_resume_moves_every_cursor_on_fresh_tapes():
-    """A network on a tape dict of its own, resumed from a snapshot, grows
-    its tapes to the snapshot's read positions and reads on from there."""
-    played = _network(seed=3, run_index=1)
+def test_resume_moves_every_cursor_on_the_snapshots_tapes():
+    """A network resumed from a snapshot, on the tape dict the snapshot was
+    taken on, reads on from the snapshot's read positions and grows no
+    tape; ``build_network`` refuses a snapshot without a tape dict."""
+    tapes = {}
+    played = _network(seed=3, run_index=1, tapes=tapes)
     for _ in range(Tape.BLOCK + 5):   # two blocks in
         played.random(7, "mac")
     played.random(2, "policy")
@@ -130,14 +132,16 @@ def test_resume_moves_every_cursor_on_fresh_tapes():
     n = len(played.nodes)
     assert snap.reads == {"mac": tuple(Tape.BLOCK + 5 if i == 7 else 0 for i in range(n)),
                           "policy": tuple(int(i == 2) for i in range(n))}
-    fresh = _network(seed=3, run_index=1)
-    fresh.resume(snap, [])
-    assert fresh.snapshot() == snap
-    assert [len(tape.draws) for tape in fresh.tapes[3, 1, "mac"]] == \
+    resumed = _network(seed=3, run_index=1, tapes=tapes)
+    resumed.resume(snap, [])
+    assert resumed.snapshot() == snap
+    assert [len(tape.draws) for tape in tapes[3, 1, "mac"]] == \
         [2 * Tape.BLOCK if i == 7 else 0 for i in range(n)]
-    assert [fresh.random(7, "mac") for _ in range(80)] == \
+    assert [resumed.random(7, "mac") for _ in range(80)] == \
         [played.random(7, "mac") for _ in range(80)]
-    assert fresh.random(2, "policy") == played.random(2, "policy")
+    assert resumed.random(2, "policy") == played.random(2, "policy")
+    with pytest.raises(ValueError, match="tapes"):
+        build_network(default_config(), 1, snapshot=snap)
 
 
 def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):

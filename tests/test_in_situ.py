@@ -122,7 +122,7 @@ def _play_checked(monkeypatch, cells):
         calls["idle at the end"] += not net.active
         release(net)
 
-    def utility_game(node, c_n, limit, coin, game=policies._utility_game):
+    def utility_game(node, c_n, limit, params, coin, game=policies._utility_game):
         # the played decision is the argmax of the payoff table over
         # forwarding and dropping, and a tie follows the coin it drew
         coins = []
@@ -131,8 +131,9 @@ def _play_checked(monkeypatch, cells):
             coins.append(coin())
             return coins[-1]
 
-        a, r = node.ugrab.forward_reward, policies.energy_reward(node.battery)
-        dec = game(node, c_n, limit, recorded)
+        a = policies.ladder_reward(node.ugrab.steps, params.ladder_scale, params.ladder_ratio)
+        r = policies.energy_reward(node.battery)
+        dec = game(node, c_n, limit, params, recorded)
         assert (dec.forward_reward, dec.energy_reward) == (a, r)
         forward = policies.strategy_payoff(True, c_n >= limit, a, r)
         drop = policies.strategy_payoff(False, c_n >= limit, a, r)

@@ -27,11 +27,10 @@ class StubNode:
                  pathloss=None):
         self.id = 1
         self.is_sink = is_sink
-        self.cost = CostState(q=q)
+        self.cost = CostState(q=q, bounds=bounds)
         self.battery = Battery(capacity, consumed, n_forwarded)
         self.seen = set()
         self.delta = delta
-        self.delta_bounds = bounds
         self.ugrab = UGrabState(spread=spread)
         self.neighbor_pathloss = pathloss if pathloss is not None else {2: 20.0, 3: 30.0, 4: 40.0, 5: 45.0}
         self.p_ia = (erfc_forward_probability(self.delta, spread, bounds)
@@ -299,26 +298,42 @@ def test_pgrab_matches_analytic_rate():
 
 def test_ugrab_fresh_node_forwards_on_free_channel():
     node = StubNode()
-    dec = ugrab_decide(node, c_n=0, limit=1, coin=SeqRng([]).random)
+    dec = ugrab_decide(node, c_n=0, limit=1, params=PolicyParams(), coin=SeqRng([]).random)
     assert dec.forward and dec.forward_reward == 0.25 and dec.energy_reward == 0.0
 
 
 def test_ugrab_drops_when_energy_reward_wins():
     node = StubNode(consumed=0.5)
-    dec = ugrab_decide(node, c_n=0, limit=1, coin=SeqRng([]).random)
+    dec = ugrab_decide(node, c_n=0, limit=1, params=PolicyParams(), coin=SeqRng([]).random)
     assert not dec.forward and dec.energy_reward == 0.5
 
 
 def test_ugrab_busy_channel_drops_outright():
     node = StubNode()   # rewards would say forward
-    dec = ugrab_decide(node, c_n=1, limit=1, coin=SeqRng([]).random)
+    dec = ugrab_decide(node, c_n=1, limit=1, params=PolicyParams(), coin=SeqRng([]).random)
     assert not dec.forward and dec.c_n == 1
 
 
 def test_ugrab_tie_flips_fair_coin():
     node = StubNode(consumed=0.25)   # energy reward equals the initial ladder
-    assert ugrab_decide(node, 0, 1, SeqRng([0.49]).random).forward
-    assert not ugrab_decide(node, 0, 1, SeqRng([0.51]).random).forward
+    assert ugrab_decide(node, 0, 1, PolicyParams(), SeqRng([0.49]).random).forward
+    assert not ugrab_decide(node, 0, 1, PolicyParams(), SeqRng([0.51]).random).forward
+
+
+def test_the_ladder_reads_the_policy():
+    """Both utility decisions take the forward reward from the policy's
+    ladder at the node's steps, and decide from it: a node forwards when
+    its energy reward lies just below that ladder and drops just above."""
+    params = PolicyParams(ladder_scale=0.5, ladder_ratio=0.5)
+    for steps in (0, 1, 3):
+        a = ladder_reward(steps, 0.5, 0.5)
+        for consumed, forward in ((a - 0.01, True), (a + 0.01, False)):
+            for decide in (ugrab_decide, upgrab_decide):
+                # far below the interval center, the hybrid's p_ia is ~1
+                node = StubNode(consumed=consumed, delta=-100.0, spread=1.0)
+                node.ugrab.steps = steps
+                dec = decide(node, 0, 1, params, SeqRng([0.0]).random)
+                assert dec.forward_reward == a and dec.forward == forward, (decide, steps)
 
 
 def test_energy_reward_is_consumed_fraction():
@@ -344,17 +359,17 @@ def test_upgrab_spread_moves_match_stated_rules():
     params = PolicyParams()
     for c_n in (0, 1):
         node = StubNode(delta=-5.0, spread=4.0)
-        p_before = erfc_forward_probability(node.delta, node.ugrab.spread, node.delta_bounds)
+        p_before = erfc_forward_probability(node.delta, node.ugrab.spread, node.cost.bounds)
         upgrab_decide(node, c_n, 1, params, SeqRng([0.0, 0.0]).random)
         assert node.ugrab.spread == 3.0
-        p_after = erfc_forward_probability(node.delta, node.ugrab.spread, node.delta_bounds)
+        p_after = erfc_forward_probability(node.delta, node.ugrab.spread, node.cost.bounds)
         assert p_after > p_before
 
         node = StubNode(delta=5.0, spread=4.0)
-        p_before = erfc_forward_probability(node.delta, node.ugrab.spread, node.delta_bounds)
+        p_before = erfc_forward_probability(node.delta, node.ugrab.spread, node.cost.bounds)
         upgrab_decide(node, c_n, 1, params, SeqRng([0.0, 0.0]).random)
         assert node.ugrab.spread == 5.0
-        p_after = erfc_forward_probability(node.delta, node.ugrab.spread, node.delta_bounds)
+        p_after = erfc_forward_probability(node.delta, node.ugrab.spread, node.cost.bounds)
         assert p_after > p_before
 
 
@@ -426,12 +441,12 @@ def test_stalled_node_climbs_ladder_and_resumes():
     reward and it resumes forwarding."""
     params = PolicyParams()
     node = StubNode(q=50.0, consumed=0.30)
-    assert not ugrab_decide(node, 0, 1, SeqRng([]).random).forward   # 0.25 < 0.30
+    assert not ugrab_decide(node, 0, 1, params, SeqRng([]).random).forward   # 0.25 < 0.30
     for _ in range(20):
         note_overheard(node, 90.0, params)
     assert stall_check(node, params)
-    assert node.ugrab.forward_reward == pytest.approx(0.4375)
-    assert ugrab_decide(node, 0, 1, SeqRng([]).random).forward
+    dec = ugrab_decide(node, 0, 1, params, SeqRng([]).random)
+    assert dec.forward and dec.forward_reward == pytest.approx(0.4375)
 
 
 def test_downstream_traffic_suppresses_the_step():

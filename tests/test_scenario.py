@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import math
@@ -230,8 +231,8 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
             return coin()
         return draw
 
-    monkeypatch.setattr(policies, "ugrab_decide", lambda node, c_n, limit, coin:
-                        real(node, c_n, limit, counted(node.id, coin)))
+    monkeypatch.setattr(policies, "ugrab_decide", lambda node, c_n, limit, params, coin:
+                        real(node, c_n, limit, params, counted(node.id, coin)))
     for forced_tie in (False, True):
         if forced_tie:
             monkeypatch.setattr(policies, "energy_reward", lambda battery: 0.25)
@@ -847,7 +848,6 @@ DATA_ONLY_VALUES = {
     "scenario.failure_side": ("U-GRAB", "rx", "tx"),
     "scenario.event_count": ("GRAB", "20", "30"),
     "scenario.event_spread": ("GRAB", "0", "5"),
-    "scenario.data_start_ms": ("GRAB", "5500", "7000"),
     "scenario.data_window_ms": ("GRAB", "15000", "12000"),
     "policies.credit_factor": ("GRAB", "10", "2"),
     "policies.wide_neighbor_count": ("GRAB", "3", "5"),
@@ -864,9 +864,10 @@ DATA_ONLY_VALUES = {
 }
 
 
-def _setup_snapshot(cfg) -> SetupSnapshot:
-    """The snapshot a replication alone takes at its data start."""
-    sim, net = build_network(cfg, 0)
+def _setup_snapshot(cfg, tapes=None) -> SetupSnapshot:
+    """The snapshot a replication alone takes at its data start, on
+    ``tapes`` when given."""
+    sim, net = build_network(cfg, 0, tapes=tapes)
     sim.run_until_idle(math.nextafter(cfg.scenario.data_start_ms, -math.inf))
     snap = net.snapshot()
     net.release()
@@ -886,6 +887,20 @@ def test_cells_apart_only_in_a_data_only_field_share_the_setup(monkeypatch, setu
     assert _setup_snapshot(cells[0][0]) == _setup_snapshot(cells[1][0])
     _keep_ledgers(monkeypatch)
     assert setups_of(cells) == setups_of(cells[:1])
+    _assert_plays_as_alone(cells)
+
+
+def test_cells_apart_in_the_data_start_play_their_own_setups(monkeypatch, setups_of):
+    """The snapshot is cut just before the data start, so the data start is
+    in the setup key: cells apart only in it each play their own setup, the
+    later one's included, and play as they play alone."""
+    cells = [_cell("GRAB", "metrics.energy_audit=True", data_start_ms=v)
+             for v in (5500.0, 500.0)]
+    for cfg, _ in cells:
+        validate(cfg)
+    assert setup_key(cells[0][0]) != setup_key(cells[1][0])
+    _keep_ledgers(monkeypatch)
+    assert setups_of(cells) == setups_of(cells[:1]) + setups_of(cells[1:])
     _assert_plays_as_alone(cells)
 
 
@@ -992,6 +1007,30 @@ def test_setup_overlapping_the_data_phase_is_not_shared(monkeypatch, setups_of, 
     _assert_plays_as_alone(cells)
 
 
+@pytest.mark.parametrize("mode", ["computed", "fixed"])
+def test_every_deciding_node_holds_the_sinks_bounds(monkeypatch, mode):
+    """The discrepancy policies decide under ``node.cost.bounds``: every
+    node that reaches a decision, in a cell with a setup of its own and in
+    one resumed from it, holds the bounds the sink shipped."""
+    cells = [_cell(p, f"costfield.bounds_mode={mode}") for p in ("P-GRAB", "UP-GRAB")]
+    cfg = cells[0][0]
+    _, net = build_network(cfg, 0)
+    net.release()
+    sink_bounds = net.nodes[net.sink_id].cost.bounds
+    assert sink_bounds is not None
+    if mode == "fixed":
+        assert sink_bounds == (cfg.costfield.fixed_bounds_lo, cfg.costfield.fixed_bounds_hi)
+    held = {"pgrab_decide": [], "upgrab_decide": []}
+    for name, bounds in held.items():
+        def spy(node, *args, real=getattr(policies, name), bounds=bounds):
+            bounds.append(node.cost.bounds)
+            return real(node, *args)
+        monkeypatch.setattr(policies, name, spy)
+    play(cells)
+    for name, bounds in held.items():
+        assert bounds and set(bounds) == {sink_bounds}, name
+
+
 @pytest.mark.parametrize("protocol", ["P-GRAB", "UP-GRAB"])
 def test_cursor_lists_hold_the_simulators_cursors(protocol):
     """The network's read positions, one list per purpose beside that
@@ -1003,11 +1042,13 @@ def test_cursor_lists_hold_the_simulators_cursors(protocol):
     resumed from."""
     cfg = small_cfg(protocol=protocol, replications=1, p_f=0.4, failure_side="rx")
     validate(cfg)
-    snap = _setup_snapshot(cfg)
+    taken_on = {}
+    snap = _setup_snapshot(cfg, taken_on)
     assert set(snap.reads) == {"mac"}
     rows = []
     for snapshot in (None, snap):
-        sim, net = build_network(cfg, 0, snapshot=snapshot)
+        sim, net = build_network(cfg, 0, snapshot=snapshot,
+                                 tapes=None if snapshot is None else taken_on)
         if snapshot is None:
             # the setup's first draws are the sink's backoff and the count
             # stage's timers
@@ -1210,21 +1251,26 @@ def test_resumed_cell_plays_the_events_of_its_own_setup_run():
     # a tie the queue breaks by scheduling order: the stall sweep comes first
     traffic.append(TrafficEvent(traffic[0].pos,
                                 start + policies.stall_period(ugrab.policies, ugrab.scenario)))
-    shared = SharedSetup(2)
-    run_replication(grab, 0, setup=shared)
+    shared, tapes = SharedSetup(2), {}
+    run_replication(grab, 0, setup=shared, tapes=tapes)
     assert shared.snapshot is not None
     resumed, own = [], []
-    m = run_replication(ugrab, 0, setup=shared, traffic=traffic,
+    m = run_replication(ugrab, 0, setup=shared, traffic=traffic, tapes=tapes,
                         event_trace=lambda ev: resumed.append(_head(ev)))
     assert shared.snapshot is None and shared.cells == 0
     alone = run_replication(ugrab, 0, traffic=traffic,
                             event_trace=lambda ev: own.append(_head(ev)))
     assert resumed and resumed == [ev for ev in own if ev[0] >= start]
     assert _outcome(m) == _outcome(alone)
-    # a network started from a snapshot holds all of it
-    snap = _setup_snapshot(grab)
-    _, net = build_network(ugrab, 0, snapshot=snap)
+    # a network started from a snapshot holds all of it, and its data phase
+    # writes nothing back into the snapshot
+    snap = _setup_snapshot(grab, tapes)
+    kept = copy.deepcopy(snap)
+    sim, net = build_network(ugrab, 0, snapshot=snap, tapes=tapes)
     assert net.snapshot() == snap
+    sim.run_until_idle(ugrab.scenario.max_sim_time_ms)
+    net.release()
+    assert snap == kept
 
 
 @pytest.mark.parametrize("protocol", ["U-GRAB", "UP-GRAB"])
