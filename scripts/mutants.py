@@ -58,10 +58,15 @@ MUTANTS = [
      "            rx_power = txp - pl\n",
      [SETUP_LOOP]),
     ("a position list shared between replications", SCENARIO,
-     "        stream = self.streams[purpose] = (tapes, [0] * len(tapes))\n",
-     "        stream = self.streams[purpose] = (\n"
-     "            tapes, self.tapes.setdefault(key + (\"reads\",), [0] * len(tapes)))\n",
+     "        stream = self.streams[purpose] = tape + ([0] * n,)\n",
+     "        stream = self.streams[purpose] = tape + (\n"
+     "            self.tapes.setdefault(key + (\"reads\",), [0] * n),)\n",
      ["tests/test_engine.py::test_cells_sharing_tapes_replay_one_seeding"]),
+    ("grow restarting each block at the stream's first draw", "src/gradcast/engine.py",
+     "    bits.advance(len(draws))\n",
+     "",
+     ["tests/test_engine.py::test_tape_blocks_are_make_streams_draws",
+      "tests/test_engine.py::test_cells_sharing_tapes_replay_one_seeding"]),
     ("_topology_key dropping area_height_m", SCENARIO,
      "sc.area_width_m, sc.area_height_m,\n",
      "sc.area_width_m,\n",

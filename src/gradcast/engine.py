@@ -89,7 +89,7 @@ def seed_words(seed: int, run_index: int, purpose: str, nodes) -> np.ndarray:
 
 @functools.cache
 def _row_seed_class() -> type:
-    """A seed sequence handing PCG64 a precomputed row (see ``Tape``), made at
+    """A seed sequence handing PCG64 a precomputed row (see ``grow``), made at
     the first call: importing ``numpy.random`` costs about 6.6 MB."""
     from numpy.random.bit_generator import ISeedSequence
 
@@ -104,29 +104,21 @@ def _row_seed_class() -> type:
     return RowSeed
 
 
-class Tape:
-    """Every draw of one (seed, run, node, purpose) stream, for all the cells
-    of a topology group to read. ``row`` is the node's row of its purpose's
-    ``seed_words``; the first draw builds ``make_stream``'s generator from it,
-    ``Generator(PCG64(RowSeed(row)))``, and the tape then grows in blocks:
-    numpy fills ``random(k)`` with the same doubles as k ``random()`` calls.
-    A tape holds no read position: each replication keeps its own (see
-    ``Network.random``)."""
-    __slots__ = ("row", "gen", "draws")
+# a desk replication reads at most one block from a mac or policy stream and
+# at most four from a failure stream
+BLOCK = 64
 
-    # a desk replication reads at most one block from a mac or policy stream
-    # and at most four from a failure stream
-    BLOCK = 64
 
-    def __init__(self, row: np.ndarray):
-        self.row = row
-        self.gen: np.random.Generator | None = None
-        self.draws = array("d")
-
-    def grow(self) -> None:
-        if self.gen is None:
-            self.gen = np.random.Generator(np.random.PCG64(_row_seed_class()(self.row)))
-        self.draws.frombytes(self.gen.random(self.BLOCK).tobytes())
+def grow(draws: array, row: np.ndarray) -> None:
+    """Append the next ``BLOCK`` doubles of one (seed, run, node, purpose)
+    stream to ``draws``, which holds its first ``len(draws)``. ``row`` is the
+    node's row of its purpose's ``seed_words``, ``make_stream``'s PCG64 seed.
+    PCG64 spends one 64-bit output per double, so a fresh ``PCG64(RowSeed(row))``
+    advanced by ``len(draws)`` gives the doubles a kept generator would, and
+    none is kept: a node's draws are all it holds between blocks."""
+    bits = np.random.PCG64(_row_seed_class()(row))
+    bits.advance(len(draws))
+    draws.frombytes(np.random.Generator(bits).random(BLOCK).tobytes())
 
 
 class Simulator:

@@ -45,7 +45,6 @@ def transmit(net, node, packet, tx_power_dbm: float | None = None) -> bool:
         return False
     power = net.radio.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
     lo, hi = net.mac.backoff_min_ms, net.mac.backoff_max_ms
-    # Network.uniform's arithmetic, one call frame shorter
-    u = lo + (hi - lo) * net.random(node.id, "mac") if hi > lo else lo
+    u = net.uniform(node.id, "mac", lo, hi) if hi > lo else lo
     net.sim.schedule(net.sim.clock + u, EventKind.TX_START, node.id, (packet, power))
     return True

@@ -149,7 +149,7 @@ def remaining_life_probability(battery: Battery) -> float:
     return 1.0 - 1.0 / (expected + 1.0)
 
 
-def ladder_reward(steps: int, scale: float = 0.75, ratio: float = 0.75) -> float:
+def ladder_reward(steps: int, scale: float, ratio: float) -> float:
     """Forwarding reward after ``steps`` raises: 1 - scale * ratio**steps.
     Strictly increasing in steps, supremum 1."""
     return 1.0 - scale * ratio ** steps

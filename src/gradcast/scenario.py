@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+from array import array
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
@@ -142,13 +143,15 @@ class Network:
         self.flood_epoch = 0.0
         self.energy_log: list | None = [] if cfg.metrics.energy_audit else None
         self._data_events = 0   # events the data phase schedules at the start
-        # (seed, run, purpose) -> one engine.Tape per node id, run the
-        # recorder's; the cells of a topology group share it
+        # (seed, run, purpose) -> (the purpose's seed_words rows, one array
+        # of draws per node id), run the recorder's; the cells of a topology
+        # group share it
         self.tapes = {} if tapes is None else tapes
         self._seed_run = (cfg.scenario.base_seed, recorder.run_index)
-        # purpose -> (its tapes, this replication's read position on each),
-        # opened at the purpose's first draw (see ``random``) or by ``resume``
-        self.streams: dict[str, tuple[list[engine.Tape], list[int]]] = {}
+        # purpose -> (its rows, its draws, this replication's read position
+        # on each node id's draws), opened at the purpose's first draw (see
+        # ``random``) or by ``resume``
+        self.streams: dict[str, tuple[np.ndarray, list[array], list[int]]] = {}
         # read once, so a config must not change under a built network: per
         # packet kind its byte count and airtime, per byte count the joules
         # of one reception, and each side's failure-lottery switch
@@ -187,34 +190,35 @@ class Network:
         self.links = links
         self.sensor_xy = np.array(positions, dtype=float).reshape(-1, 2)
 
-    def _stream(self, purpose: str) -> tuple[list[engine.Tape], list[int]]:
-        """Open ``purpose``: its tapes, made at the group's first draw of it
-        from one hash of every node id's seed words, and a read position at
-        0 on each."""
+    def _stream(self, purpose: str) -> tuple[np.ndarray, list[array], list[int]]:
+        """Open ``purpose``: its rows, hashed at the group's first draw of it
+        for every node id at once, an empty array of draws per node id, and
+        a read position at 0 on each."""
         key = self._seed_run + (purpose,)
-        tapes = self.tapes.get(key)
-        if tapes is None:
-            rows = engine.seed_words(*key, np.arange(len(self.nodes)))
-            tapes = self.tapes[key] = [engine.Tape(row) for row in rows]
-        stream = self.streams[purpose] = (tapes, [0] * len(tapes))
+        n = len(self.nodes)
+        tape = self.tapes.get(key)
+        if tape is None:
+            tape = self.tapes[key] = (engine.seed_words(*key, np.arange(n)),
+                                      [array("d") for _ in range(n)])
+        stream = self.streams[purpose] = tape + ([0] * n,)
         return stream
 
     def random(self, node_id: int, purpose: str) -> float:
         """The next uniform double in [0, 1) of the node's ``purpose``
-        stream. ``_receive_data`` inlines it for the failure lottery; keep
-        the two in step."""
-        tapes, reads = self.streams.get(purpose) or self._stream(purpose)
+        stream, grown by a block (``engine.grow``) at the end of its draws.
+        ``_receive_data`` inlines it for the failure lottery; keep the two
+        in step."""
+        rows, tapes, reads = self.streams.get(purpose) or self._stream(purpose)
         pos = reads[node_id]
-        draws = tapes[node_id].draws
+        draws = tapes[node_id]
         if pos == len(draws):
-            tapes[node_id].grow()
+            engine.grow(draws, rows[node_id])
         reads[node_id] = pos + 1
         return draws[pos]
 
     def uniform(self, node_id: int, purpose: str, lo: float, hi: float) -> float:
         """numpy's scalar ``Generator.uniform(lo, hi)``, which computes
-        ``lo + (hi - lo) * random()`` from the same double. ``mac.transmit``
-        inlines it for the backoff draw; keep the two in step."""
+        ``lo + (hi - lo) * random()`` from the same double."""
         return lo + (hi - lo) * self.random(node_id, purpose)
 
     def _discrepancy_bounds(self) -> tuple[float, float]:
@@ -275,7 +279,7 @@ class Network:
         sim = self.sim
         if sim.pending() != self._data_events:
             return None
-        reads = {purpose: tuple(reads) for purpose, (_, reads) in self.streams.items()}
+        reads = {purpose: tuple(reads) for purpose, (*_, reads) in self.streams.items()}
         nodes = [(n.battery.consumed_j, n.battery.n_forwarded, n.cost.q, n.cost.adv_sent,
                   n.cost.adv_timer_gen, n.cost.bounds, dict(n.neighbor_pathloss),
                   n.neighbor_counts, n.advertised_count) for n in self.nodes]
@@ -297,7 +301,7 @@ class Network:
         if snap.energy_log is not None:
             self.energy_log = list(snap.energy_log)
         for purpose, reads in snap.reads.items():
-            self._stream(purpose)[1][:] = reads
+            self._stream(purpose)[2][:] = reads
         self.sim.clock = snap.clock
         self._start_data(traffic)
 
@@ -364,7 +368,8 @@ class Network:
     def _receive_data(self, tr: phys.Transmission, verdicts: list | tuple) -> None:
         """Every alive decoded hearer of a data packet, in one flat loop. It
         inlines the liveness filter, the failure lottery (``random`` on the
-        failure stream, opened at the first lottery draw), the debit
+        receiver's failure draws: the stream is opened at the first lottery
+        draw, and ``engine.grow`` adds a block at the end of them), the debit
         (``Battery.drain``), the hop cost (``costfield.link_cost``)
         and the downhill rule (``policies.eligible``), each with its helper's
         exact arithmetic; the helpers remain the reference. A receiver
@@ -380,7 +385,7 @@ class Network:
         log = self.energy_log
         p_f = self.cfg.scenario.p_f
         lottery = self._rx_lottery
-        tapes, reads = self.streams.get("failure", (None, None))
+        rows, tapes, reads = self.streams.get("failure", (None, None, None))
         counters = self.counters
         traced = self.decision_trace is not None
         rec = tr.reception
@@ -391,11 +396,11 @@ class Network:
                 continue
             if lottery and rx_id != sink_id:
                 if reads is None:
-                    tapes, reads = self._stream("failure")
+                    rows, tapes, reads = self._stream("failure")
                 pos = reads[rx_id]
-                draws = tapes[rx_id].draws
+                draws = tapes[rx_id]
                 if pos == len(draws):
-                    tapes[rx_id].grow()
+                    engine.grow(draws, rows[rx_id])
                 reads[rx_id] = pos + 1
                 if draws[pos] < p_f:
                     counters["relay_failures"] += 1

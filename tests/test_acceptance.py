@@ -28,8 +28,8 @@ from gradcast import phys
 from gradcast.config import default_config
 from gradcast.engine import make_stream
 from gradcast.metrics import run_row
-from gradcast.policies import (Battery, erfc_forward_probability, ladder_reward,
-                               remaining_life_probability, strategy_payoff)
+from gradcast.policies import (Battery, PolicyParams, erfc_forward_probability,
+                               ladder_reward, remaining_life_probability, strategy_payoff)
 from gradcast.scenario import build_network, neighbor_lists, play, run_replication
 
 SEEDS = 30
@@ -219,9 +219,10 @@ def test_criterion_04_reward_algebra():
     payoff_ok = (strategy_payoff(False, False, 0.25, 0.3) == 0.3
                  and abs(strategy_payoff(True, True, 0.25, 0.3) - (-0.75)) < 1e-12
                  and strategy_payoff(True, False, 0.25, 0.3) == 0.25)
-    ladder_ok = (abs(ladder_reward(0) - 0.25) < 1e-12
-                 and abs(ladder_reward(1) - 0.4375) < 1e-12
-                 and abs(ladder_reward(2) - 0.578125) < 1e-12)
+    ladder = (PolicyParams().ladder_scale, PolicyParams().ladder_ratio)
+    ladder_ok = (abs(ladder_reward(0, *ladder) - 0.25) < 1e-12
+                 and abs(ladder_reward(1, *ladder) - 0.4375) < 1e-12
+                 and abs(ladder_reward(2, *ladder) - 0.578125) < 1e-12)
     _check(4, "life/payoff/ladder unit algebra exact",
            life_ok and payoff_ok and ladder_ok,
            f"life {life_ok}, payoff {payoff_ok}, ladder {ladder_ok}")

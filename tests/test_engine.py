@@ -2,6 +2,7 @@ import math
 import struct
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from gradcast import engine
 from gradcast.config import default_config
-from gradcast.engine import (STREAM_PURPOSES, Event, EventKind, SchedulingInPastError,
-                             Simulator, Tape, make_stream)
+from gradcast.engine import (BLOCK, STREAM_PURPOSES, Event, EventKind, SchedulingInPastError,
+                             Simulator, make_stream)
 from gradcast.metrics import RunRecorder
 from gradcast.phys import Transmission
 from gradcast.scenario import Network, build_network
@@ -122,21 +123,21 @@ def test_network_cursor_keeps_its_place():
 def test_resume_moves_every_cursor_on_the_snapshots_tapes():
     """A network resumed from a snapshot, on the tape dict the snapshot was
     taken on, reads on from the snapshot's read positions and grows no
-    tape; ``build_network`` refuses a snapshot without a tape dict."""
+    node's draws; ``build_network`` refuses a snapshot without a tape dict."""
     tapes = {}
     played = _network(seed=3, run_index=1, tapes=tapes)
-    for _ in range(Tape.BLOCK + 5):   # two blocks in
+    for _ in range(BLOCK + 5):   # two blocks in
         played.random(7, "mac")
     played.random(2, "policy")
     snap = played.snapshot()
     n = len(played.nodes)
-    assert snap.reads == {"mac": tuple(Tape.BLOCK + 5 if i == 7 else 0 for i in range(n)),
+    assert snap.reads == {"mac": tuple(BLOCK + 5 if i == 7 else 0 for i in range(n)),
                           "policy": tuple(int(i == 2) for i in range(n))}
     resumed = _network(seed=3, run_index=1, tapes=tapes)
     resumed.resume(snap, [])
     assert resumed.snapshot() == snap
-    assert [len(tape.draws) for tape in tapes[3, 1, "mac"]] == \
-        [2 * Tape.BLOCK if i == 7 else 0 for i in range(n)]
+    assert [len(draws) for draws in tapes[3, 1, "mac"][1]] == \
+        [2 * BLOCK if i == 7 else 0 for i in range(n)]
     assert [resumed.random(7, "mac") for _ in range(80)] == \
         [played.random(7, "mac") for _ in range(80)]
     assert resumed.random(2, "policy") == played.random(2, "policy")
@@ -147,17 +148,19 @@ def test_resume_moves_every_cursor_on_the_snapshots_tapes():
 def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):
     """Two networks on one tape dict read the same draws, each from its own
     position, and each purpose is seeded once, through the module
-    attributes: one hash of its seed words over every node id, and one
-    tape per node id on its row, which builds no generator before its
-    first draw."""
-    hashed, made = [], []
-    real_words, real_tape = engine.seed_words, engine.Tape
+    attributes: one hash of its seed words over every node id, whose row
+    for each node is make_stream's seed, and each block of a node's draws
+    grown once, by the first reader; a node holds no draws before its
+    first read."""
+    hashed, grown = [], []
+    real_words, real_grow = engine.seed_words, engine.grow
     monkeypatch.setattr(engine, "seed_words",
                         lambda *args: hashed.append(args) or real_words(*args))
-    monkeypatch.setattr(engine, "Tape", lambda row: made.append(row.tobytes()) or real_tape(row))
+    monkeypatch.setattr(engine, "grow", lambda draws, row: grown.append(
+        (row.tobytes(), len(draws))) or real_grow(draws, row))
     tapes = {}
     nets = [_network(seed=9, run_index=1, tapes=tapes) for _ in range(2)]
-    n = 3 * Tape.BLOCK + 5
+    n = 3 * BLOCK + 5
     a, b = nets
     for node in (3, 5):
         first = [a.random(node, "mac") for _ in range(n)]
@@ -165,21 +168,23 @@ def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):
         assert first == make_stream(9, 1, node, "mac").random(n).tolist()
     assert [args[:3] for args in hashed] == [(9, 1, "mac")]
     assert list(hashed[0][3]) == list(range(9))
-    assert made == [np.random.SeedSequence([9 ^ 1, node, STREAM_PURPOSES["mac"]])
-                    .generate_state(4, np.uint64).tobytes() for node in range(9)]
     assert list(tapes) == [(9, 1, "mac")]
-    assert [tape.gen is not None for tape in tapes[9, 1, "mac"]] == \
-        [node in (3, 5) for node in range(9)]
+    rows, draws = tapes[9, 1, "mac"]
+    seeds = [np.random.SeedSequence([9 ^ 1, node, STREAM_PURPOSES["mac"]])
+             .generate_state(4, np.uint64).tobytes() for node in range(9)]
+    assert [row.tobytes() for row in rows] == seeds
+    assert grown == [(seeds[node], k * BLOCK) for node in (3, 5) for k in range(4)]
+    assert [len(d) for d in draws] == [4 * BLOCK if node in (3, 5) else 0 for node in range(9)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), node=st.integers(0, 2000),
-       k=st.integers(1, 3 * Tape.BLOCK + 1), offset=st.integers(0, 2 * Tape.BLOCK))
+       k=st.integers(1, 3 * BLOCK + 1), offset=st.integers(0, 2 * BLOCK))
 def test_block_draws_equal_scalar_draws(seed, node, k, offset):
     """``Generator.random(k)`` gives the doubles of k scalar ``random()``
     calls, at any offset into the stream; ``Network.random`` reads them
-    across its tape's block refills (on a network of nine node ids, the
-    stream of node ``node % 9``)."""
+    across the blocks grown onto a node's draws (on a network of nine node
+    ids, the stream of node ``node % 9``)."""
     blocks = make_stream(seed, 0, node, "failure")
     scalars = make_stream(seed, 0, node, "failure")
     for _ in range(offset):
@@ -221,14 +226,14 @@ def test_seed_words_are_numpys_seed_sequence(key, run, purpose, count):
 @given(key=STREAM_KEYS, purpose=st.sampled_from(list(STREAM_PURPOSES)),
        node=st.integers(0, 299))
 def test_tape_blocks_are_make_streams_draws(key, purpose, node):
-    """A tape on its row of its purpose's seed words reads make_stream's
-    doubles byte for byte across three blocks."""
-    want = make_stream(key, 0, node, purpose).random(3 * Tape.BLOCK).tobytes()
-    tape = Tape(engine.seed_words(key, 0, purpose, np.arange(node + 1))[node])
-    assert tape.gen is None   # no generator before the first draw
+    """Draws grown block by block from a node's row of its purpose's seed
+    words are make_stream's doubles byte for byte, across three blocks."""
+    want = make_stream(key, 0, node, purpose).random(3 * BLOCK).tobytes()
+    row = engine.seed_words(key, 0, purpose, np.arange(node + 1))[node]
+    draws = array("d")
     for _ in range(3):
-        tape.grow()
-    assert tape.draws.tobytes() == want
+        engine.grow(draws, row)
+    assert draws.tobytes() == want
 
 
 def test_row_seed_hands_pcg64_its_row_and_refuses_anything_else():

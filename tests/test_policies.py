@@ -238,17 +238,21 @@ def test_degenerate_bounds_guard():
     assert erfc_forward_probability(4.0, 2.0, (3.0, 3.0)) == 0.0
 
 
+# the default policy's ladder
+LADDER = (PolicyParams().ladder_scale, PolicyParams().ladder_ratio)
+
+
 def test_ladder_reference_values():
-    assert ladder_reward(0) == pytest.approx(0.25, abs=1e-12)
-    assert ladder_reward(1) == pytest.approx(0.4375, abs=1e-12)
-    assert ladder_reward(2) == pytest.approx(0.578125, abs=1e-12)
+    assert ladder_reward(0, *LADDER) == pytest.approx(0.25, abs=1e-12)
+    assert ladder_reward(1, *LADDER) == pytest.approx(0.4375, abs=1e-12)
+    assert ladder_reward(2, *LADDER) == pytest.approx(0.578125, abs=1e-12)
 
 
 @given(st.integers(0, 60))
 def test_ladder_monotone_bounded(k):
     # bounded to steps where doubles still resolve the geometric term
-    assert 0.0 < ladder_reward(k) < 1.0
-    assert ladder_reward(k + 1) > ladder_reward(k)
+    assert 0.0 < ladder_reward(k, *LADDER) < 1.0
+    assert ladder_reward(k + 1, *LADDER) > ladder_reward(k, *LADDER)
 
 
 def test_payoff_table():

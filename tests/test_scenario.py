@@ -5,6 +5,7 @@ import math
 import statistics
 import types
 import weakref
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from gradcast import costfield, engine, phys, policies, scenario
 from gradcast.config import ConfigError, apply_overrides, default_config, validate
-from gradcast.engine import Simulator, Tape, make_stream
+from gradcast.engine import STREAM_PURPOSES, Simulator, make_stream
 from gradcast.metrics import RunRecorder, run_row
 from gradcast.policies import Battery
 from gradcast.scenario import (TrafficEvent, build_network, connectivity,
@@ -198,17 +199,18 @@ def test_sweep_shapes():
 
 
 def _seeded(net, purpose: str) -> list[int]:
-    """Node ids whose ``purpose`` tape has built its generator."""
-    tapes = net.tapes.get((net.cfg.scenario.base_seed, net.recorder.run_index, purpose), [])
-    return [i for i, tape in enumerate(tapes) if tape.gen is not None]
+    """Node ids that hold draws of their ``purpose`` stream."""
+    key = (net.cfg.scenario.base_seed, net.recorder.run_index, purpose)
+    _, draws = net.tapes.get(key, (None, []))
+    return [i for i, d in enumerate(draws) if d]
 
 
 def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
-    """BGB and GRAB never draw from a node's policy stream, so they seed no
-    policy tape and hash no policy seed words; P-GRAB does draw, so the
-    check is not vacuous. U-GRAB draws only on a reward tie, so it seeds a
-    tape exactly for each node that drew; with the energy reward pinned to
-    the fresh ladder's, ties are common."""
+    """BGB and GRAB never draw from a node's policy stream, so they fill no
+    node's policy draws and hash no policy seed words; P-GRAB does draw, so
+    the check is not vacuous. U-GRAB draws only on a reward tie, so it
+    fills policy draws exactly for each node that drew; with the energy
+    reward pinned to the fresh ladder's, ties are common."""
     built = {}
     for protocol in ("BGB", "GRAB", "P-GRAB"):
         cfg = small_cfg(protocol=protocol, replications=1)
@@ -216,7 +218,8 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
         sim.run_until_idle(cfg.scenario.max_sim_time_ms)
         net.release()
         assert net.counters["forwarded_total"] > 0
-        # the seeded tapes, and whether the policy seed words were hashed
+        # the nodes holding policy draws, and whether the policy seed words
+        # were hashed
         built[protocol] = (_seeded(net, "policy"),
                            (cfg.scenario.base_seed, 0, "policy") in net.tapes)
     assert built["BGB"] == built["GRAB"] == ([], False)
@@ -352,22 +355,23 @@ def test_play_an_explicit_cell_list_shares_each_topology(monkeypatch):
 
 def test_play_seeds_each_stream_once_per_topology_group(monkeypatch):
     """Twenty cells on two replications, differing in protocol, p_f and the
-    failure side: each per-node stream is seeded once in the play, through
-    one tape made with its purpose's list from one hash of its seed words;
-    of the node-less ones, ``make_stream`` seeds the topology once per run
+    failure side: each per-node stream is seeded once in the play, by one
+    hash of its purpose's seed words, and each block of its draws is grown
+    once; of the node-less ones, ``make_stream`` seeds the topology once per run
     index and the traffic once per cell and run. Yet each cell's rows equal
     its replications run on their own, serially and in parallel."""
     cells = [(small_cfg(protocol=protocol, p_f=p_f, failure_side=side), "")
              for protocol in SWEEP_PROTOCOLS for p_f in (0.0, 0.4) for side in ("rx", "tx")]
-    seeded, hashed, made = [], [], []
-    real_stream, real_words, real_tape = engine.make_stream, engine.seed_words, engine.Tape
+    seeded, hashed, grown = [], [], []
+    real_stream, real_words, real_grow = engine.make_stream, engine.seed_words, engine.grow
     monkeypatch.setattr(engine, "make_stream",
                         lambda *key: seeded.append(key) or real_stream(*key))
     monkeypatch.setattr(engine, "seed_words",
                         lambda *args: hashed.append(args[:3]) or real_words(*args))
-    monkeypatch.setattr(engine, "Tape", lambda row: made.append(row.tobytes()) or real_tape(row))
+    monkeypatch.setattr(engine, "grow", lambda draws, row: grown.append(
+        (row.tobytes(), len(draws))) or real_grow(draws, row))
     runs, _ = play(cells)
-    for keys in (hashed, made):
+    for keys in (hashed, grown):
         assert set(Counter(keys).values()) == {1}
     seed = cells[0][0].scenario.base_seed
     assert Counter(seeded) == {(seed, run, None, "topology"): 1 for run in (0, 1)} | \
@@ -624,7 +628,7 @@ def test_shared_setup_is_freed_with_its_group(monkeypatch):
     def snapshot(net, snapshot=scenario.Network.snapshot):
         snap = snapshot(net)
         held = {type(obj) for obj in _referenced(snap)}
-        assert not held & {scenario.Network, scenario.Node, Simulator, Tape, phys.LinkTable}
+        assert not held & {scenario.Network, scenario.Node, Simulator, array, phys.LinkTable}
         snapshots.append(weakref.ref(snap))
         return snap
 
@@ -977,8 +981,9 @@ OVERLAPS = {
                     ("UP-GRAB", dict(data_start_ms=4500.0))],
     "cut": [(p, dict(data_start_ms=200.0, data_window_ms=200.0, max_sim_time_ms=400.0))
             for p in ("GRAB", "U-GRAB")],
-    # the first cell's setup ends before its own data start, not the second's
-    "second-inside-flood": [("GRAB", {}), ("U-GRAB", dict(data_start_ms=500.0))],
+    # three cells of one key: each later one retries the snapshot that came
+    # back None
+    "three-inside-flood": [(p, dict(data_start_ms=500.0)) for p in ("GRAB", "U-GRAB", "BGB")],
     # validate rejects a run that ends before its data start; play takes it
     # as given and must not play past the end to reach the data start
     "ends-before-data": [(p, dict(max_sim_time_ms=4500.0)) for p in ("P-GRAB", "UP-GRAB")],
@@ -1001,9 +1006,19 @@ def test_setup_overlapping_the_data_phase_is_not_shared(monkeypatch, setups_of, 
         else:
             validate(cfg)
         cells.append((cfg, param))
+    assert len({setup_key(cfg) for cfg, _ in cells}) == 1
     _keep_ledgers(monkeypatch)
-    alone = setups_of(cells[:1]) + setups_of(cells[1:])
+    alone = sum((setups_of([cell]) for cell in cells), Counter())
+    taken = []
+
+    def snapshot(net, real=scenario.Network.snapshot):
+        taken.append(real(net))
+        return taken[-1]
+
+    monkeypatch.setattr(scenario.Network, "snapshot", snapshot)
     assert setups_of(cells) == alone
+    # every cell but the last tried to snapshot its setup, and none could
+    assert taken == [None] * (len(cells) - 1)
     _assert_plays_as_alone(cells)
 
 
@@ -1034,11 +1049,11 @@ def test_every_deciding_node_holds_the_sinks_bounds(monkeypatch, mode):
 @pytest.mark.parametrize("protocol", ["P-GRAB", "UP-GRAB"])
 def test_cursor_lists_hold_the_simulators_cursors(protocol):
     """The network's read positions, one list per purpose beside that
-    purpose's tapes, in a run with a setup of its own and in one resumed
-    from a snapshot: no purpose is opened before its first draw or, after a
-    resume, beyond the setup's; each list holds one position per node id on
-    the tapes of its own key, a tape built its generator exactly when its
-    node read it, and a resumed network snapshots back to the snapshot it
+    purpose's rows and draws, in a run with a setup of its own and in one
+    resumed from a snapshot: no purpose is opened before its first draw or,
+    after a resume, beyond the setup's; each list holds one position per
+    node id on the draws of its own key, a node holds draws exactly when it
+    read them, and a resumed network snapshots back to the snapshot it
     resumed from."""
     cfg = small_cfg(protocol=protocol, replications=1, p_f=0.4, failure_side="rx")
     validate(cfg)
@@ -1060,11 +1075,12 @@ def test_cursor_lists_hold_the_simulators_cursors(protocol):
         net.release()
         assert net.counters["relay_failures"] > 0
         assert set(net.streams) == {"failure", "mac", "policy"}
-        for purpose, (tapes, reads) in net.streams.items():
-            assert tapes is net.tapes[cfg.scenario.base_seed, 0, purpose]
-            assert len(tapes) == len(reads) == len(net.nodes)
-            assert all(pos <= len(tape.draws) for tape, pos in zip(tapes, reads))
-            assert [tape.gen is not None for tape in tapes] == [pos > 0 for pos in reads]
+        for purpose, (seeds, draws, reads) in net.streams.items():
+            tape = net.tapes[cfg.scenario.base_seed, 0, purpose]
+            assert tape[0] is seeds and tape[1] is draws
+            assert len(seeds) == len(draws) == len(reads) == len(net.nodes)
+            assert all(pos <= len(d) for d, pos in zip(draws, reads))
+            assert [len(d) > 0 for d in draws] == [pos > 0 for pos in reads]
         # every draw went through the lists: only the purposes drawn from
         # hashed their seed words
         assert set(net.tapes) == {(cfg.scenario.base_seed, 0, p) for p in net.streams}
@@ -1074,8 +1090,9 @@ def test_cursor_lists_hold_the_simulators_cursors(protocol):
 
 def test_group_tape_dict_holds_one_tape_per_node_id_per_purpose(monkeypatch):
     """Every key of a topology group's tape dict is (seed, run, purpose),
-    holding one tape per node id; each cell of the group plays on the
-    group's dict, each on read positions of its own."""
+    holding the purpose's seed rows and one array of draws per node id;
+    each cell of the group plays on the group's dict, each on read
+    positions of its own."""
     played = []
 
     def spy(*args, **kwargs):
@@ -1093,26 +1110,32 @@ def test_group_tape_dict_holds_one_tape_per_node_id_per_purpose(monkeypatch):
         tapes = nets[0].tapes
         assert all(net.tapes is tapes for net in nets)
         assert set(tapes) == {(seed, run, p) for p in ("failure", "mac", "policy")}
-        for key, group in tapes.items():
-            assert len(group) == len(nets[0].nodes)
-            assert all(type(tape) is Tape for tape in group)
-        reads = [pos for net in nets for _, pos in net.streams.values()]
+        for rows, draws in tapes.values():
+            assert rows.shape == (len(nets[0].nodes), 4)
+            assert len(draws) == len(nets[0].nodes)
+            assert all(type(d) is array for d in draws)
+        reads = [pos for net in nets for *_, pos in net.streams.values()]
         assert len({id(pos) for pos in reads}) == len(reads)
 
 
 def test_played_tapes_hold_make_streams_draws():
-    """Every tape a played replication filled, each seeded from its row of
-    its purpose's seed words, holds its stream's draws byte for byte."""
+    """Every node's draws a played replication filled hold its stream's
+    draws byte for byte, grown from its row of its purpose's seed words,
+    which is the stream's numpy SeedSequence state."""
     cfg = small_cfg(protocol="UP-GRAB", replications=1, p_f=0.4)
     sim, net = build_network(cfg, 0)
     sim.run_until_idle(cfg.scenario.max_sim_time_ms)
     net.release()
     assert {purpose for *_, purpose in net.tapes} == {"failure", "mac", "policy"}
-    for (seed, run, purpose), tapes in net.tapes.items():
-        assert len(tapes) == len(net.nodes)
-        for node, tape in enumerate(tapes):
-            want = make_stream(seed, run, node, purpose).random(len(tape.draws))
-            assert tape.draws.tobytes() == want.tobytes()
+    # some node's failure draws were grown more than once
+    assert max(map(len, net.tapes[cfg.scenario.base_seed, 0, "failure"][1])) > engine.BLOCK
+    for (seed, run, purpose), (rows, draws) in net.tapes.items():
+        assert len(rows) == len(draws) == len(net.nodes)
+        for node, (row, d) in enumerate(zip(rows, draws)):
+            seq = np.random.SeedSequence([seed ^ run, node, STREAM_PURPOSES[purpose]])
+            assert row.tobytes() == seq.generate_state(4, np.uint64).tobytes()
+            want = make_stream(seed, run, node, purpose).random(len(d))
+            assert d.tobytes() == want.tobytes()
 
 
 def _reference_receive_data(net, tr, verdicts):
