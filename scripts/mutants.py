@@ -98,6 +98,10 @@ MUTANTS = [
      "            for a in range(0, len(flat) - 1, _LIMIT_PAIRS):\n",
      ["tests/test_phys.py::"
       "test_the_limit_pass_block_size_leaves_every_default_reception_as_it_is"]),
+    ("multiprocessing back among the module imports", SCENARIO,
+     "import math\nfrom array import array\n",
+     "import math\nimport multiprocessing\nfrom array import array\n",
+     ["tests/test_scenario.py::test_only_a_pooled_play_imports_multiprocessing"]),
 ]
 
 # left out of each copy: version control, caches and run outputs

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 from array import array
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
@@ -692,8 +691,11 @@ def play(cells: list[tuple[SimConfig, str]], *, jobs: int = 1):
     aggregates), runs in cell order and each cell's runs by index. Cells
     that share a replication's topology (``_topology_key``) share its sample
     and link table, and ``jobs`` > 1 maps those groups over a process pool;
-    the results do not depend on ``jobs``. Within a group, the cells of one
-    setup key (``shared_setup.setup_key``) play its setup phase once."""
+    the results do not depend on ``jobs``. The pool, and the
+    ``multiprocessing`` import with it, load only when ``jobs`` > 1 and the
+    play has at least two topology groups; any other play runs the groups in
+    this process. Within a group, the cells of one setup key
+    (``shared_setup.setup_key``) play its setup phase once."""
     tasks = [(cfg_i, i, param) for cfg_i, param in cells
              for i in range(cfg_i.scenario.replications)]
     groups: dict[tuple, list[int]] = {}
@@ -701,6 +703,8 @@ def play(cells: list[tuple[SimConfig, str]], *, jobs: int = 1):
         groups.setdefault(_topology_key(cfg_i, i), []).append(k)
     work = [[tasks[k] for k in members] for members in groups.values()]
     if jobs > 1 and len(work) > 1:
+        # imported here, so a serial play never loads it: 0.3-0.5 MB of a desk run's peak RSS
+        import multiprocessing
         with multiprocessing.Pool(min(jobs, len(work))) as pool:
             played = pool.map(_run_group, work)
     else:

@@ -1,12 +1,16 @@
 import copy
 import dataclasses
 import gc
+import json
 import math
 import statistics
+import subprocess
+import sys
 import types
 import weakref
 from array import array
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +444,43 @@ def test_parallel_jobs_match_serial_results():
     serial = [run_row(m) for m in sweep(cfg, {}, jobs=1)[0]]
     parallel = [run_row(m) for m in sweep(cfg, {}, jobs=2)[0]]
     assert serial == parallel
+
+
+def test_only_a_pooled_play_imports_multiprocessing():
+    """A fresh interpreter imports every module of this package and plays
+    serially: ``multiprocessing`` stays unloaded, also at ``jobs=2`` when
+    the play forms one topology group. A ``jobs=2`` play of two groups starts
+    the pool, and its rows equal the serial play's."""
+    script = ("import importlib, json, pkgutil, sys\n"
+              f"sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / 'src')!r})\n"
+              "import gradcast\n"
+              "for m in pkgutil.iter_modules(gradcast.__path__):\n"
+              "    importlib.import_module('gradcast.' + m.name)\n"
+              "from gradcast.config import default_config\n"
+              "from gradcast.metrics import run_row\n"
+              "from gradcast.scenario import sweep\n"
+              "cfg = default_config()\n"
+              "sc = cfg.scenario\n"
+              "sc.node_count, sc.area_width_m, sc.area_height_m = 30, 120.0, 120.0\n"
+              "axes = {'scenario.protocol': ['GRAB', 'P-GRAB']}\n"
+              "out = {'cli': 'gradcast.cli' in sys.modules}\n"
+              "sc.replications = 2\n"
+              "out['serial'] = [run_row(m) for m in sweep(cfg, axes, jobs=1)[0]]\n"
+              "out['after_serial'] = 'multiprocessing' in sys.modules\n"
+              "sc.replications = 1\n"
+              "out['one_group'] = len(sweep(cfg, axes, jobs=2)[0])\n"
+              "out['after_one_group'] = 'multiprocessing' in sys.modules\n"
+              "sc.replications = 2\n"
+              "out['pooled'] = [run_row(m) for m in sweep(cfg, axes, jobs=2)[0]]\n"
+              "out['after_pooled'] = 'multiprocessing' in sys.modules\n"
+              "print(json.dumps(out))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["cli"] and out["one_group"] == 2 and len(out["serial"]) == 4
+    assert not out["after_serial"] and not out["after_one_group"]
+    assert out["after_pooled"] and out["pooled"] == out["serial"]
 
 
 def test_no_node_forwards_the_same_message_twice():
