@@ -25,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = "src/gradcast/scenario.py"
+PHYS = "src/gradcast/phys.py"
 SETUP_LOOP = "tests/test_scenario.py::test_flat_setup_loop_equals_its_helpers"
 
 MUTANTS = [
@@ -65,8 +66,10 @@ MUTANTS = [
     ("grow restarting each block at the stream's first draw", "src/gradcast/engine.py",
      "    bits.advance(len(draws))\n",
      "",
-     ["tests/test_engine.py::test_tape_blocks_are_make_streams_draws",
-      "tests/test_engine.py::test_cells_sharing_tapes_replay_one_seeding"]),
+     # the fast replay first: under -x it stops there, before hypothesis
+     # shrinks the slower test's failing example
+     ["tests/test_engine.py::test_cells_sharing_tapes_replay_one_seeding",
+      "tests/test_engine.py::test_tape_blocks_are_make_streams_draws"]),
     ("_topology_key dropping area_height_m", SCENARIO,
      "sc.area_width_m, sc.area_height_m,\n",
      "sc.area_width_m,\n",
@@ -93,11 +96,28 @@ MUTANTS = [
      "ladder_reward(node.ugrab.steps, params.ladder_scale, params.ladder_ratio)",
      "ladder_reward(node.ugrab.steps, 0.75, params.ladder_ratio)",
      ["tests/test_policies.py::test_the_ladder_reads_the_policy"]),
-    ("the limit pass skipping the last pair's block", "src/gradcast/phys.py",
+    ("the limit pass skipping the last pair's block", PHYS,
      "            for a in range(0, len(flat), _LIMIT_PAIRS):\n",
      "            for a in range(0, len(flat) - 1, _LIMIT_PAIRS):\n",
      ["tests/test_phys.py::"
       "test_the_limit_pass_block_size_leaves_every_default_reception_as_it_is"]),
+    ("the link table skipping the near-pair clamp", PHYS,
+     "        if (np.maximum(abs(dx), abs(dy)) < 2.0 * d_min).any():\n"
+     "            d = np.maximum(np.fromiter(d, float, len(dx)), d_min).data\n",
+     "",
+     # the fixed coincident and close pairs first, as for grow above
+     ["tests/test_phys.py::test_link_table_entries_equal_scalar_formulas",
+      "tests/test_phys.py::test_link_table_is_the_scalar_formulas_bit_for_bit"]),
+    ("the link table's audibility over the whole matrix", PHYS,
+     "        np.greater(p0 - pl[a:b], params.sensitivity_dbm, out=audible[a:b])\n"
+     "    np.fill_diagonal(audible, False)\n",
+     "    audible = p0 - pl > params.sensitivity_dbm\n"
+     "    np.fill_diagonal(audible, False)\n",
+     ["tests/test_phys.py::test_link_table_makes_no_n_by_n_temporary"]),
+    ("traffic with its x and y columns swapped", SCENARIO,
+     "for x, y, t in block.tolist()]",
+     "for y, x, t in block.tolist()]",
+     ["tests/test_scenario.py::test_traffic_is_the_scalar_draws_bit_for_bit"]),
     ("multiprocessing back among the module imports", SCENARIO,
      "import math\nfrom array import array\n",
      "import math\nimport multiprocessing\nfrom array import array\n",

@@ -293,21 +293,23 @@ class LinkTable:
 
 
 def _pow10(exps: np.ndarray) -> np.ndarray:
-    """``10.0 ** x`` per entry through ``math.pow``, the same libm call."""
-    return np.fromiter(map(math.pow, repeat(10.0), exps.tolist()), float, len(exps))
+    """``10.0 ** x`` per entry of the contiguous ``exps`` through
+    ``math.pow``, the same libm call, read through a ``memoryview``."""
+    return np.fromiter(map(math.pow, repeat(10.0), memoryview(exps)), float, len(exps))
 
 
 # (sender, hearer) pairs per block of the default-power limit pass: a desk
 # topology's ~7,000 pairs in one block raised the peak memory by ~0.5 MB
 _LIMIT_PAIRS = 1024
 
-# rows of the i <= j half filled per pass of link_table: the pass's
+# rows of the j > i half filled per pass of link_table: the pass's
 # temporaries stay a few rows long beside the two n x n arrays
 _BLOCK_ROWS = 16
 
 
 def link_table(points: list, params: RadioParams) -> LinkTable:
-    """Fill the i <= j half in blocks of rows, mirror it, and list each
+    """Fill the j > i half in blocks of rows, mirror it, write the diagonal
+    (every node's clamped distance to itself, one constant), and list each
     node's neighbors at ``params``' power and sensitivity. The bank starts
     with the default-power rows alone written.
 
@@ -315,24 +317,36 @@ def link_table(points: list, params: RadioParams) -> LinkTable:
     pair. numpy does the steps IEEE rounds as Python floats do: the
     coordinate differences, the ``d_min_m`` clamp, ``* scale``,
     ``p0 - v`` and ``/ 10.0``. Only ``math.hypot``, ``math.log10`` and
-    ``math.pow`` run per pair, mapped over the block's values."""
+    ``math.pow`` run per pair, as chained ``map``s over ``memoryview``s of
+    the block's arrays. The computed hypot is never a full ulp below
+    ``max(|dx|, |dy|)``, so the clamp can only bite in a block holding a
+    pair under ``2 * d_min_m`` apart on both axes; only such a block goes
+    through it."""
     n = len(points)
     scale = 10.0 * params.alpha_exp
     p0 = params.tx_power_dbm
+    d_min = params.d_min_m
     xs, ys = np.array(points, dtype=float).reshape(n, 2).T
     pl = np.empty((n, n))
     bank = np.empty((6 * n, n))   # room for 3n rows and their negations
     mw = bank[:n]
+    to_self = scale * math.log10(d_min)   # a node's distance to itself, 0, clamps
+    np.fill_diagonal(pl, to_self)
+    np.fill_diagonal(mw, math.pow(10.0, (p0 - to_self) / 10.0))
     audible = np.empty((n, n), dtype=bool)
     for a in range(0, n, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, n)
-        upper = np.arange(a, n) >= np.arange(a, b)[:, None]   # j >= i
+        upper = np.arange(a, n) > np.arange(a, b)[:, None]   # j > i
         dx = (xs[a:b, None] - xs[a:])[upper]
         dy = (ys[a:b, None] - ys[a:])[upper]
-        d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
-        d = np.maximum(d, params.d_min_m)
-        v = scale * np.fromiter(map(math.log10, d.tolist()), float, len(d))
-        for table, half in ((pl, v), (mw, _pow10((p0 - v) / 10.0))):
+        d = map(math.hypot, memoryview(dx), memoryview(dy))
+        if (np.maximum(abs(dx), abs(dy)) < 2.0 * d_min).any():
+            d = np.maximum(np.fromiter(d, float, len(dx)), d_min).data
+        v = np.fromiter(map(math.log10, d), float, len(dx))
+        v *= scale
+        e = p0 - v
+        e /= 10.0
+        for table, half in ((pl, v), (mw, _pow10(e))):
             table[a:b, a:][upper] = half
             table[a:, a:b].T[upper] = half
         # rows [a, b) are complete: every earlier block mirrored its columns

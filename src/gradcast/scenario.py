@@ -64,7 +64,7 @@ def generate_topology(cfg: SimConfig, rng) -> tuple[list, tuple[float, float],
     for _ in range(1000):
         xs = rng.uniform(0.0, w, sc.node_count)
         ys = rng.uniform(0.0, h, sc.node_count)
-        positions = [(float(x), float(y)) for x, y in zip(xs, ys)]
+        positions = list(zip(xs.tolist(), ys.tolist()))
         links = phys.link_table(positions + [sink_pos], cfg.phys)
         if not sc.require_connected or all(_reaches(links.neighbors, sc.node_count)):
             return positions, sink_pos, links
@@ -100,18 +100,16 @@ def _reaches(nbrs: list[list[int]], root: int) -> list[bool]:
 def generate_traffic(cfg: SimConfig, rng) -> list[TrafficEvent]:
     """Randomly positioned sensing events, one message each; the total is
     uniform on event_count +/- event_spread, triggers uniform over the data
-    window."""
+    window. One ``(total, 3)`` block of doubles after the total scales to
+    each event's x, y and trigger offset: ``uniform(0, w)`` is ``0.0 + w * u``
+    of the same doubles in the same order, so these are its values, drawn
+    without a call per event."""
     sc = cfg.scenario
     lo = max(0, sc.event_count - sc.event_spread)
     hi = sc.event_count + sc.event_spread
     total = int(rng.integers(lo, hi + 1))
-    events = []
-    for _ in range(total):
-        x = float(rng.uniform(0.0, sc.area_width_m))
-        y = float(rng.uniform(0.0, sc.area_height_m))
-        t = sc.data_start_ms + float(rng.uniform(0.0, sc.data_window_ms))
-        events.append(TrafficEvent((x, y), t))
-    return events
+    block = rng.random((total, 3)) * [sc.area_width_m, sc.area_height_m, sc.data_window_ms]
+    return [TrafficEvent((x, y), sc.data_start_ms + t) for x, y, t in block.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -263,6 +264,27 @@ def test_link_table_is_the_scalar_formulas_bit_for_bit(case):
                 params.tx_power_dbm, d, params.alpha_exp, params.d_min_m) / 10.0)
         assert links.neighbors[i] == [j for j, b in enumerate(points)
                                       if j != i and is_neighbor(a, b, params)]
+
+
+def test_link_table_makes_no_n_by_n_temporary():
+    # numpy reports its buffers to tracemalloc: what the build allocated
+    # and freed again (its peak above what the table keeps) must stay below
+    # one n x n float64 array, so no step works on the whole matrix at once
+    cfg = default_config()
+    positions, sink, _ = generate_topology(
+        cfg, make_stream(cfg.scenario.base_seed, 0, None, "topology"))
+    points = positions + [sink]
+    n = len(points)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        links = link_table(points, cfg.phys)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - before >= links.pathloss_db.nbytes + links.bank.nbytes
+    assert peak - kept < n * n * 8
 
 
 ARENA_61 = [(float(x), float(y))

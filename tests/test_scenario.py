@@ -91,6 +91,44 @@ def test_traffic_totals_and_window():
         [ (e.pos, e.trigger_ms) for e in generate_traffic(cfg, make_stream(1, 0, None, "traffic")) ]
 
 
+def _scalar_traffic(cfg, rng) -> list:
+    """generate_traffic's reference: the total, then per event its own
+    ``uniform`` calls for x, y and the trigger offset."""
+    sc = cfg.scenario
+    total = int(rng.integers(max(0, sc.event_count - sc.event_spread),
+                             sc.event_count + sc.event_spread + 1))
+    events = []
+    for _ in range(total):
+        x = float(rng.uniform(0.0, sc.area_width_m))
+        y = float(rng.uniform(0.0, sc.area_height_m))
+        t = sc.data_start_ms + float(rng.uniform(0.0, sc.data_window_ms))
+        events.append(((x, y), t))
+    return events
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), run=st.integers(0, 1000),
+       count=st.integers(0, 4), spread=st.integers(0, 2),
+       width=st.floats(1.0, 1e4), height=st.floats(1.0, 1e4),
+       start=st.sampled_from([0.0, 2000.0, 12345.6]), window=st.floats(1.0, 1e5))
+@example(seed=0, run=0, count=0, spread=0, width=250.0, height=250.0, start=0.0,
+         window=1.0)   # no event
+@example(seed=0, run=0, count=1, spread=0, width=250.0, height=90.0, start=2000.0,
+         window=15000.0)   # exactly one
+def test_traffic_is_the_scalar_draws_bit_for_bit(seed, run, count, spread, width, height,
+                                                 start, window):
+    cfg = default_config()
+    sc = cfg.scenario
+    sc.event_count, sc.event_spread = count, spread
+    sc.area_width_m, sc.area_height_m = width, height
+    sc.data_start_ms, sc.data_window_ms = start, window
+    events = generate_traffic(cfg, make_stream(seed, run, None, "traffic"))
+    expected = _scalar_traffic(cfg, make_stream(seed, run, None, "traffic"))
+    assert [(e.pos, e.trigger_ms) for e in events] == expected
+    for e in events:
+        assert [type(v) for v in (*e.pos, e.trigger_ms)] == [float] * 3
+
+
 def test_event_on_a_node_picks_that_node_as_source():
     cfg, positions, sink = line_cfg(3, spacing_m=40.0)
     traffic = [TrafficEvent(positions[1], cfg.scenario.data_start_ms + 1.0)]
