@@ -55,9 +55,17 @@ MUTANTS = [
     ("setup loop dropping the ledger append", SCENARIO,
      "            if log is not None:\n"
      "                log.append((rx_id, drawn))\n"
-     "            rx_power = txp - pl\n",
-     "            rx_power = txp - pl\n",
+     "            rx.neighbor_pathloss[sender] = link\n",
+     "            rx.neighbor_pathloss[sender] = link\n",
      [SETUP_LOOP]),
+    ("handle_ncnt keying the counts by the receiver", "src/gradcast/costfield.py",
+     "    node.neighbor_counts[sender] = pkt.count\n",
+     "    node.neighbor_counts[node.id] = pkt.count\n",
+     ["tests/test_golden.py::test_dump_topology_matches_golden_bytes[P-GRAB]"]),
+    ("data receptions debited at an advertisement's joules", SCENARIO,
+     "        joules = self._rx_joules[\"data\"]\n",
+     "        joules = self._rx_joules[\"adv\"]\n",
+     ["tests/test_golden.py::test_energy_ledger_order_matches_golden_bytes"]),
     ("a position list shared between replications", SCENARIO,
      "        stream = self.streams[purpose] = tape + ([0] * n,)\n",
      "        stream = self.streams[purpose] = tape + (\n"
@@ -97,10 +105,16 @@ MUTANTS = [
      "ladder_reward(node.ugrab.steps, 0.75, params.ladder_ratio)",
      ["tests/test_policies.py::test_the_ladder_reads_the_policy"]),
     ("the limit pass skipping the last pair's block", PHYS,
-     "            for a in range(0, len(flat), _LIMIT_PAIRS):\n",
-     "            for a in range(0, len(flat) - 1, _LIMIT_PAIRS):\n",
+     "        for a in range(0, len(flat), _LIMIT_PAIRS):\n",
+     "        for a in range(0, len(flat) - 1, _LIMIT_PAIRS):\n",
      ["tests/test_phys.py::"
       "test_the_limit_pass_block_size_leaves_every_default_reception_as_it_is"]),
+    # at 0 dBm p - (p - pathloss) is the pathloss itself: only a test at
+    # another default power tells the two apart
+    ("the link table keeping the bare pathloss as the cost", PHYS,
+     "        costs = link_cost(p, p - self.pathloss_db[senders, flat])\n",
+     "        costs = self.pathloss_db[senders, flat]\n",
+     ["tests/test_phys.py::test_reception_costs_are_link_cost_bit_for_bit"]),
     ("the link table skipping the near-pair clamp", PHYS,
      "        if (np.maximum(abs(dx), abs(dy)) < 2.0 * d_min).any():\n"
      "            d = np.maximum(np.fromiter(d, float, len(dx)), d_min).data\n",

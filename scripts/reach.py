@@ -44,7 +44,9 @@ ALLOWED = {
 
 ARENA = ["--config", str(ROOT / "configs" / "desk.cfg"),
          "--set", "scenario.node_count=30", "--set", "scenario.area_width_m=120",
-         "--set", "scenario.area_height_m=120", "--seeds", "2", "--jobs", "1"]
+         "--set", "scenario.area_height_m=120"]
+# the flags of the commands that play every replication of a cell
+RUNS = ["--seeds", "2", "--jobs", "1"]
 PROTOCOLS = "BGB,GRAB,P-GRAB,U-GRAB,UP-GRAB"
 
 
@@ -53,20 +55,20 @@ def commands(out: str) -> list[list[str]]:
     def s(*pairs):
         return [a for p in pairs for a in ("--set", p)]
     return [
-        ["run", *ARENA, "--out", f"{out}/run"],
-        ["run", *ARENA, *s("metrics.energy_audit=True"), "--out", f"{out}/audit"],
-        ["run", *ARENA, *s("scenario.failure_side=tx", "scenario.p_f=0.4"),
+        ["run", *ARENA, *RUNS, "--out", f"{out}/run"],
+        ["run", *ARENA, *RUNS, *s("metrics.energy_audit=True"), "--out", f"{out}/audit"],
+        ["run", *ARENA, *RUNS, *s("scenario.failure_side=tx", "scenario.p_f=0.4"),
          "--out", f"{out}/tx"],
-        ["run", *ARENA, *s("scenario.protocol=UP-GRAB", "scenario.p_f=0.4"),
+        ["run", *ARENA, *RUNS, *s("scenario.protocol=UP-GRAB", "scenario.p_f=0.4"),
          "--out", f"{out}/up"],
         ["report", f"{out}/run/aggregate.csv", "--out", f"{out}/report"],
         ["dump-topology", *ARENA, *s("scenario.protocol=P-GRAB"), "--out", f"{out}/topo"],
         ["dump-trace", *ARENA, *s("scenario.protocol=U-GRAB", "policies.stall_check_factor=2"),
          "--out", f"{out}/trace"],
-        ["sweep", *ARENA, "--axis", f"scenario.protocol={PROTOCOLS}",
+        ["sweep", *ARENA, *RUNS, "--axis", f"scenario.protocol={PROTOCOLS}",
          "--axis", "scenario.p_f=0,0.4,0.8", "--out", f"{out}/sweep-protocols"],
-        ["sweep", *ARENA, *s("scenario.protocol=GRAB", "scenario.p_f=0.4",
-                             "scenario.require_connected=True", "metrics.include_sink=True"),
+        ["sweep", *ARENA, *RUNS, *s("scenario.protocol=GRAB", "scenario.p_f=0.4",
+                                    "scenario.require_connected=True", "metrics.include_sink=True"),
          "--axis", "policies.credit_factor=1,10", "--axis", "scenario.sink_placement=center",
          "--axis", "costfield.bounds_mode=computed,fixed", "--out", f"{out}/sweep-grab"],
     ]

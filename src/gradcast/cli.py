@@ -24,6 +24,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
     p.add_argument("--out", default="out", help="output directory")
+
+
+def _add_replications(p: argparse.ArgumentParser) -> None:
+    # run and sweep alone: a dump plays one replication in this process
     p.add_argument("--seeds", type=int, help="override scenario.replications")
     p.add_argument("--jobs", type=int, default=1, help="parallel replications")
 
@@ -35,10 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one configuration cell")
     _add_common(run)
+    _add_replications(run)
     run.set_defaults(axis=[])   # a sweep with no axes
 
     sw = sub.add_parser("sweep", help="run the cross product of override axes")
     _add_common(sw)
+    _add_replications(sw)
     sw.add_argument("--axis", action="append", default=[], metavar="KEY=V1,V2,...",
                     help="sweep axis (repeatable)", required=True)
 
@@ -59,17 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> "SimConfig":
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     if getattr(args, "run_index", 0) < 0:
         raise ConfigError("--run-index must be >= 0")
     cfg = load_config(args.config) if args.config else default_config()
-    cfg = apply_overrides(cfg, args.set)
-    if args.seeds is not None:
-        if args.seeds < 1:
-            raise ConfigError("--seeds must be >= 1")
-        cfg.scenario.replications = args.seeds
-    return cfg
+    return apply_overrides(cfg, args.set)
 
 
 def _trace_row(ev) -> list[str]:
@@ -97,7 +96,13 @@ def _cmd_sweep(args) -> int:
     """Play the cross product of the ``--axis`` values (one cell for
     ``run``, which has none), write runs.csv and aggregate.csv under
     ``--out`` and print the cells."""
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     cfg = _load(args)
+    if args.seeds is not None:
+        if args.seeds < 1:
+            raise ConfigError("--seeds must be >= 1")
+        cfg.scenario.replications = args.seeds
     axes = []
     for spec in args.axis:
         if "=" not in spec:
@@ -177,7 +182,6 @@ def _cmd_dump_topology(args) -> int:
 
 def _cmd_dump_trace(args) -> int:
     cfg = _load(args)
-    cfg.scenario.replications = 1
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "trace.csv"), "w", newline="", encoding="utf-8") as tfh, \
          open(os.path.join(args.out, "decisions.csv"), "w", newline="", encoding="utf-8") as dfh:

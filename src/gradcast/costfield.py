@@ -1,8 +1,8 @@
 """Sink-rooted cost field: advertisement flooding, neighbor counts, discrepancy.
 
 Every node ends up with Q = minimum cumulative link cost to the sink, built by
-one flood of ADV packets. The link cost is the pathloss in dB, computed at the
-receiver from the advertised transmit power and the measured received power.
+one flood of ADV packets. The link cost is the pathloss in dB: a receiver's
+transmit minus received power, which the link table computes per hearer.
 Each node broadcasts exactly one ADV: a backoff proportional to its cost lets
 cheaper nodes speak first, and the one-shot flag suppresses any repeat even if
 the cost improves later.
@@ -40,30 +40,30 @@ class CostState:
 @dataclass
 class AdvPacket:
     kind: ClassVar[str] = "adv"
-    sender: int
     q_p: float                        # sender's cost when the packet hit the air
-    tx_power_dbm: float
     bounds: tuple[float, float] | None = None
 
 
 @dataclass
 class NeighborCountPacket:
     kind: ClassVar[str] = "ncnt"
-    sender: int
     count: int
 
 
 def link_cost(tx_power_dbm: float, rx_power_dbm: float) -> float:
     """Energy-related link cost: transmit minus received power, i.e. the
     pathloss in dB. Negative below one metre; cost updates stay monotone.
-    ``Network._receive_data`` and ``Network._receive_setup`` inline it;
-    keep the three in step."""
+    ``phys.LinkTable`` applies it once per (sender, power) to each hearer,
+    elementwise over numpy arrays, whose subtraction rounds as Python's;
+    the receive loops and ``handle_adv`` read the table's costs."""
     return tx_power_dbm - rx_power_dbm
 
 
-def handle_adv(net, node, adv: AdvPacket, rx_power_dbm: float) -> None:
+def handle_adv(net, node, adv: AdvPacket, link: float) -> None:
     """Cost update rule: adopt q_p + L when it beats the current cost, and
-    (re)arm the one-shot advertisement backoff.
+    (re)arm the one-shot advertisement backoff. ``link`` is L, the hearer's
+    ``link_cost`` of the advertisement's transmit and received power, as
+    the link table keeps it (``phys.Reception.costs``).
 
     The backoff fires at flood_epoch + beta * cost, anchored to the moment the
     sink started the flood. Anchoring makes nodes speak in cost order (cheaper
@@ -73,7 +73,7 @@ def handle_adv(net, node, adv: AdvPacket, rx_power_dbm: float) -> None:
     st = node.cost
     if adv.bounds is not None and st.bounds is None:
         st.bounds = adv.bounds
-    cost = adv.q_p + link_cost(adv.tx_power_dbm, rx_power_dbm)
+    cost = adv.q_p + link
     if cost < st.q:
         st.q = cost
         if not node.is_sink and not st.adv_sent:
@@ -83,8 +83,8 @@ def handle_adv(net, node, adv: AdvPacket, rx_power_dbm: float) -> None:
                              ("adv", st.adv_timer_gen))
 
 
-def handle_ncnt(net, node, pkt: NeighborCountPacket) -> None:
-    node.neighbor_counts[pkt.sender] = pkt.count
+def handle_ncnt(net, node, pkt: NeighborCountPacket, sender: int) -> None:
+    node.neighbor_counts[sender] = pkt.count
 
 
 def neighborhood_discrepancy(own_count: int, received_counts: Collection[int]) -> float:

@@ -9,16 +9,16 @@ also gives a node's own transmissions an effectively infinite self-interference
 
 A replication's geometry never changes, so ``link_table`` computes every
 pair's pathloss and default-power received mW and the neighbor lists once.
-The table keeps one ``Reception`` per (sender, power): its received-mW row
-and what decoding it needs besides its interferers. A transmission carries
-its reception, and ``decode_batch`` decodes it for all its hearers from
-that, doing per call only the work that depends on the interferers. These
-come from the network's channel mark log (see ``decode_batch``): a start or
-end mark per transmission, in event order, read from a window's start to
-its end; a start at the window's start played after it joins the clamped
-group, an end there is dropped, and so is every mark at its end. The
-scalar ``decode`` is the reference the batched path must equal bit for bit,
-and two facts make it exact:
+The table keeps one ``Reception`` per (sender, power): its received-mW row,
+its hearers' link costs and what decoding it needs besides its interferers.
+A transmission carries its reception, and ``decode_batch`` decodes it for
+all its hearers from that, doing per call only the work that depends on the
+interferers. These come from the network's channel mark log (see
+``decode_batch``): a start or end mark per transmission, in event order,
+read from a window's start to its end; a start at the window's start played
+after it joins the clamped group, an end there is dropped, and so is every
+mark at its end. The scalar ``decode`` is the reference the batched path
+must equal bit for bit, and two facts make it exact:
 
 * The monotone limit. ``decode`` tests ``signal / (noise + peak) >=
   threshold``. The add and the divide each round monotonically, so the
@@ -45,6 +45,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .costfield import link_cost
+
 
 @dataclass
 class RadioParams:
@@ -58,7 +60,6 @@ class RadioParams:
     adv_bytes: int = 16
     ncnt_bytes: int = 12
     data_bytes: int = 36
-    perfect_decode: bool = False     # test hook: sensitivity-only reception
 
     def airtime_ms(self, n_bytes: int) -> float:
         return n_bytes * 8 / self.bitrate_bps * 1000.0
@@ -90,13 +91,14 @@ def is_neighbor(pos_i: tuple[float, float], pos_j: tuple[float, float],
 
 @dataclass
 class Transmission:
+    """One packet on the air. Its sender and power are the transmission's
+    alone: a packet holds only what a receiver cannot read from here."""
     sender: int
     tx_power_dbm: float
     start: float
     end: float               # start + airtime
     packet: object
     reception: Reception | None = None   # LinkTable.reception(sender, tx_power_dbm)
-    n_bytes: int = 0         # the packet's size, which sets airtime and energy
     first: int = 0           # the channel log's length just after its start mark
     group: list = field(default_factory=list)   # its clamped group's bank rows
 
@@ -168,12 +170,13 @@ def sinr_limits(signal: np.ndarray, noise_mw: float,
 
 class Reception(NamedTuple):
     """Everything the table keeps for one (sender, power): its bank row, its
-    hearers, and what decoding needs besides the interferers, at the default
-    power each hearer's limit, at another power its signal."""
+    hearers, each hearer's link cost, and what decoding needs besides the
+    interferers, at the default power each hearer's limit, at another power
+    its signal."""
     row: int                   # LinkTable.bank[row]: the received mW at every node id
     ids: np.ndarray            # hearers: ascending, read-only intp
     hearers: list              # ids as a list: at the default power, neighbors[sender]
-    losses: array              # per hearer, the pathloss in dB
+    costs: array               # per hearer, link_cost(p, p - pathloss) at the power p
     lim: np.ndarray | None     # per hearer, the largest peak it decodes under, or -1.0
     signal: np.ndarray | None  # per hearer, the received mW
     clean: tuple               # per hearer, whether it decodes with no interferer
@@ -204,7 +207,6 @@ class LinkTable:
     sensitivity_dbm: float
     noise_mw: float
     threshold: float          # the SINR threshold, linear
-    perfect_decode: bool      # every hearer decodes: each limit is inf
     # per node, the ids receiving it at the default power strictly above
     # sensitivity, ascending, self excluded (``is_neighbor`` for every pair)
     neighbors: list[list[int]]
@@ -247,8 +249,9 @@ class LinkTable:
                 ids = np.flatnonzero(audible)
                 ids.flags.writeable = False
                 signal = self.bank[r].take(ids)
+                costs = link_cost(tx_power_dbm, received.take(ids))
                 self.receptions[sender, tx_power_dbm] = Reception(
-                    r, ids, ids.tolist(), array("d", self.pathloss_db[sender].take(ids).tobytes()),
+                    r, ids, ids.tolist(), array("d", costs.tobytes()),
                     None, signal, tuple(self.decodes(signal).tolist()))
             rec = self.receptions[sender, tx_power_dbm]
         return rec
@@ -262,13 +265,13 @@ class LinkTable:
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 sinr = signal / (self.noise_mw + peak)
-        return self.perfect_decode | (sinr >= self.threshold)
+        return sinr >= self.threshold
 
     def _receive_default(self) -> None:
         """Build and keep every sender's default-power reception, and write
-        the default rows' negations, with one limit pass over every (sender,
-        hearer) pair in blocks of ``_LIMIT_PAIRS``: blocks keep the search's
-        temporaries small."""
+        the default rows' negations: the limits in one pass over every
+        (sender, hearer) pair in blocks of ``_LIMIT_PAIRS``, which keep the
+        search's temporaries small, and the link costs in one array pass."""
         nbrs = self.neighbors
         np.negative(self.bank[:len(nbrs)], out=self.bank[::-1][:len(nbrs)])
         counts = [len(row) for row in nbrs]
@@ -276,19 +279,19 @@ class LinkTable:
         flat.flags.writeable = False
         senders = np.repeat(np.arange(len(nbrs)), counts)
         lim = np.full(len(flat), np.inf)
-        if not self.perfect_decode:
-            for a in range(0, len(flat), _LIMIT_PAIRS):
-                b = a + _LIMIT_PAIRS
-                lim[a:b], _ = sinr_limits(self.bank[senders[a:b], flat[a:b]], self.noise_mw,
-                                          self.threshold)
+        for a in range(0, len(flat), _LIMIT_PAIRS):
+            b = a + _LIMIT_PAIRS
+            lim[a:b], _ = sinr_limits(self.bank[senders[a:b], flat[a:b]], self.noise_mw,
+                                      self.threshold)
         lim.flags.writeable = False
         ok = (lim >= 0.0).tolist()
-        losses = self.pathloss_db[senders, flat]
+        p = self.tx_power_dbm
+        costs = link_cost(p, p - self.pathloss_db[senders, flat])
         b = 0
         for sender, count in enumerate(counts):
             a, b = b, b + count
-            self.receptions[sender, self.tx_power_dbm] = Reception(
-                sender, flat[a:b], nbrs[sender], array("d", losses[a:b].tobytes()),
+            self.receptions[sender, p] = Reception(
+                sender, flat[a:b], nbrs[sender], array("d", costs[a:b].tobytes()),
                 lim[a:b], None, tuple(ok[a:b]))
 
 
@@ -356,8 +359,7 @@ def link_table(points: list, params: RadioParams) -> LinkTable:
     neighbors = [list(islice(ids, k)) for k in np.count_nonzero(audible, axis=1).tolist()]
     return LinkTable(pl, bank, p0, params.sensitivity_dbm,
                      10.0 ** (params.noise_floor_dbm / 10.0),
-                     10.0 ** (params.sinr_threshold_db / 10.0), params.perfect_decode,
-                     neighbors, n)
+                     10.0 ** (params.sinr_threshold_db / 10.0), neighbors, n)
 
 
 def decode(rx_pos: tuple[float, float], wanted: Transmission,
@@ -376,8 +378,6 @@ def decode(rx_pos: tuple[float, float], wanted: Transmission,
                             params.alpha_exp, params.d_min_m)
     if pr <= params.sensitivity_dbm:
         return False
-    if params.perfect_decode:
-        return True
 
     marks: list[tuple[float, float]] = []
     for other in concurrent:

@@ -87,8 +87,7 @@ class UGrabState:
 class DataPacket:
     kind: ClassVar[str] = "data"
     msg_id: tuple[int, int]    # (source id, injection sequence)
-    q_p: float                 # cost of the most recent forwarder
-    tx_power_dbm: float
+    q_p: float                 # cost of the most recent forwarder, frozen at its start
     budget: float = math.inf   # credit policy: total allowed cumulative cost
     consumed: float = 0.0      # credit policy: cost spent so far
 

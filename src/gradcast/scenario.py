@@ -150,13 +150,13 @@ class Network:
         # ``random``) or by ``resume``
         self.streams: dict[str, tuple[np.ndarray, list[array], list[int]]] = {}
         # read once, so a config must not change under a built network: per
-        # packet kind its byte count and airtime, per byte count the joules
-        # of one reception, and each side's failure-lottery switch
+        # packet kind its byte count, its airtime and the joules of one
+        # reception, and each side's failure-lottery switch
         r, sc = cfg.phys, cfg.scenario
         self._sizes = {kind: (n, r.airtime_ms(n)) for kind, n in
                        (("adv", r.adv_bytes), ("ncnt", r.ncnt_bytes), ("data", r.data_bytes))}
-        self._rx_joules = {n: policies.rx_joules(n, cfg.policies, r)
-                           for n, _ in self._sizes.values()}
+        self._rx_joules = {kind: policies.rx_joules(n, cfg.policies, r)
+                           for kind, (n, _) in self._sizes.items()}
         self._rx_lottery, self._tx_lottery = (sc.p_f > 0.0 and sc.failure_side == side
                                               for side in ("rx", "tx"))
         # the class's functions, read when the network is made: a handler
@@ -246,8 +246,7 @@ class Network:
         sink = self.nodes[self.sink_id]
         if self.proto.counts:
             sink.cost.bounds = self._discrepancy_bounds()
-        mac.transmit(self, sink, AdvPacket(sink.id, 0.0, self.radio.tx_power_dbm,
-                                           sink.cost.bounds))
+        mac.transmit(self, sink, AdvPacket(0.0, sink.cost.bounds))
         if self.proto.counts:
             cf = self.costfield
             for node in self.nodes:
@@ -339,7 +338,7 @@ class Network:
         instants.append(now)
         rows.append(reception.row)
         tr = phys.Transmission(node.id, power, now, now + airtime, packet,
-                               reception, n_bytes, len(instants),
+                               reception, len(instants),
                                [o.reception.row for o in self.active.values() if o.end > now])
         self.active[self.sim.schedule(tr.end, EventKind.TX_END, node.id, tr).seq] = tr
 
@@ -359,26 +358,26 @@ class Network:
         receive(tr, verdicts)
 
     # Everything a reception reads that is the same for all receivers of one
-    # transmission (powers, byte count, joules, packet fields, switches) is
-    # read once; each receiver's side effects keep their order.
+    # transmission (sender, joules, packet fields, switches) is read once;
+    # each receiver's side effects keep their order.
 
     def _receive_data(self, tr: phys.Transmission, verdicts: list | tuple) -> None:
         """Every alive decoded hearer of a data packet, in one flat loop. It
         inlines the liveness filter, the failure lottery (``random`` on the
         receiver's failure draws: the stream is opened at the first lottery
         draw, and ``engine.grow`` adds a block at the end of them), the debit
-        (``Battery.drain``), the hop cost (``costfield.link_cost``)
-        and the downhill rule (``policies.eligible``), each with its helper's
-        exact arithmetic; the helpers remain the reference. A receiver
-        changes no other receiver's battery, so filtering each one as the
-        loop reaches it equals filtering them all first."""
+        (``Battery.drain``) and the downhill rule (``policies.eligible``),
+        each with its helper's exact arithmetic; the helpers remain the
+        reference. The hop cost is the hearer's ``phys.Reception.costs``
+        entry. A receiver changes no other receiver's battery, so filtering
+        each one as the loop reaches it equals filtering them all first."""
         pkt = tr.packet
         nodes = self.nodes
         pol = self.policies
         sink_id = self.sink_id
-        sender, txp = tr.sender, tr.tx_power_dbm
+        sender = tr.sender
         q_p, msg_id = pkt.q_p, pkt.msg_id
-        joules = self._rx_joules[tr.n_bytes]
+        joules = self._rx_joules["data"]
         log = self.energy_log
         p_f = self.cfg.scenario.p_f
         lottery = self._rx_lottery
@@ -386,7 +385,7 @@ class Network:
         counters = self.counters
         traced = self.decision_trace is not None
         rec = tr.reception
-        for rx_id, pl in itertools.compress(zip(rec.hearers, rec.losses), verdicts):
+        for rx_id, hop_cost in itertools.compress(zip(rec.hearers, rec.costs), verdicts):
             rx = nodes[rx_id]
             battery = rx.battery
             if battery.consumed_j >= battery.capacity_j:
@@ -412,7 +411,6 @@ class Network:
             if rx_id == sink_id:
                 self.recorder.on_delivery(msg_id, self.sim.clock)
                 continue
-            hop_cost = txp - (txp - pl)
             rx.neighbor_pathloss[sender] = hop_cost
             if rx.ugrab is not None:
                 policies.note_overheard(rx, q_p, pol)
@@ -427,16 +425,16 @@ class Network:
     def _receive_setup(self, tr: phys.Transmission, verdicts: list | tuple) -> None:
         """Every alive hearer of an advertisement or a count, in one flat
         loop with ``_receive_data``'s inlined liveness filter, debit and link
-        cost; it tallies an advertisement's alive hearers that failed to decode."""
+        costs; it tallies an advertisement's alive hearers that failed to decode."""
         pkt = tr.packet
         nodes = self.nodes
         adv = pkt.kind == "adv"
-        sender, txp = tr.sender, tr.tx_power_dbm
-        joules = self._rx_joules[tr.n_bytes]
+        sender = tr.sender
+        joules = self._rx_joules[pkt.kind]
         log = self.energy_log
         failed = 0
         rec = tr.reception
-        for rx_id, pl, ok in zip(rec.hearers, rec.losses, verdicts):
+        for rx_id, link, ok in zip(rec.hearers, rec.costs, verdicts):
             rx = nodes[rx_id]
             battery = rx.battery
             if battery.consumed_j >= battery.capacity_j:
@@ -451,12 +449,11 @@ class Network:
             battery.consumed_j += drawn
             if log is not None:
                 log.append((rx_id, drawn))
-            rx_power = txp - pl
-            rx.neighbor_pathloss[sender] = txp - rx_power
+            rx.neighbor_pathloss[sender] = link
             if adv:
-                costfield.handle_adv(self, rx, pkt, rx_power)
+                costfield.handle_adv(self, rx, pkt, link)
             else:
-                costfield.handle_ncnt(self, rx, pkt)
+                costfield.handle_ncnt(self, rx, pkt, sender)
         if adv:
             self.counters["adv_decode_failures"] += failed
 
@@ -473,8 +470,7 @@ class Network:
                 own, node.neighbor_counts.values())
 
     def _decide_and_forward(self, node: Node, pkt: DataPacket, hop_cost: float) -> None:
-        fwd_pkt = DataPacket(pkt.msg_id, pkt.q_p, pkt.tx_power_dbm, pkt.budget,
-                             pkt.consumed + hop_cost)
+        fwd_pkt = DataPacket(pkt.msg_id, pkt.q_p, pkt.budget, pkt.consumed + hop_cost)
         if self.proto.counts:
             self.ensure_delta(node)
         dec = self.proto.decide(self, node, fwd_pkt)
@@ -486,10 +482,7 @@ class Network:
             if self.random(node.id, "failure") < self.cfg.scenario.p_f:
                 self.counters["relay_failures"] += 1
                 return
-        fwd_pkt.q_p = node.cost.q
-        fwd_pkt.tx_power_dbm = (self.radio.tx_power_dbm if dec.tx_power_dbm is None
-                                else dec.tx_power_dbm)
-        mac.transmit(self, node, fwd_pkt, fwd_pkt.tx_power_dbm)
+        mac.transmit(self, node, fwd_pkt, dec.tx_power_dbm)
 
     def _trace_decision(self, node: Node, eligible: bool, dec: Decision | None) -> None:
         f = "" if dec is None else ("1" if dec.forward else "0")
@@ -514,12 +507,10 @@ class Network:
             if gen != st.adv_timer_gen or st.adv_sent or node.battery.dead:
                 return
             st.adv_sent = True
-            mac.transmit(self, node, AdvPacket(node.id, st.q, self.radio.tx_power_dbm,
-                                               st.bounds))
+            mac.transmit(self, node, AdvPacket(st.q, st.bounds))
         elif tag == "ncnt":
             if not node.battery.dead:
-                mac.transmit(self, node, NeighborCountPacket(
-                    node.id, len(node.neighbor_pathloss)))
+                mac.transmit(self, node, NeighborCountPacket(len(node.neighbor_pathloss)))
 
     def _inject(self, ev: Event) -> None:
         k, tev = ev.payload
@@ -530,7 +521,7 @@ class Network:
         self.recorder.on_sent(msg_id, self.sim.clock)
         src.seen.add(msg_id)
         budget, power = self.proto.inject(self, src)
-        pkt = DataPacket(msg_id, src.cost.q, power, budget=budget, consumed=0.0)
+        pkt = DataPacket(msg_id, src.cost.q, budget=budget, consumed=0.0)
         mac.transmit(self, src, pkt, power)
 
     def _nearest_alive_sensor(self, pos) -> Node | None:

@@ -152,7 +152,7 @@ def test_criterion_02_cost_field_matches_dijkstra():
         cfg.scenario.area_width_m = cfg.scenario.area_height_m = 160.0
         cfg.scenario.event_count = 0
         cfg.scenario.event_spread = 0
-        cfg.phys.perfect_decode = True       # collision hook
+        cfg.phys.sinr_threshold_db = -300.0  # no collision: every audible hearer decodes
         cfg.phys.bitrate_bps = 1e12          # negligible airtime
         cfg.mac.backoff_max_ms = 0.0
         cfg.scenario.max_sim_time_ms = 1e7

@@ -12,7 +12,8 @@ FAST = [
     "--set", "scenario.event_spread=2",
     "--set", "scenario.data_window_ms=4000",
     "--set", "scenario.max_sim_time_ms=12000",
-    "--seeds", "1",
+    # the dump commands take no --seeds: they play one replication
+    "--set", "scenario.replications=1",
 ]
 
 
@@ -182,6 +183,18 @@ def test_seeds_must_be_positive(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["dump-topology", "dump-trace"])
+@pytest.mark.parametrize("flag", ["--seeds", "--jobs"])
+def test_dump_commands_reject_the_replication_flags(tmp_path, capsys, command, flag):
+    """A dump plays one replication in this process: it has no --seeds or
+    --jobs to ignore, and naming one is a usage error, exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["dump-trace", "--run-index", "-1"], "--run-index"),
     (["dump-topology", "--run-index", "-3"], "--run-index"),
@@ -194,7 +207,7 @@ def test_seeds_must_be_positive(tmp_path):
     (["run", "--set", "foo"], "'foo'"),
     (["sweep", "--axis", "foo"], "'foo'"),
     (["run", "--set", "nosuch.key=1"], "nosuch"),
-    (["run", "--set", "phys.perfect_decode=maybe"], "phys.perfect_decode: 'maybe'"),
+    (["run", "--set", "metrics.energy_audit=maybe"], "metrics.energy_audit: 'maybe'"),
     (["run", "--config", "bad.cfg"], "bad.cfg:2: expected key = value, got 'protocol GRAB'"),
 ])
 def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):

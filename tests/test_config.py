@@ -58,11 +58,18 @@ def test_comments_and_blanks_ignored():
 
 def test_types_coerced_from_field_declarations():
     cfg = parse_text("[scenario]\nnode_count = 44\nrequire_connected = true\n"
-                     "protocol = U-GRAB\n[phys]\nperfect_decode = yes\n")
+                     "protocol = U-GRAB\n[metrics]\nenergy_audit = yes\n")
     assert cfg.scenario.node_count == 44
     assert cfg.scenario.require_connected is True
     assert cfg.scenario.protocol == "U-GRAB"
-    assert cfg.phys.perfect_decode is True
+    assert cfg.metrics.energy_audit is True
+
+
+def test_the_retired_perfect_decode_key_is_rejected_by_name():
+    # sensitivity-only reception was a test hook; a config naming it now
+    # fails to load instead of running with the key silently ignored
+    with pytest.raises(ConfigError, match=r"phys\.perfect_decode"):
+        parse_text("[phys]\nperfect_decode = False\n")
 
 
 def test_dotted_override():
@@ -224,7 +231,6 @@ def _small_configs(draw):
     p.bitrate_bps = draw(st.floats(8000.0, 1e6))
     p.d_min_m = draw(st.floats(0.01, 5.0))
     p.adv_bytes, p.ncnt_bytes, p.data_bytes = draw(st.tuples(*[st.integers(1, 200)] * 3))
-    p.perfect_decode = draw(st.booleans())
     m.backoff_min_ms = draw(st.floats(0.0, 20.0))
     m.backoff_max_ms = above(m.backoff_min_ms, st.floats(0.0, 70.0), 50.0)
     m.congestion_limit = draw(st.integers(1, 5))

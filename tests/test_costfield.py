@@ -61,7 +61,7 @@ def test_worse_advertisement_changes_nothing():
     from gradcast.costfield import AdvPacket, handle_adv
     before_q = node.cost.q
     before_pending = sim.pending()
-    handle_adv(net, node, AdvPacket(0, q_p=before_q, tx_power_dbm=0.0), rx_power_dbm=-10.0)
+    handle_adv(net, node, AdvPacket(q_p=before_q), link=10.0)
     assert node.cost.q == before_q
     assert sim.pending() == before_pending
 

@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from gradcast import phys
 from gradcast.config import default_config
+from gradcast.costfield import link_cost
 from gradcast.engine import make_stream
 from gradcast.phys import (RadioParams, Transmission, decode, decode_batch, distance,
                            is_neighbor, link_table, pathloss_db, received_power_dbm,
@@ -176,16 +178,6 @@ def test_adding_interferers_never_helps(interferers):
         now = decode(rx, wanted, concurrent, PARAMS, positions)
         assert not (now and not previous)
         previous = now
-
-
-def test_perfect_decode_hook_skips_interference_not_sensitivity():
-    params = RadioParams(perfect_decode=True)
-    wanted = _tx(0, 0.0, 10.0, 17.5)
-    jam = _tx(1, 0.0, 10.0, 17.5)
-    positions = {0: (-30.0, 0.0), 1: (1.0, 0.0)}
-    assert decode((0.0, 0.0), wanted, [jam], params, positions)
-    far = (10.0 ** (54.5 / 30.0) + 1.0, 0.0)
-    assert not decode(far, wanted, [], params, positions)
 
 
 def test_airtime():
@@ -398,9 +390,31 @@ def test_hearers_cut_the_neighbor_lists_at_the_power(sender, power):
     assert sender not in ids.tolist()
     rec = links.reception(sender, power)
     assert rec.ids is ids
-    # the same hearers as a list, each with its pathloss
-    assert rec.hearers == ids.tolist() and rec.losses.tolist() == [row[j] for j in rec.hearers]
+    # the same hearers as a list, each with its link cost at the power
+    assert rec.hearers == ids.tolist()
+    assert rec.costs.tobytes() == array("d", [link_cost(power, power - row[j])
+                                              for j in rec.hearers]).tobytes()
     assert (rec.hearers is links.neighbors[sender]) == (power == PARAMS.tx_power_dbm)
+
+
+@pytest.mark.parametrize("power", [-3.7, -6.5, -17.0])
+def test_reception_costs_are_link_cost_bit_for_bit(power):
+    """Every hearer's cost is ``link_cost(p, p - pathloss)`` bit for bit, at
+    the default power (-3.7 dBm here) and at reduced ones. At 0 dBm that is
+    the bare pathloss; at these powers some costs differ from it in the last
+    bit, where ``pathloss - p`` rounds in a coarser binade than the pathloss,
+    so a table keeping the pathloss as the cost fails."""
+    params = RadioParams(tx_power_dbm=-3.7)
+    links = link_table(ARENA_61, params)
+    costs, bare = array("d"), array("d")
+    for sender in range(len(ARENA_61)):
+        rec = links.reception(sender, power)
+        row = links.pathloss_db[sender].tolist()
+        want = array("d", [link_cost(power, power - row[j]) for j in rec.hearers])
+        assert rec.costs.tobytes() == want.tobytes()
+        costs += want
+        bare.extend(row[j] for j in rec.hearers)
+    assert len(costs) > len(ARENA_61) and costs != bare
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +482,20 @@ def test_receptions_hold_limits_at_the_default_power_and_signals_at_others(noise
 def _default_receptions(params):
     links = link_table(ARENA_61, params)
     links.reception(0, params.tx_power_dbm)
-    return [(key, rec.hearers, rec.losses.tobytes(), rec.lim.tobytes(), rec.clean)
+    return [(key, rec.hearers, rec.costs.tobytes(), rec.lim.tobytes(), rec.clean)
             for key, rec in sorted(links.receptions.items())]
 
 
-@pytest.mark.parametrize("perfect", [False, True])
-def test_the_limit_pass_block_size_leaves_every_default_reception_as_it_is(monkeypatch,
-                                                                           perfect):
+def test_the_limit_pass_block_size_leaves_every_default_reception_as_it_is(monkeypatch):
     """Every default-power reception's limit bytes and clean verdicts are the
     same whatever the limit pass's block size: one pair per block, blocks
     that split a sender's hearers, and one block for all the pairs. The
     noise floor sits near the sensitivity, so some hearers fail with no
     interferer at all."""
-    params = RadioParams(noise_floor_dbm=-55.0, sinr_threshold_db=3.0, perfect_decode=perfect)
+    params = RadioParams(noise_floor_dbm=-55.0, sinr_threshold_db=3.0)
     want = _default_receptions(params)
     assert len(want) == len(ARENA_61) and sum(len(w[1]) for w in want) > 7
-    assert {ok for w in want for ok in w[4]} == ({True} if perfect else {False, True})
+    assert {ok for w in want for ok in w[4]} == {False, True}
     for size in (1, 7, 10**9):
         monkeypatch.setattr(phys, "_LIMIT_PAIRS", size)
         assert _default_receptions(params) == want
@@ -609,9 +621,9 @@ SPAN = st.sampled_from([1.5, 2.0, 4.0, 7.5]) | st.floats(0.01, 10.0)
 @given(st.lists(st.tuples(COORD, COORD), min_size=2, max_size=9),
        POWER,
        st.lists(st.tuples(st.integers(0, 8), POWER, INSTANT, SPAN), max_size=8),
-       st.booleans(), st.randoms(use_true_random=False))
-def test_decode_batch_equals_decode(points, wanted_power, others, perfect, rng):
-    params = RadioParams(perfect_decode=perfect)
+       st.randoms(use_true_random=False))
+def test_decode_batch_equals_decode(points, wanted_power, others, rng):
+    params = RadioParams()
     links = link_table(points, params)
     wanted = _on_air(links, 0, wanted_power, 10.0, 17.5)
     # interferers may be sent by a receiver itself (distance 0, below d_min_m)

@@ -46,7 +46,7 @@ class SeqRng:
 
 
 def pkt(q_p=100.0, budget=math.inf, consumed=0.0):
-    return DataPacket((0, 0), q_p, 0.0, budget=budget, consumed=consumed)
+    return DataPacket((0, 0), q_p, budget=budget, consumed=consumed)
 
 
 # ---------------------------------------------------------------------------

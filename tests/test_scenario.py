@@ -1221,11 +1221,12 @@ def _reference_receive_data(net, tr, verdicts):
     """``Network._receive_data`` through its helpers: the decoded hearers
     (one verdict per hearer) and the liveness filter first, then
     ``Network.random`` on the failure stream, ``Battery.drain``,
-    ``costfield.link_cost`` and ``policies.eligible`` per receiver."""
+    ``costfield.link_cost`` from the pathloss matrix and ``policies.eligible``
+    per receiver."""
     nodes = net.nodes
     pkt = tr.packet
     sc = net.cfg.scenario
-    joules = policies.rx_joules(tr.n_bytes, net.policies, net.radio)
+    joules = policies.rx_joules(net.radio.data_bytes, net.policies, net.radio)
     ids = tr.reception.ids.tolist()
     assert len(verdicts) == len(ids)
     alive = [j for j, ok in zip(ids, verdicts) if ok and not nodes[j].battery.dead]
@@ -1282,11 +1283,12 @@ def test_flat_receive_loop_equals_its_helpers(monkeypatch, protocol, side):
 def _reference_receive_setup(net, tr, verdicts):
     """``Network._receive_setup`` through its helpers: the liveness filter
     first, an advertisement's failed decodes counted over all its alive
-    hearers, then ``Battery.drain``, ``costfield.link_cost`` and
-    ``handle_adv`` or ``handle_ncnt`` per receiver."""
+    hearers, then ``Battery.drain``, ``costfield.link_cost`` from the
+    pathloss matrix and ``handle_adv`` or ``handle_ncnt`` per receiver."""
     nodes = net.nodes
     pkt = tr.packet
-    joules = policies.rx_joules(tr.n_bytes, net.policies, net.radio)
+    joules = policies.rx_joules(getattr(net.radio, f"{pkt.kind}_bytes"), net.policies,
+                                net.radio)
     ids = tr.reception.ids.tolist()
     assert len(verdicts) == len(ids)
     alive = [j for j in ids if not nodes[j].battery.dead]
@@ -1299,12 +1301,12 @@ def _reference_receive_setup(net, tr, verdicts):
         drawn = rx.battery.drain(joules)
         if net.energy_log is not None:
             net.energy_log.append((rx_id, drawn))
-        rx_power = tr.tx_power_dbm - pl
-        rx.neighbor_pathloss[tr.sender] = costfield.link_cost(tr.tx_power_dbm, rx_power)
+        link = costfield.link_cost(tr.tx_power_dbm, tr.tx_power_dbm - pl)
+        rx.neighbor_pathloss[tr.sender] = link
         if pkt.kind == "adv":
-            costfield.handle_adv(net, rx, pkt, rx_power)
+            costfield.handle_adv(net, rx, pkt, link)
         else:
-            costfield.handle_ncnt(net, rx, pkt)
+            costfield.handle_ncnt(net, rx, pkt, tr.sender)
 
 
 @pytest.mark.parametrize("protocol", sorted(policies.PROTOCOLS))
