@@ -26,7 +26,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = "src/gradcast/scenario.py"
 PHYS = "src/gradcast/phys.py"
+ENGINE = "src/gradcast/engine.py"
 SETUP_LOOP = "tests/test_scenario.py::test_flat_setup_loop_equals_its_helpers"
+SHARED_TAPES = "tests/test_engine.py::test_cells_sharing_tapes_replay_one_seeding"
+TAPE_BLOCKS = "tests/test_engine.py::test_tape_blocks_are_make_streams_draws"
 
 MUTANTS = [
     ("setup loop without its liveness check", SCENARIO,
@@ -67,17 +70,32 @@ MUTANTS = [
      "        joules = self._rx_joules[\"adv\"]\n",
      ["tests/test_golden.py::test_energy_ledger_order_matches_golden_bytes"]),
     ("a position list shared between replications", SCENARIO,
-     "        stream = self.streams[purpose] = tape + ([0] * n,)\n",
-     "        stream = self.streams[purpose] = tape + (\n"
-     "            self.tapes.setdefault(key + (\"reads\",), [0] * n),)\n",
-     ["tests/test_engine.py::test_cells_sharing_tapes_replay_one_seeding"]),
-    ("grow restarting each block at the stream's first draw", "src/gradcast/engine.py",
-     "    bits.advance(len(draws))\n",
-     "",
+     "        stream = self.streams[purpose] = (key, tape[1], [0] * n)\n",
+     "        stream = self.streams[purpose] = (\n"
+     "            key, tape[1], self.tapes.setdefault(key + (\"reads\",), [0] * n))\n",
+     [SHARED_TAPES]),
+    ("grow restarting each block at the stream's first draw", ENGINE,
+     "        blocks = _doubles(_outputs(rows[a:a + BLOCK], held // BLOCK))\n",
+     "        blocks = _doubles(_outputs(rows[a:a + BLOCK], 0))\n",
      # the fast replay first: under -x it stops there, before hypothesis
      # shrinks the slower test's failing example
-     ["tests/test_engine.py::test_cells_sharing_tapes_replay_one_seeding",
-      "tests/test_engine.py::test_tape_blocks_are_make_streams_draws"]),
+     [SHARED_TAPES, TAPE_BLOCKS]),
+    ("a level pass that also fills nodes holding fewer blocks", ENGINE,
+     "        nodes = [i for i, d in enumerate(draws) if len(d) == held]\n",
+     "        nodes = [i for i, d in enumerate(draws) if len(d) <= held]\n",
+     ["tests/test_engine.py::test_a_level_pass_fills_exactly_the_nodes_at_its_level"]),
+    ("the 128-bit add dropping its carry", ENGINE,
+     "    hi += lo < tail   # the carry out of the low word\n",
+     "",
+     [SHARED_TAPES, TAPE_BLOCKS]),
+    ("the rotation read from hi >> 59", ENGINE,
+     "    rot = hi >> 58\n",
+     "    rot = hi >> 59\n",
+     [SHARED_TAPES, TAPE_BLOCKS]),
+    ("Lemire's threshold taken % rng in place of % (rng + 1)", ENGINE,
+     "            threshold = (_LOW - span) % (span + 1)",
+     "            threshold = (_LOW - span) % span",
+     ["tests/test_engine.py::test_integers_are_numpys_bounded_draws"]),
     ("_topology_key dropping area_height_m", SCENARIO,
      "sc.area_width_m, sc.area_height_m,\n",
      "sc.area_width_m,\n",

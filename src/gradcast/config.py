@@ -27,6 +27,9 @@ class ConfigError(ValueError):
     pass
 
 
+MAX_EVENTS = 1_000_000   # the most messages a traffic draw may total
+
+
 @dataclass
 class ScenarioParams:
     protocol: str = "BGB"
@@ -311,3 +314,8 @@ def validate(cfg: SimConfig) -> None:
     _require(sc.base_seed >= 0, "scenario.base_seed", "must be >= 0")
     for key in ("event_count", "event_spread"):
         _require(getattr(sc, key) >= 0, f"scenario.{key}", "must be >= 0")
+    # every message is one traffic event held in memory (desk.cfg: 35 at most),
+    # and the total's draw stays on engine.Stream's 32-bit bounded path
+    most = sc.event_count + sc.event_spread
+    _require(most <= MAX_EVENTS, "scenario.event_count", f"plus scenario.event_spread "
+             f"must not exceed {MAX_EVENTS:,} messages, got {most:,}")

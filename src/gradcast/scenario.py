@@ -62,9 +62,10 @@ def generate_topology(cfg: SimConfig, rng) -> tuple[list, tuple[float, float],
     w, h = sc.area_width_m, sc.area_height_m
     sink_pos = (0.0, 0.0) if sc.sink_placement == "corner" else (w / 2.0, h / 2.0)
     for _ in range(1000):
-        xs = rng.uniform(0.0, w, sc.node_count)
-        ys = rng.uniform(0.0, h, sc.node_count)
-        positions = list(zip(xs.tolist(), ys.tolist()))
+        # the values of uniform(0, w, n) then uniform(0, h, n), drawn as one
+        # block of doubles in the same order (see generate_traffic)
+        xs, ys = (rng.random((2, sc.node_count)) * [[w], [h]]).tolist()
+        positions = list(zip(xs, ys))
         links = phys.link_table(positions + [sink_pos], cfg.phys)
         if not sc.require_connected or all(_reaches(links.neighbors, sc.node_count)):
             return positions, sink_pos, links
@@ -107,7 +108,7 @@ def generate_traffic(cfg: SimConfig, rng) -> list[TrafficEvent]:
     sc = cfg.scenario
     lo = max(0, sc.event_count - sc.event_spread)
     hi = sc.event_count + sc.event_spread
-    total = int(rng.integers(lo, hi + 1))
+    total = rng.integers(lo, hi + 1)
     block = rng.random((total, 3)) * [sc.area_width_m, sc.area_height_m, sc.data_window_ms]
     return [TrafficEvent((x, y), sc.data_start_ms + t) for x, y, t in block.tolist()]
 
@@ -140,15 +141,15 @@ class Network:
         self.flood_epoch = 0.0
         self.energy_log: list | None = [] if cfg.metrics.energy_audit else None
         self._data_events = 0   # events the data phase schedules at the start
-        # (seed, run, purpose) -> (the purpose's seed_words rows, one array
-        # of draws per node id), run the recorder's; the cells of a topology
-        # group share it
+        # (seed, run, purpose) -> [the purpose's seed_words rows or None,
+        # one array of draws per node id] (see ``engine.grow``), run the
+        # recorder's; the cells of a topology group share it
         self.tapes = {} if tapes is None else tapes
         self._seed_run = (cfg.scenario.base_seed, recorder.run_index)
-        # purpose -> (its rows, its draws, this replication's read position
-        # on each node id's draws), opened at the purpose's first draw (see
-        # ``random``) or by ``resume``
-        self.streams: dict[str, tuple[np.ndarray, list[array], list[int]]] = {}
+        # purpose -> (its tape key, its draws, this replication's read
+        # position on each node id's draws), opened at the purpose's first
+        # draw (see ``random``) or by ``resume``
+        self.streams: dict[str, tuple[tuple, list[array], list[int]]] = {}
         # read once, so a config must not change under a built network: per
         # packet kind its byte count, its airtime and the joules of one
         # reception, and each side's failure-lottery switch
@@ -187,17 +188,16 @@ class Network:
         self.links = links
         self.sensor_xy = np.array(positions, dtype=float).reshape(-1, 2)
 
-    def _stream(self, purpose: str) -> tuple[np.ndarray, list[array], list[int]]:
-        """Open ``purpose``: its rows, hashed at the group's first draw of it
-        for every node id at once, an empty array of draws per node id, and
-        a read position at 0 on each."""
+    def _stream(self, purpose: str) -> tuple[tuple, list[array], list[int]]:
+        """Open ``purpose``: its tape key, its draws, made empty for every
+        node id at the group's first draw of it, and a read position at 0
+        on each."""
         key = self._seed_run + (purpose,)
         n = len(self.nodes)
         tape = self.tapes.get(key)
         if tape is None:
-            tape = self.tapes[key] = (engine.seed_words(*key, np.arange(n)),
-                                      [array("d") for _ in range(n)])
-        stream = self.streams[purpose] = tape + ([0] * n,)
+            tape = self.tapes[key] = [None, [array("d") for _ in range(n)]]
+        stream = self.streams[purpose] = (key, tape[1], [0] * n)
         return stream
 
     def random(self, node_id: int, purpose: str) -> float:
@@ -205,11 +205,11 @@ class Network:
         stream, grown by a block (``engine.grow``) at the end of its draws.
         ``_receive_data`` inlines it for the failure lottery; keep the two
         in step."""
-        rows, tapes, reads = self.streams.get(purpose) or self._stream(purpose)
+        key, node_draws, reads = self.streams.get(purpose) or self._stream(purpose)
         pos = reads[node_id]
-        draws = tapes[node_id]
+        draws = node_draws[node_id]
         if pos == len(draws):
-            engine.grow(draws, rows[node_id])
+            engine.grow(self.tapes, key, node_id)
         reads[node_id] = pos + 1
         return draws[pos]
 
@@ -381,7 +381,7 @@ class Network:
         log = self.energy_log
         p_f = self.cfg.scenario.p_f
         lottery = self._rx_lottery
-        rows, tapes, reads = self.streams.get("failure", (None, None, None))
+        key, node_draws, reads = self.streams.get("failure", (None, None, None))
         counters = self.counters
         traced = self.decision_trace is not None
         rec = tr.reception
@@ -392,11 +392,11 @@ class Network:
                 continue
             if lottery and rx_id != sink_id:
                 if reads is None:
-                    rows, tapes, reads = self._stream("failure")
+                    key, node_draws, reads = self._stream("failure")
                 pos = reads[rx_id]
-                draws = tapes[rx_id]
+                draws = node_draws[rx_id]
                 if pos == len(draws):
-                    engine.grow(draws, rows[rx_id])
+                    engine.grow(self.tapes, key, rx_id)
                 reads[rx_id] = pos + 1
                 if draws[pos] < p_f:
                     counters["relay_failures"] += 1

@@ -1,8 +1,10 @@
 """Shared fixtures: compact configurations and scripted topologies."""
 
 import pytest
+from numpy.random import PCG64, Generator, SeedSequence
 
 from gradcast.config import default_config
+from gradcast.engine import _NO_NODE, STREAM_PURPOSES
 
 # acceptance criterion lines are echoed after the run summary so they stay
 # visible without -s; the list rides on the pytest config object
@@ -18,6 +20,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def numpy_stream(seed: int, run_index: int, node: int | None, purpose: str) -> Generator:
+    """numpy's own generator for ``engine.make_stream``'s key: the oracle the
+    engine's PCG64 streams must match bit for bit."""
+    node_key = _NO_NODE if node is None else node
+    return Generator(PCG64(SeedSequence([seed ^ run_index, node_key,
+                                         STREAM_PURPOSES[purpose]])))
 
 
 def small_cfg(**scenario_overrides):

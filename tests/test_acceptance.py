@@ -126,8 +126,8 @@ def test_criterion_01_single_advertisement_per_node():
 
 def _oracle_positions(rng, n, side, params):
     while True:
-        xs = rng.uniform(0.0, side, n)
-        ys = rng.uniform(0.0, side, n)
+        # uniform(0.0, side, n) twice: 0.0 + side * u of the same doubles
+        xs, ys = rng.random((2, n)) * side
         pos = [(float(x), float(y)) for x, y in zip(xs, ys)]
         pts = pos + [(0.0, 0.0)]
         if min(phys.distance(pts[i], pts[j])
@@ -267,7 +267,7 @@ def test_criterion_06_bernoulli_calibration():
 
     p_f = 0.4
     frng = make_stream(1, 0, 7, "failure")
-    fails = sum(float(frng.random()) < p_f for _ in range(n))
+    fails = sum(u < p_f for u in frng.random(n).tolist())
     sig_f = math.sqrt(p_f * (1.0 - p_f) / n)
     fail_ok = abs(fails / n - p_f) <= 3 * sig_f
     _check(6, "forward and failure rates within 3 binomial sigma",

@@ -241,6 +241,8 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, a
     "phys.bitrate_bps=1e-310",
     # ran with packets that ended as they started, late in the run
     "phys.bitrate_bps=1e20",
+    # exited 3 on a MemoryError allocating 224 GiB of traffic doubles
+    "scenario.node_count=10 scenario.event_count=10000000000",
 ])
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, override):
     """``override`` is one or more overrides; the last one's key is named."""

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcast import policies
-from gradcast.config import (ConfigError, apply_overrides, config_text, default_config,
-                             load_config, parse_text, resolve_key, validate)
+from gradcast.config import (MAX_EVENTS, ConfigError, apply_overrides, config_text,
+                             default_config, load_config, parse_text, resolve_key, validate)
 from gradcast.policies import PROTOCOLS
 from gradcast.scenario import run_replication
 
@@ -165,6 +165,21 @@ def test_stall_check_bound_is_the_closed_form_count():
     for protocol in ("BGB", "GRAB", "P-GRAB"):
         apply_overrides(default_config(), [f"scenario.protocol={protocol}",
                                            "policies.stall_check_factor=1e-9"])
+
+
+def test_traffic_total_is_bounded_by_name():
+    """``event_count + event_spread`` may reach ``MAX_EVENTS`` messages and no
+    more: ten billion passed validation, then ran out of memory allocating
+    the traffic's doubles."""
+    apply_overrides(default_config(), [f"scenario.event_count={MAX_EVENTS - 5}"])
+    apply_overrides(default_config(), ["scenario.event_spread=0",
+                                       f"scenario.event_count={MAX_EVENTS}"])
+    for overrides in (["scenario.event_count=10000000000"],
+                      [f"scenario.event_count={MAX_EVENTS - 4}"],
+                      ["scenario.event_count=0", f"scenario.event_spread={MAX_EVENTS + 1}"]):
+        with pytest.raises(ConfigError, match=r"^scenario\.event_count plus "
+                                              r"scenario\.event_spread must not exceed 1,000,000"):
+            apply_overrides(default_config(), overrides)
 
 
 def test_unconnectable_radio_names_require_connected():

@@ -2,12 +2,13 @@ import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradcast import engine
@@ -16,7 +17,8 @@ from gradcast.engine import (BLOCK, STREAM_PURPOSES, Event, EventKind, Schedulin
                              Simulator, make_stream)
 from gradcast.metrics import RunRecorder
 from gradcast.phys import Transmission
-from gradcast.scenario import Network, build_network
+from gradcast.scenario import Network, build_network, generate_topology
+from tests.conftest import numpy_stream
 
 
 def test_schedule_keeps_clock():
@@ -116,7 +118,7 @@ def test_network_cursor_keeps_its_place():
     net.random(5, "policy")
     net.random(4, "mac")
     second = net.random(4, "policy")
-    fresh = make_stream(5, 2, 4, "policy")
+    fresh = numpy_stream(5, 2, 4, "policy")
     assert [first, second] == [fresh.random(), fresh.random()]
 
 
@@ -147,17 +149,19 @@ def test_resume_moves_every_cursor_on_the_snapshots_tapes():
 
 def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):
     """Two networks on one tape dict read the same draws, each from its own
-    position, and each purpose is seeded once, through the module
-    attributes: one hash of its seed words over every node id, whose row
-    for each node is make_stream's seed, and each block of a node's draws
-    grown once, by the first reader; a node holds no draws before its
-    first read."""
+    position, and each block of a node's draws is grown once, by its first
+    reader, through the module attributes. Node 3 reads four blocks while no
+    other node reads: each is made for it alone, hashing only its seed row.
+    Node 5's reads then find each block held, so each is made in one pass
+    for every node id at that level, and the first pass hashes the seed
+    words over every node id, once. Every row is numpy's seed and every
+    node's draws are its stream's."""
     hashed, grown = [], []
     real_words, real_grow = engine.seed_words, engine.grow
     monkeypatch.setattr(engine, "seed_words",
                         lambda *args: hashed.append(args) or real_words(*args))
-    monkeypatch.setattr(engine, "grow", lambda draws, row: grown.append(
-        (row.tobytes(), len(draws))) or real_grow(draws, row))
+    monkeypatch.setattr(engine, "grow", lambda tapes, key, node: grown.append(
+        (key, node, len(tapes[key][1][node]))) or real_grow(tapes, key, node))
     tapes = {}
     nets = [_network(seed=9, run_index=1, tapes=tapes) for _ in range(2)]
     n = 3 * BLOCK + 5
@@ -165,28 +169,30 @@ def test_cells_sharing_tapes_replay_one_seeding(monkeypatch):
     for node in (3, 5):
         first = [a.random(node, "mac") for _ in range(n)]
         assert [b.random(node, "mac") for _ in range(n)] == first
-        assert first == make_stream(9, 1, node, "mac").random(n).tolist()
-    assert [args[:3] for args in hashed] == [(9, 1, "mac")]
-    assert list(hashed[0][3]) == list(range(9))
-    assert list(tapes) == [(9, 1, "mac")]
-    rows, draws = tapes[9, 1, "mac"]
+        assert first == numpy_stream(9, 1, node, "mac").random(n).tolist()
+    key = (9, 1, "mac")
+    assert grown == [(key, node, k * BLOCK) for node in (3, 5) for k in range(4)]
+    assert [(args[:3], list(args[3])) for args in hashed] == \
+        [(key, [3])] * 4 + [(key, list(range(9)))]
+    assert list(tapes) == [key]
+    rows, draws = tapes[key]
     seeds = [np.random.SeedSequence([9 ^ 1, node, STREAM_PURPOSES["mac"]])
              .generate_state(4, np.uint64).tobytes() for node in range(9)]
     assert [row.tobytes() for row in rows] == seeds
-    assert grown == [(seeds[node], k * BLOCK) for node in (3, 5) for k in range(4)]
-    assert [len(d) for d in draws] == [4 * BLOCK if node in (3, 5) else 0 for node in range(9)]
+    assert [d.tobytes() for d in draws] == \
+        [numpy_stream(9, 1, node, "mac").random(4 * BLOCK).tobytes() for node in range(9)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), node=st.integers(0, 2000),
        k=st.integers(1, 3 * BLOCK + 1), offset=st.integers(0, 2 * BLOCK))
 def test_block_draws_equal_scalar_draws(seed, node, k, offset):
-    """``Generator.random(k)`` gives the doubles of k scalar ``random()``
-    calls, at any offset into the stream; ``Network.random`` reads them
-    across the blocks grown onto a node's draws (on a network of nine node
-    ids, the stream of node ``node % 9``)."""
+    """make_stream's ``random(k)`` after ``random(offset)`` gives numpy's k
+    scalar ``random()`` draws at that offset into the stream;
+    ``Network.random`` reads them across the blocks grown onto a node's
+    draws (on a network of nine node ids, the stream of node ``node % 9``)."""
     blocks = make_stream(seed, 0, node, "failure")
-    scalars = make_stream(seed, 0, node, "failure")
+    scalars = numpy_stream(seed, 0, node, "failure")
     for _ in range(offset):
         scalars.random()
     blocks.random(offset)
@@ -196,7 +202,7 @@ def test_block_draws_equal_scalar_draws(seed, node, k, offset):
     node %= len(net.nodes)
     for _ in range(offset):
         net.random(node, "failure")
-    want = make_stream(seed, 0, node, "failure").random(offset + k).tolist()[offset:]
+    want = numpy_stream(seed, 0, node, "failure").random(offset + k).tolist()[offset:]
     assert [net.random(node, "failure") for _ in range(k)] == want
 
 
@@ -224,46 +230,135 @@ def test_seed_words_are_numpys_seed_sequence(key, run, purpose, count):
 
 @settings(max_examples=60, deadline=None)
 @given(key=STREAM_KEYS, purpose=st.sampled_from(list(STREAM_PURPOSES)),
-       node=st.integers(0, 299))
-def test_tape_blocks_are_make_streams_draws(key, purpose, node):
-    """Draws grown block by block from a node's row of its purpose's seed
-    words are make_stream's doubles byte for byte, across three blocks."""
-    want = make_stream(key, 0, node, purpose).random(3 * BLOCK).tobytes()
-    row = engine.seed_words(key, 0, purpose, np.arange(node + 1))[node]
-    draws = array("d")
-    for _ in range(3):
-        engine.grow(draws, row)
-    assert draws.tobytes() == want
+       node=st.integers(0, 299), leader=st.integers(0, 299), levels=st.integers(1, 4))
+@example(key=2**96, purpose="failure", node=0, leader=299, levels=4)
+def test_tape_blocks_are_make_streams_draws(key, purpose, node, leader, levels):
+    """Blocks at levels 0-3 made both ways are numpy's doubles byte for
+    byte, and make_stream's: the leader reads ``levels`` blocks alone, each
+    made from its own seed row, then ``node``'s reads make each level in
+    one pass over every node id still at that level."""
+    assume(node != leader)
+    n = max(node, leader) + 1
+    k = (key, 0, purpose)
+    tapes = {k: [None, [array("d") for _ in range(n)]]}
+    for reader in (leader, node):
+        for _ in range(levels):
+            engine.grow(tapes, k, reader)
+    rows, draws = tapes[k]
+    assert rows.shape == (n, 4) and [len(d) for d in draws] == [levels * BLOCK] * n
+    for i in {leader, node, 0, n - 1}:
+        want = numpy_stream(key, 0, i, purpose).random(levels * BLOCK).tobytes()
+        assert draws[i].tobytes() == want
+        assert make_stream(key, 0, i, purpose).random(levels * BLOCK).tobytes() == want
 
 
-def test_row_seed_hands_pcg64_its_row_and_refuses_anything_else():
-    row = engine.seed_words(3, 0, "mac", [5])[0]
-    seq = engine._row_seed_class()(row)
-    assert seq.generate_state(4, np.uint64) is row
-    assert seq.generate_state(4, "uint64") is row
-    for args in [(4,), (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64),
-                 (4, np.int64)]:
+def test_a_level_pass_fills_exactly_the_nodes_at_its_level():
+    """A block no node holds is made for its reader alone, hashing no seed
+    words for the rest; a block another node holds is made in one pass for
+    exactly the node ids holding as many draws as the reader, and ids behind
+    or ahead of it keep theirs. Every draw stays numpy's."""
+    key = (4, 0, "policy")
+    held = [2, 1, 0, 1, 3, 1]   # blocks per node id, copied from numpy
+    draws = [array("d", numpy_stream(4, 0, i, "policy").random(b * BLOCK))
+             for i, b in enumerate(held)]
+    tapes = {key: [None, draws]}
+    engine.grow(tapes, key, 4)   # no node holds block 3
+    assert tapes[key][0] is None
+    engine.grow(tapes, key, 1)   # node 0 holds block 1
+    assert tapes[key][0].shape == (6, 4)
+    assert [len(d) // BLOCK for d in draws] == [2, 2, 0, 2, 4, 2]
+    for i, d in enumerate(draws):
+        assert d.tobytes() == numpy_stream(4, 0, i, "policy").random(len(d)).tobytes()
+
+
+def test_a_level_pass_keeps_its_temporaries_to_a_few_blocks():
+    # numpy reports its buffers to tracemalloc: a pass over 1000 node ids
+    # works BLOCK rows at a time, so what it allocates and frees again (its
+    # peak above the draws it keeps) stays a few (BLOCK, BLOCK) arrays, not
+    # several (1000, BLOCK) ones
+    n, key = 1000, (1, 0, "mac")
+    tapes = {key: [engine.seed_words(*key, np.arange(n)), [array("d") for _ in range(n)]]}
+    engine.grow(tapes, key, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        engine.grow(tapes, key, 1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - before >= (n - 1) * BLOCK * 8
+    assert peak - kept < 12 * BLOCK * BLOCK * 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lo=st.integers(0, 2**20),
+       span=st.integers(0, 60) | st.sampled_from([2**31, 0x55555555, 2**32 - 2]),
+       follow=st.integers(1, 3 * BLOCK))
+@example(seed=0, lo=3, span=0, follow=1)
+@example(seed=0, lo=0, span=2**31, follow=1)
+@example(seed=2, lo=0, span=0x55555555, follow=1)
+def test_integers_are_numpys_bounded_draws(seed, lo, span, follow):
+    """``integers(lo, lo + span + 1)`` is numpy's draw, then so are the
+    doubles that follow. A zero span consumes nothing. The spans 2**31 and
+    (2**32 - 1) / 3 reject about half and a third of their 32-bit draws
+    (Lemire), whose threshold is 2**32 mod (span + 1); the two explicit
+    streams of them reject their first."""
+    mine, numpys = make_stream(seed, 0, None, "traffic"), numpy_stream(seed, 0, None, "traffic")
+    for _ in range(2):   # the second draw reads the half the first one left
+        assert mine.integers(lo, lo + span + 1) == numpys.integers(lo, lo + span + 1)
+    assert mine.random(follow).tobytes() == numpys.random(follow).tobytes()
+    for bad in (lo, lo - 1, lo + 2**32):
         with pytest.raises(ValueError):
-            seq.generate_state(*args)
+            mine.integers(lo, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       w=st.floats(1.0, 1e4), h=st.floats(1.0, 1e4))
+def test_one_double_draw_is_both_uniform_coordinate_draws(seed, n, w, h):
+    """``random((2, n))`` scaled by the width and the height, as
+    generate_topology draws it, is numpy's ``uniform(0, w, n)`` then
+    ``uniform(0, h, n)``, and so are the topology's sensor positions."""
+    xs, ys = make_stream(seed, 0, None, "topology").random((2, n)) * [[w], [h]]
+    numpys = numpy_stream(seed, 0, None, "topology")
+    assert xs.tobytes() == numpys.uniform(0.0, w, n).tobytes()
+    assert ys.tobytes() == numpys.uniform(0.0, h, n).tobytes()
+    cfg = default_config()
+    cfg.scenario.node_count, cfg.scenario.area_width_m, cfg.scenario.area_height_m = n, w, h
+    positions, _, _ = generate_topology(cfg, make_stream(seed, 0, None, "topology"))
+    assert positions == list(zip(xs.tolist(), ys.tolist()))
 
 
 def test_importing_gradcast_leaves_numpy_random_unloaded():
-    """numpy loads ``numpy.random`` on first use; importing it costs about
-    5.4 MB on top of numpy, which a module of this package must not pay at
-    import."""
+    """numpy loads ``numpy.random`` on first use; importing it, with
+    ``secrets``, ``hmac`` and the Cython runtime, costs about 5.4 MB of RSS
+    on top of numpy and this package (1.8 MB in the benchmark's child, which
+    already loads part of it). No module of this package pays it at import,
+    and no played run pays it: a serial sweep of the five protocols at p_f
+    0.4 on both failure sides draws from every stream purpose."""
     script = ("import importlib, pkgutil, sys\n"
               f"sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / 'src')!r})\n"
               "import gradcast\n"
               "names = [m.name for m in pkgutil.iter_modules(gradcast.__path__)]\n"
               "for name in names:\n"
               "    importlib.import_module('gradcast.' + name)\n"
-              "print(len(names), 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n")
+              "from gradcast import config, scenario\n"
+              "cfg = config.apply_overrides(config.default_config(), [\n"
+              "    'scenario.node_count=30', 'scenario.area_width_m=120',\n"
+              "    'scenario.area_height_m=120', 'scenario.p_f=0.4', 'scenario.replications=2'])\n"
+              "runs, _ = scenario.sweep(cfg, {'scenario.protocol': ['BGB', 'GRAB', 'P-GRAB',\n"
+              "    'U-GRAB', 'UP-GRAB'], 'scenario.failure_side': ['rx', 'tx']}, jobs=1)\n"
+              "print(len(names), 'numpy' in sys.modules, len(runs),\n"
+              "      sum(m.relay_failures for m in runs) > 0,\n"
+              "      *(name in sys.modules for name in ('numpy.random', 'secrets', 'hmac')))\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    count, numpy_loaded, random_loaded = done.stdout.split()
+    count, numpy_loaded, runs, failed, *loaded = done.stdout.split()
     assert int(count) >= 10 and numpy_loaded == "True"
-    assert random_loaded == "False"
+    assert int(runs) == 2 * 5 * 2 and failed == "True"
+    assert loaded == ["False"] * 3
 
 
 FINITE = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0, 120.0, 5e-324])
@@ -279,8 +374,8 @@ def test_uniform_is_affine_in_one_double(seed, lo, hi, same):
     depended on its value there."""
     if same:
         hi = lo
-    numpy_draws = make_stream(seed, 0, 1, "mac")
-    doubles = make_stream(seed, 0, 1, "mac")
+    numpy_draws = numpy_stream(seed, 0, 1, "mac")
+    doubles = numpy_stream(seed, 0, 1, "mac")
     net = _network(seed, 0)
     for _ in range(3):
         want = struct.pack("<d", lo + (hi - lo) * doubles.random())

@@ -26,7 +26,7 @@ from gradcast.scenario import (TrafficEvent, build_network, connectivity,
                                generate_topology, generate_traffic,
                                neighbor_lists, play, run_replication, sweep)
 from gradcast.shared_setup import DATA_ONLY_FIELDS, SetupSnapshot, SharedSetup, setup_key
-from tests.conftest import line_cfg, small_cfg
+from tests.conftest import line_cfg, numpy_stream, small_cfg
 
 
 def test_topology_is_reproducible():
@@ -123,7 +123,7 @@ def test_traffic_is_the_scalar_draws_bit_for_bit(seed, run, count, spread, width
     sc.area_width_m, sc.area_height_m = width, height
     sc.data_start_ms, sc.data_window_ms = start, window
     events = generate_traffic(cfg, make_stream(seed, run, None, "traffic"))
-    expected = _scalar_traffic(cfg, make_stream(seed, run, None, "traffic"))
+    expected = _scalar_traffic(cfg, numpy_stream(seed, run, None, "traffic"))
     assert [(e.pos, e.trigger_ms) for e in events] == expected
     for e in events:
         assert [type(v) for v in (*e.pos, e.trigger_ms)] == [float] * 3
@@ -216,7 +216,7 @@ def test_failure_rate_calibration():
     p = 0.4
     rng = make_stream(1, 0, 7, "failure")
     n = 10_000
-    fails = sum(float(rng.random()) < p for _ in range(n))
+    fails = sum(u < p for u in rng.random(n).tolist())
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(fails / n - p) <= 3 * sigma
 
@@ -240,19 +240,18 @@ def test_sweep_shapes():
         [("BGB", 0.0), ("BGB", 0.4), ("GRAB", 0.0), ("GRAB", 0.4)]
 
 
-def _seeded(net, purpose: str) -> list[int]:
-    """Node ids that hold draws of their ``purpose`` stream."""
-    key = (net.cfg.scenario.base_seed, net.recorder.run_index, purpose)
-    _, draws = net.tapes.get(key, (None, []))
-    return [i for i, d in enumerate(draws) if d]
+def _seeded(net, purpose: str) -> dict[int, int]:
+    """Per node id that read its ``purpose`` stream, the draws it read."""
+    _, _, reads = net.streams.get(purpose, (None, None, []))
+    return {i: pos for i, pos in enumerate(reads) if pos}
 
 
 def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
-    """BGB and GRAB never draw from a node's policy stream, so they fill no
-    node's policy draws and hash no policy seed words; P-GRAB does draw, so
-    the check is not vacuous. U-GRAB draws only on a reward tie, so it
-    fills policy draws exactly for each node that drew; with the energy
-    reward pinned to the fresh ladder's, ties are common."""
+    """BGB and GRAB never draw from a node's policy stream, so they read no
+    node's policy draws and make no policy tape; P-GRAB does draw, so the
+    check is not vacuous. U-GRAB draws only on a reward tie, so it reads
+    policy draws exactly for each node that drew, once per draw; with the
+    energy reward pinned to the fresh ladder's, ties are common."""
     built = {}
     for protocol in ("BGB", "GRAB", "P-GRAB"):
         cfg = small_cfg(protocol=protocol, replications=1)
@@ -264,7 +263,7 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
         # were hashed
         built[protocol] = (_seeded(net, "policy"),
                            (cfg.scenario.base_seed, 0, "policy") in net.tapes)
-    assert built["BGB"] == built["GRAB"] == ([], False)
+    assert built["BGB"] == built["GRAB"] == ({}, False)
     assert built["P-GRAB"][0] and built["P-GRAB"][1]
 
     draws = []
@@ -288,7 +287,7 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
         net.release()
         assert net.counters["forwarded_total"] > 0
         streams = _seeded(net, "policy")
-        assert streams == sorted(set(draws))
+        assert streams == Counter(draws)
         if forced_tie:
             assert len(draws) > 10
         else:
@@ -298,7 +297,8 @@ def test_policy_streams_only_for_protocols_that_draw(monkeypatch):
 def test_ugrab_without_a_tie_hashes_no_policy_words(monkeypatch):
     """U-GRAB flips its policy coin only on a reward tie: a play whose
     decisions hold no tie hashes no policy seed words and makes no policy
-    tape, though its nodes decide."""
+    tape, though its nodes decide: it hashes the node-less streams' words
+    (``make_stream``) and the mac and failure words."""
     hashed = []
     real_words = engine.seed_words
     monkeypatch.setattr(engine, "seed_words",
@@ -311,7 +311,7 @@ def test_ugrab_without_a_tie_hashes_no_policy_words(monkeypatch):
     # row: time, node, protocol, eligible, action, p_fw, c_n, ladder and energy rewards
     decided = [row for row in decisions if row[3] == 1]
     assert len(decided) > 10 and all(row[7] != row[8] for row in decided)
-    assert sorted(hashed) == ["failure", "mac"]
+    assert set(hashed) == {"topology", "traffic", "failure", "mac"}
     assert set(net.tapes) == {(cfg.scenario.base_seed, 0, p) for p in ("failure", "mac")}
 
 
@@ -397,28 +397,31 @@ def test_play_an_explicit_cell_list_shares_each_topology(monkeypatch):
 
 def test_play_seeds_each_stream_once_per_topology_group(monkeypatch):
     """Twenty cells on two replications, differing in protocol, p_f and the
-    failure side: each per-node stream is seeded once in the play, by one
-    hash of its purpose's seed words, and each block of its draws is grown
-    once; of the node-less ones, ``make_stream`` seeds the topology once per run
-    index and the traffic once per cell and run. Yet each cell's rows equal
-    its replications run on their own, serially and in parallel."""
+    failure side: each purpose's seed words are hashed over every node id
+    once in the play (a block made for one node alone hashes only its row),
+    and each block of a node's draws is grown once; of the node-less
+    streams, ``make_stream`` seeds the topology once per run index and the
+    traffic once per cell and run. Yet each cell's rows equal its
+    replications run on their own, serially and in parallel."""
     cells = [(small_cfg(protocol=protocol, p_f=p_f, failure_side=side), "")
              for protocol in SWEEP_PROTOCOLS for p_f in (0.0, 0.4) for side in ("rx", "tx")]
     seeded, hashed, grown = [], [], []
     real_stream, real_words, real_grow = engine.make_stream, engine.seed_words, engine.grow
     monkeypatch.setattr(engine, "make_stream",
                         lambda *key: seeded.append(key) or real_stream(*key))
-    monkeypatch.setattr(engine, "seed_words",
-                        lambda *args: hashed.append(args[:3]) or real_words(*args))
-    monkeypatch.setattr(engine, "grow", lambda draws, row: grown.append(
-        (row.tobytes(), len(draws))) or real_grow(draws, row))
+    monkeypatch.setattr(engine, "seed_words", lambda *args: hashed.append(
+        (*args[:3], len(args[3]))) or real_words(*args))
+    monkeypatch.setattr(engine, "grow", lambda tapes, key, node: grown.append(
+        (key, node, len(tapes[key][1][node]))) or real_grow(tapes, key, node))
     runs, _ = play(cells)
-    for keys in (hashed, grown):
+    # make_stream hashes one row per node-less stream
+    passes = [key[:3] for key in hashed if key[3] > 1]
+    for keys in (passes, grown):
         assert set(Counter(keys).values()) == {1}
     seed = cells[0][0].scenario.base_seed
     assert Counter(seeded) == {(seed, run, None, "topology"): 1 for run in (0, 1)} | \
         {(seed, run, None, "traffic"): len(cells) for run in (0, 1)}
-    assert {(run, purpose) for _, run, purpose in hashed} == \
+    assert {(run, purpose) for _, run, purpose in passes} == \
         {(run, purpose) for run in (0, 1) for purpose in ("failure", "mac", "policy")}
     alone = [run_row(run_replication(cfg, i)) for cfg, _ in cells for i in range(2)]
     assert [run_row(m) for m in runs] == alone
@@ -1128,12 +1131,12 @@ def test_every_deciding_node_holds_the_sinks_bounds(monkeypatch, mode):
 @pytest.mark.parametrize("protocol", ["P-GRAB", "UP-GRAB"])
 def test_cursor_lists_hold_the_simulators_cursors(protocol):
     """The network's read positions, one list per purpose beside that
-    purpose's rows and draws, in a run with a setup of its own and in one
-    resumed from a snapshot: no purpose is opened before its first draw or,
-    after a resume, beyond the setup's; each list holds one position per
-    node id on the draws of its own key, a node holds draws exactly when it
-    read them, and a resumed network snapshots back to the snapshot it
-    resumed from."""
+    purpose's tape key and draws, in a run with a setup of its own and in
+    one resumed from a snapshot: no purpose is opened before its first draw
+    or, after a resume, beyond the setup's; each list holds one position
+    per node id on the draws of its own key, a node that read holds at
+    least the draws it read, in whole blocks, and a resumed network
+    snapshots back to the snapshot it resumed from."""
     cfg = small_cfg(protocol=protocol, replications=1, p_f=0.4, failure_side="rx")
     validate(cfg)
     taken_on = {}
@@ -1154,12 +1157,13 @@ def test_cursor_lists_hold_the_simulators_cursors(protocol):
         net.release()
         assert net.counters["relay_failures"] > 0
         assert set(net.streams) == {"failure", "mac", "policy"}
-        for purpose, (seeds, draws, reads) in net.streams.items():
-            tape = net.tapes[cfg.scenario.base_seed, 0, purpose]
-            assert tape[0] is seeds and tape[1] is draws
-            assert len(seeds) == len(draws) == len(reads) == len(net.nodes)
+        for purpose, (key, draws, reads) in net.streams.items():
+            assert key == (cfg.scenario.base_seed, 0, purpose)
+            seeds, tape_draws = net.tapes[key]
+            assert tape_draws is draws and seeds.shape == (len(net.nodes), 4)
+            assert len(draws) == len(reads) == len(net.nodes)
             assert all(pos <= len(d) for d, pos in zip(draws, reads))
-            assert [len(d) > 0 for d in draws] == [pos > 0 for pos in reads]
+            assert all(len(d) % engine.BLOCK == 0 for d in draws)
         # every draw went through the lists: only the purposes drawn from
         # hashed their seed words
         assert set(net.tapes) == {(cfg.scenario.base_seed, 0, p) for p in net.streams}
@@ -1213,7 +1217,7 @@ def test_played_tapes_hold_make_streams_draws():
         for node, (row, d) in enumerate(zip(rows, draws)):
             seq = np.random.SeedSequence([seed ^ run, node, STREAM_PURPOSES[purpose]])
             assert row.tobytes() == seq.generate_state(4, np.uint64).tobytes()
-            want = make_stream(seed, run, node, purpose).random(len(d))
+            want = numpy_stream(seed, run, node, purpose).random(len(d))
             assert d.tobytes() == want.tobytes()
 
 
